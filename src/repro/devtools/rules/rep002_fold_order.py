@@ -1,12 +1,13 @@
 """REP002: buffered fancy-index accumulation inside the engine.
 
-The parallel executor's bit-identical-to-serial guarantee (PR 7) rests on
-every message fold using *unbuffered* ``ufunc.at`` — ``np.add.at(out,
-idx, values)`` applies repeated indices sequentially, whereas
-``out[idx] += values`` silently drops all but one contribution per
-duplicated index and ``np.add(..., out=out[idx])`` buffers through a
-temporary.  Inside ``repro/engine/`` any fancy-index accumulation must go
-through the merge ufunc's ``.at``.
+The three scan strategies of the superstep driver (in-process, shm pool,
+mmap stream) are bit-identical only because every message fold uses
+*unbuffered* ``ufunc.at`` — ``np.add.at(out, idx, values)`` applies
+repeated indices sequentially, whereas ``out[idx] += values`` silently
+drops all but one contribution per duplicated index and ``np.add(...,
+out=out[idx])`` buffers through a temporary.  Inside ``repro/engine/`` and
+``repro/ooc/pregel_stream.py`` (the stream scan) any fancy-index
+accumulation must go through the merge ufunc's ``.at``.
 
 Heuristics (scalar indices in Python loops are fine and common):
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import ast
 
 from ..engine import Reporter, rule
-from .common import call_name, under
+from .common import call_name
 
 _ARRAYISH_NAMES = {
     "idx",
@@ -69,14 +70,18 @@ def _index_is_arrayish(index: ast.AST) -> bool:
     )
 
 
+def _applies(path: str) -> bool:
+    return "repro/engine/" in path or "repro/ooc/pregel_stream.py" in path
+
+
 @rule(
     "REP002",
     severity="error",
     description="buffered fancy-index accumulation in engine code "
     "(use the merge ufunc's unbuffered .at)",
-    rationale="the PR 7 parallel executor is bit-identical to serial only "
-    "through unbuffered ufunc.at folds",
-    applies=under("repro/engine/"),
+    rationale="the in-process, shm-pool and mmap-stream scans are "
+    "bit-identical only through unbuffered ufunc.at folds",
+    applies=_applies,
 )
 class FoldOrderRule(ast.NodeVisitor):
     def __init__(self, reporter: Reporter) -> None:

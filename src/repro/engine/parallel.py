@@ -1,41 +1,32 @@
-"""Shared-memory parallel Pregel: multi-core supersteps over attached partitions.
+"""The shm-pool scan strategy: one superstep's scan across worker processes.
 
-PR 5 parallelised *across* grid cells; this module shards **one** Pregel
-run across a persistent :class:`~concurrent.futures.ProcessPoolExecutor`.
-Edge partitions are the unit of work, exactly as in the paper: the
-partition-major triplet arrays (built from every
-:class:`~repro.engine.edge_partition.EdgePartition`'s cached
-``local_triplets()``) and the membership-derived per-partition outbox
-offsets are published **once** into ``multiprocessing.shared_memory``
-segments through :class:`~repro.engine.shm_registry.ShmRegistry`, and
-worker processes *attach* zero-copy ``np.ndarray`` views instead of
-unpickling graph data per superstep.
+The superstep loop itself lives in :mod:`repro.engine.pregel` (see "One
+driver, three scans" there, which also states why every scan strategy is
+bit-identical); this module only shards the *scan* across a persistent
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Edge partitions are the
+unit of work, exactly as in the paper: the partition-major triplet arrays
+and the membership-derived per-partition outbox offsets are published
+**once** into ``multiprocessing.shared_memory`` segments through
+:class:`~repro.engine.shm_registry.ShmRegistry`, and worker processes
+*attach* zero-copy ``np.ndarray`` views instead of unpickling graph data
+per superstep.
 
-Each superstep runs two fan-out rounds:
+Each scan copies the driver's ``state``/``active`` into the run's
+segments and runs two fan-out rounds:
 
 1. **scan + pass-1 fold** — every worker handles a set of partitions:
    it masks the partition's triplets against the shared ``active`` array,
    calls the kernel's ``send_message_array`` on them, left-folds the
-   messages into per-``(partition, target)`` outbox slots with
-   ``ufunc.at`` (the scalar outbox pre-aggregation) and writes the slot
+   messages into the partition's outbox slots and writes the slot
    targets/values into the partition's region of the shared outbox;
 2. **pass-2 merge** — the parent unions the slot targets, then workers
    fold disjoint *target ranges* across all partitions in ascending
-   partition order (the scalar ``_route_and_merge`` master-side merge).
+   partition order.
 
-Because a partition's slots are exactly the serial
-:func:`~repro.engine.messaging.plan_fold` slots restricted to that
-partition (the global slot order is partition-major) and both folds
-apply the same ``ufunc.at`` left folds in the same order, every merged
-message — and therefore every ``SuperstepRecord`` counter and final
-vertex value — is **bit-identical** to the serial array path.  The
-equivalence zoo in ``tests/test_pregel_array_equivalence.py`` asserts
-this across every registered partitioner at ``workers`` ∈ {1, 2, 4}.
-
-Supersteps whose active frontier is small run serially in the parent
-(dispatch latency would dominate); the results are identical either way
-and the parallel/serial split is surfaced via :func:`engine_stats` for
-``repro serve /stats``.
+Scans whose active frontier is small run in the parent through the
+in-process scan (dispatch latency would dominate); the results are
+identical either way and the split is surfaced via :func:`engine_stats`
+for ``repro serve /stats``.
 """
 
 from __future__ import annotations
@@ -47,19 +38,15 @@ import pickle
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import EngineError
 from ..partitioning.membership import segment_arange
-from .messaging import (
-    ArrayMessageKernel,
-    active_edge_mask,
-    fold_messages,
-    plan_fold,
-    route_counts,
-)
+from .messaging import ArrayMessageKernel, active_edge_mask, triplet_scan
 from .shm_registry import (
     ShmRegistry,
     attach_array,
@@ -71,7 +58,6 @@ __all__ = [
     "ParallelPregelExecutor",
     "engine_stats",
     "parallel_supported",
-    "pregel_array_parallel",
     "reset_engine_stats",
 ]
 
@@ -368,9 +354,9 @@ class ParallelPregelExecutor:
     Created once per :class:`~repro.engine.partitioned_graph.PartitionedGraph`
     (see :meth:`for_graph`) and reused across runs and algorithms: the
     triplet/membership segments are published at construction, every run
-    only creates its small mutable segments (state, active mask, outbox,
-    merge buffers).  Runs are serialised with a lock so concurrent serve
-    threads share the pool safely.
+    (one :meth:`scan` context) only creates its small mutable segments
+    (state, active mask, outbox, merge buffers).  Runs are serialised with
+    a lock so concurrent serve threads share the pool safely.
     """
 
     def __init__(self, pgraph, workers: int) -> None:
@@ -379,6 +365,7 @@ class ParallelPregelExecutor:
         trip = pgraph.triplets()
         if trip.num_edges == 0 or trip.num_vertices == 0:
             raise EngineError("parallel execution requires a non-empty graph")
+        self._trip = trip
         self.workers = int(workers)
         self.num_partitions = trip.num_partitions
         self.num_vertices = trip.num_vertices
@@ -468,328 +455,138 @@ class ParallelPregelExecutor:
         return None
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        pgraph,
-        initial_values: Dict[int, Any],
-        kernel: ArrayMessageKernel,
-        *,
-        max_iterations: int,
-        active_direction: str,
-        cluster,
-        model,
-        report,
-        edge_compute_units: float,
-        vertex_compute_units: float,
-        always_active: bool,
-    ):
-        """Run one kernelised Pregel computation on the attached graph.
+    def _fan_out(self, task, run_manifest: Dict[str, object], argument_lists) -> list:
+        """Submit one ``task`` per argument list and gather the results in order."""
+        try:
+            futures = [
+                self._pool.submit(task, self._static_manifest, run_manifest, *arguments)
+                for arguments in argument_lists
+            ]
+            return [future.result() for future in futures]
+        except BrokenProcessPool as error:
+            # A dead worker breaks the pool for good: close, so that
+            # ``for_graph`` builds a fresh executor for the next run.
+            self.close()
+            raise EngineError(
+                f"a worker of the {self.workers}-process Pregel pool died; the pool "
+                "was shut down and is rebuilt on the next run"
+            ) from error
 
-        Same contract (and bit-identical output) as the serial
-        ``_pregel_array`` loop; see the module docstring for the argument.
+    @contextmanager
+    def scan(
+        self,
+        state: np.ndarray,
+        kernel: ArrayMessageKernel,
+        executor_of: np.ndarray,
+        active_direction: str,
+        always_active: bool,
+    ) -> Iterator[Callable]:
+        """The shm-pool scan strategy of the superstep driver, for one run.
+
+        Yields ``scan(active, state)`` with the contract (and bit-identical
+        output) of :func:`~repro.engine.messaging.triplet_scan`: it copies
+        ``state``/``active`` into the run's segments, fans the two rounds
+        out and gathers; small frontiers go to the in-process scan instead.
+        The merged messages it returns are a view of a run segment, valid
+        until the next call.
+
+        ``state`` is the encoded initial state (it sizes the state
+        segment); ``encode`` may set kernel-side state, which is why the
+        kernel is pickled for the workers only here.  The run segments are
+        unlinked on exit, whatever happened inside.
         """
         if self._closed:
             raise EngineError("executor is closed")
-        with self._run_lock:
-            return self._run_locked(
-                pgraph,
-                initial_values,
-                kernel,
-                max_iterations=max_iterations,
-                active_direction=active_direction,
-                cluster=cluster,
-                model=model,
-                report=report,
-                edge_compute_units=edge_compute_units,
-                vertex_compute_units=vertex_compute_units,
-                always_active=always_active,
-            )
-
-    def _run_locked(
-        self,
-        pgraph,
-        initial_values,
-        kernel,
-        *,
-        max_iterations,
-        active_direction,
-        cluster,
-        model,
-        report,
-        edge_compute_units,
-        vertex_compute_units,
-        always_active,
-    ):
-        # Imported here (not at module top) to avoid a circular import:
-        # pregel.py pulls this module in lazily for dispatch.
-        from .pregel import _MESSAGE_SERIALIZE_UNITS, PregelResult, _broadcast_updates
-
-        trip = pgraph.triplets()
-        num_vertices = trip.num_vertices
-        num_partitions = trip.num_partitions
-        master_of = trip.master_of
-        executor_of = cluster.executor_map(num_partitions)
-        vertex_units_per_master = (
-            np.bincount(master_of, minlength=num_partitions) * vertex_compute_units
-        )
         min_active = _min_parallel_active()
         static_structure = always_active and kernel.static_message_structure
-
-        # ``encode`` may set kernel-side state (PageRank's degrees), so the
-        # kernel is pickled for the workers only afterwards.
-        initial_state = kernel.encode(trip.vertex_ids, initial_values)
+        in_parent = triplet_scan(self._trip, kernel, executor_of, active_direction, False)
         width = kernel.message_width
         message_shape = (
             (self.outbox_capacity,) if width is None else (self.outbox_capacity, width)
         )
-        merged_shape = (num_vertices,) if width is None else (num_vertices, width)
+        merged_shape = (
+            (self.num_vertices,) if width is None else (self.num_vertices, width)
+        )
+        steps = {"parallel": 0, "serial": 0}
+        cached = None
 
-        parallel_steps = 0
-        serial_steps = 0
-        registry = ShmRegistry(label="pregel-run")
-        try:
-            state = registry.create_array("state", initial_state.shape, initial_state.dtype)
-            state[...] = initial_state
-            active = registry.create_array("active", (num_vertices,), np.bool_)
-            registry.create_array("out_targets", (self.outbox_capacity,), np.int64)
-            registry.create_array("out_values", message_shape, kernel.message_dtype)
-            targets_buffer = registry.create_array("targets", (num_vertices,), np.int64)
-            merged_buffer = registry.create_array("merged", merged_shape, kernel.message_dtype)
-            registry.publish_bytes("kernel", pickle.dumps(kernel))
-            out_targets = registry.array("out_targets")
-            run_manifest: Dict[str, object] = {
-                "run_id": f"{os.getpid()}-{next(_RUN_IDS)}",
-                "always_active": always_active,
-                "active_direction": active_direction,
-                "executor_of": executor_of.tolist(),
-            }
-            for key in ("kernel", "state", "active", "out_targets", "out_values", "targets", "merged"):
-                run_manifest[key] = registry.entry(key)
-
-            # ----------------------------------------------------------
-            # Superstep 0 (parent only): vertex program everywhere.
-            # ----------------------------------------------------------
-            partition_units = np.zeros(num_partitions, dtype=np.float64)
-            result = kernel.initial_program(state)
-            if result is not state:
-                state[...] = result
-            partition_units += vertex_units_per_master
-            sync_remote, sync_local = _broadcast_updates(
-                pgraph, cluster, trip.vertex_ids, partition_units
-            )
-            model.record_superstep(
-                report,
-                superstep=0,
-                partition_units=partition_units,
-                messages_remote=sync_remote,
-                messages_local=sync_local,
-                active_vertices=num_vertices,
-                edges_scanned=0,
-            )
-
-            active[...] = True
-            active_count = num_vertices
-            supersteps = 0
-
-            if always_active:
-                all_edge_units = (
-                    np.bincount(trip.edge_pid, minlength=num_partitions)
-                    * edge_compute_units
+        with self._run_lock:
+            registry = ShmRegistry(label="pregel-run")
+            try:
+                shared_state = registry.create_array("state", state.shape, state.dtype)
+                shared_active = registry.create_array(
+                    "active", (self.num_vertices,), np.bool_
                 )
-                all_sync_units = np.zeros(num_partitions, dtype=np.float64)
-                all_sync_remote, all_sync_local = _broadcast_updates(
-                    pgraph, cluster, trip.vertex_ids, all_sync_units
+                out_targets = registry.create_array(
+                    "out_targets", (self.outbox_capacity,), np.int64
                 )
-            cached_targets = None
-            cached_slot_counts = None
-            cached_serialize_units = None
-            cached_shuffle = None
+                registry.create_array("out_values", message_shape, kernel.message_dtype)
+                targets_buffer = registry.create_array(
+                    "targets", (self.num_vertices,), np.int64
+                )
+                merged_buffer = registry.create_array(
+                    "merged", merged_shape, kernel.message_dtype
+                )
+                registry.publish_bytes("kernel", pickle.dumps(kernel))
+                run_manifest: Dict[str, object] = {
+                    "run_id": f"{os.getpid()}-{next(_RUN_IDS)}",
+                    "always_active": always_active,
+                    "active_direction": active_direction,
+                    "executor_of": executor_of.tolist(),
+                }
+                for key in ("kernel", "state", "active", "out_targets", "out_values", "targets", "merged"):
+                    run_manifest[key] = registry.entry(key)
 
-            # ----------------------------------------------------------
-            # Message-exchange supersteps.
-            # ----------------------------------------------------------
-            while active.any() and supersteps < max_iterations:
-                supersteps += 1
-                partition_units = np.zeros(num_partitions, dtype=np.float64)
-                fan_out = always_active or active_count >= min_active
-
-                if fan_out:
-                    parallel_steps += 1
-                    need_route = cached_shuffle is None
-                    futures = [
-                        self._pool.submit(
-                            _worker_scan_fold,
-                            self._static_manifest,
-                            run_manifest,
-                            chunk,
-                            static_structure,
-                            need_route,
-                        )
-                        for chunk in self._chunks
-                    ]
-                    slot_counts = np.zeros(num_partitions, dtype=np.int64)
-                    scanned_counts = np.zeros(num_partitions, dtype=np.int64)
+                def scan(active, state):
+                    nonlocal cached
+                    if not always_active and np.count_nonzero(active) < min_active:
+                        # Small frontier: dispatch latency would dominate.
+                        steps["serial"] += 1
+                        return in_parent(active, state)
+                    steps["parallel"] += 1
+                    shared_state[...] = state
+                    shared_active[...] = active
+                    slot_counts = np.zeros(self.num_partitions, dtype=np.int64)
+                    scanned_counts = np.zeros(self.num_partitions, dtype=np.int64)
                     shuffle_remote = 0
                     shuffle_local = 0
-                    for chunk, future in zip(self._chunks, futures):
-                        counts, scanned, remote, local = future.result()
+                    round_one = self._fan_out(
+                        _worker_scan_fold,
+                        run_manifest,
+                        [(chunk, static_structure, cached is None) for chunk in self._chunks],
+                    )
+                    for chunk, (counts, scanned, remote, local) in zip(self._chunks, round_one):
                         slot_counts[chunk] = counts
                         scanned_counts[chunk] = scanned
                         shuffle_remote += remote
                         shuffle_local += local
-                    edges_scanned = int(scanned_counts.sum())
-                    if always_active:
-                        partition_units += all_edge_units
+                    if cached is not None:
+                        target_idx, slot_counts, shuffle_remote, shuffle_local = cached
                     else:
-                        partition_units += scanned_counts * edge_compute_units
-                    if cached_shuffle is not None:
-                        partition_units += cached_serialize_units
-                        shuffle_remote, shuffle_local = cached_shuffle
-                        target_idx = cached_targets
-                        slot_counts = cached_slot_counts
-                    else:
-                        serialize_units = slot_counts * _MESSAGE_SERIALIZE_UNITS
-                        partition_units += serialize_units
                         used = segment_arange(self.outbox_offsets[:-1], slot_counts)
                         target_idx = np.unique(out_targets[used])
                         if static_structure:
-                            cached_serialize_units = serialize_units
-                            cached_shuffle = (shuffle_remote, shuffle_local)
-                            cached_targets = target_idx
-                            cached_slot_counts = slot_counts
+                            cached = (target_idx, slot_counts, shuffle_remote, shuffle_local)
                     num_targets = int(target_idx.size)
-                    if num_targets:
-                        targets_buffer[:num_targets] = target_idx
-                        merge_futures = [
-                            self._pool.submit(
-                                _worker_merge,
-                                self._static_manifest,
-                                run_manifest,
-                                slot_counts,
-                                lo,
-                                hi,
-                                num_targets,
-                            )
+                    targets_buffer[:num_targets] = target_idx
+                    self._fan_out(
+                        _worker_merge,
+                        run_manifest,
+                        [
+                            (slot_counts, lo, hi, num_targets)
                             for lo, hi in _target_ranges(num_targets, self.workers)
-                        ]
-                        for future in merge_futures:
-                            future.result()
-                        merged = merged_buffer[:num_targets]
-                    else:
-                        merged = kernel.identity_array(0)
-                else:
-                    # Small frontier: run the serial array superstep in the
-                    # parent (identical results, no dispatch latency).
-                    serial_steps += 1
-                    scanned = np.flatnonzero(
-                        active_edge_mask(active, trip.src, trip.dst, active_direction)
+                        ],
                     )
-                    edges_scanned = int(scanned.size)
-                    scanned_pid = trip.edge_pid[scanned]
-                    partition_units += (
-                        np.bincount(scanned_pid, minlength=num_partitions)
-                        * edge_compute_units
+                    return (
+                        target_idx,
+                        merged_buffer[:num_targets],
+                        scanned_counts,
+                        slot_counts,
+                        shuffle_remote,
+                        shuffle_local,
                     )
-                    positions, msg_targets, messages = kernel.send_message_array(
-                        trip.src[scanned], trip.dst[scanned], state
-                    )
-                    plan = plan_fold(scanned_pid[positions], msg_targets, num_vertices)
-                    partition_units += (
-                        np.bincount(plan.slot_pid, minlength=num_partitions)
-                        * _MESSAGE_SERIALIZE_UNITS
-                    )
-                    shuffle_remote, shuffle_local = route_counts(
-                        plan, master_of, executor_of
-                    )
-                    merged = fold_messages(kernel, plan, messages)
-                    target_idx = plan.target_idx
-                    num_targets = int(target_idx.size)
 
-                if not num_targets and not always_active:
-                    model.record_superstep(
-                        report,
-                        superstep=supersteps,
-                        partition_units=partition_units,
-                        messages_remote=shuffle_remote,
-                        messages_local=shuffle_local,
-                        active_vertices=0,
-                        edges_scanned=edges_scanned,
-                    )
-                    active[...] = False
-                    break
-
-                if always_active:
-                    result = kernel.apply_messages_all(state, target_idx, merged)
-                    if result is not state:
-                        state[...] = result
-                    partition_units += vertex_units_per_master
-                    partition_units += all_sync_units
-                    sync_remote, sync_local = all_sync_remote, all_sync_local
-                    num_updated = num_vertices
-                else:
-                    result = kernel.apply_messages(state, target_idx, merged)
-                    if result is not state:
-                        state[...] = result
-                    partition_units += (
-                        np.bincount(master_of[target_idx], minlength=num_partitions)
-                        * vertex_compute_units
-                    )
-                    num_updated = num_targets
-                    sync_remote, sync_local = _broadcast_updates(
-                        pgraph, cluster, trip.vertex_ids[target_idx], partition_units
-                    )
-                model.record_superstep(
-                    report,
-                    superstep=supersteps,
-                    partition_units=partition_units,
-                    messages_remote=shuffle_remote + sync_remote,
-                    messages_local=shuffle_local + sync_local,
-                    active_vertices=num_updated,
-                    edges_scanned=edges_scanned,
-                )
-                if not always_active:
-                    active[...] = False
-                    active[target_idx] = True
-                    active_count = num_targets
-
-            final_state = np.array(state, copy=True)
-        finally:
-            registry.close()
-        _count_run(parallel_steps, serial_steps)
-        return PregelResult(
-            vertex_values=kernel.decode(trip.vertex_ids, final_state),
-            num_supersteps=report.num_supersteps,
-            report=report,
-        )
-
-
-def pregel_array_parallel(
-    pgraph,
-    initial_values: Dict[int, Any],
-    kernel: ArrayMessageKernel,
-    *,
-    workers: int,
-    max_iterations: int,
-    active_direction: str,
-    cluster,
-    model,
-    report,
-    edge_compute_units: float,
-    vertex_compute_units: float,
-    always_active: bool,
-):
-    """Entry point of the parallel array path (called by :func:`pregel`)."""
-    executor = ParallelPregelExecutor.for_graph(pgraph, workers)
-    return executor.run(
-        pgraph,
-        initial_values,
-        kernel,
-        max_iterations=max_iterations,
-        active_direction=active_direction,
-        cluster=cluster,
-        model=model,
-        report=report,
-        edge_compute_units=edge_compute_units,
-        vertex_compute_units=vertex_compute_units,
-        always_active=always_active,
-    )
+                yield scan
+            finally:
+                registry.close()
+        _count_run(steps["parallel"], steps["serial"])

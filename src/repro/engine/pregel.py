@@ -15,25 +15,53 @@ Every shuffle and broadcast is counted and priced by the
 :class:`~repro.engine.cost_model.CostModel`, producing the simulated
 execution time the evaluation benchmarks correlate with the partitioning
 metrics.
+
+One driver, three scans
+-----------------------
+The loop is written twice: the scalar dict loop inside :func:`pregel`
+(arbitrary Python payloads; the reference the equivalence tests compare
+against) and :func:`_run_supersteps`, the only kernelised loop.  The
+driver owns superstep 0, the active set, the vertex program, the replica
+broadcast and every ``record_superstep`` call, so a change to superstep
+behaviour or accounting is made there, once.  How a superstep's edges are
+scanned and its messages folded is a *scan strategy*, ``scan(active,
+state) -> (target_idx, merged, scanned_per_partition,
+slots_per_partition, shuffle_remote, shuffle_local)``, picked by
+:func:`pregel` from what it can observe:
+
+* in-process triplet arrays — :func:`repro.engine.messaging.triplet_scan`,
+  the default;
+* the shm pool — :meth:`repro.engine.parallel.ParallelPregelExecutor.scan`,
+  for ``parallel_workers >= 2`` on a non-empty graph where shared memory
+  works;
+* the mmap chunk walk — :func:`repro.ooc.pregel_stream.stream_scan`, for
+  graphs that set ``stream_supersteps``.
+
+All three are bit-identical to each other and to the scalar loop because
+outbox slots are partition-major (one per ``(partition, target)`` pair,
+partitions ascending) and every fold is an in-order, unbuffered
+``ufunc.at`` left fold from the merge identity: a partition's messages
+into its slots in edge order, then slot aggregates per target in
+partition order — the order of the scalar dict folds.  Splitting the work
+by partition (pool workers, mmapped shards) keeps both orders, and the
+driver turns the returned counts into compute units with the same
+``count * unit`` products and the same addition order on every path.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import EngineError
+from ..partitioning.membership import master_partition_array
 from .cluster import ClusterConfig, paper_cluster
 from .cost_model import CostModel, CostParameters, SimulationReport
-from .messaging import (
-    ArrayMessageKernel,
-    active_edge_mask,
-    fold_messages,
-    plan_fold,
-    route_counts,
-)
+from .messaging import ArrayMessageKernel, triplet_scan
+from .parallel import ParallelPregelExecutor, parallel_supported
 from .partitioned_graph import PartitionedGraph
 
 __all__ = [
@@ -216,18 +244,17 @@ def pregel(
         ``always_active`` is set.
     message_kernel:
         Optional :class:`~repro.engine.messaging.ArrayMessageKernel`.  When
-        given, the superstep loop runs array-natively over the cached
-        partition triplet arrays, producing bit-identical vertex values and
-        identical superstep counters to the scalar loop; the scalar loop
-        remains the path for arbitrary Python payloads.
+        given, the kernelised driver runs instead of the scalar loop,
+        producing bit-identical vertex values and identical superstep
+        counters; the scalar loop remains the path for arbitrary Python
+        payloads.
     parallel_workers:
-        With a ``message_kernel`` and ``parallel_workers >= 2``, supersteps
-        fan out across a persistent process pool attached to shared-memory
+        With a ``message_kernel`` and ``parallel_workers >= 2``, each scan
+        fans out across a persistent process pool attached to shared-memory
         copies of the partition triplets (see
-        :mod:`repro.engine.parallel`).  Results — vertex values and every
-        ``SuperstepRecord`` — are bit-identical to the serial kernel path.
-        ``None``/1 runs serially; the scalar path (no kernel) ignores it;
-        platforms without working shared memory fall back to serial.
+        :mod:`repro.engine.parallel`).  ``None``/1 scans in-process; the
+        scalar path (no kernel) and out-of-core graphs ignore it; platforms
+        without working shared memory fall back to the in-process scan.
     """
     _check_direction(active_direction)
     if max_iterations < 0:
@@ -248,17 +275,44 @@ def pregel(
     report.load_seconds = model.load_seconds(pgraph.dataset_bytes)
 
     if message_kernel is not None:
-        if getattr(pgraph, "stream_supersteps", False):
-            # Out-of-core graphs opt into the partition-at-a-time executor,
-            # which never materialises the global triplet arrays.
-            from ..ooc.pregel_stream import pregel_stream_supersteps
-
-            return pregel_stream_supersteps(
+        streaming = getattr(pgraph, "stream_supersteps", False)
+        vertex_ids = pgraph.graph.vertex_ids
+        # Out-of-core graphs never materialise the global triplet arrays.
+        master_of = (
+            master_partition_array(vertex_ids, pgraph.num_partitions)
+            if streaming
+            else pgraph.triplets().master_of
+        )
+        # ``encode`` may set kernel-side state (PageRank's degrees), so it
+        # runs before the pool strategy pickles the kernel for its workers.
+        state = message_kernel.encode(vertex_ids, initial_values)
+        strategy = (
+            message_kernel,
+            cluster.executor_map(pgraph.num_partitions),
+            active_direction,
+            always_active,
+        )
+        if streaming:
+            scanning = nullcontext(pgraph.stream_scan(master_of, *strategy))
+        elif (
+            parallel_workers is not None
+            and int(parallel_workers) > 1
+            and pgraph.graph.num_edges > 0
+            and pgraph.graph.num_vertices > 0
+            and parallel_supported()
+        ):
+            executor = ParallelPregelExecutor.for_graph(pgraph, int(parallel_workers))
+            scanning = executor.scan(state, *strategy)
+        else:
+            scanning = nullcontext(triplet_scan(pgraph.triplets(), *strategy))
+        with scanning as scan:
+            return _run_supersteps(
                 pgraph,
-                initial_values,
+                master_of,
                 message_kernel,
+                state,
+                scan,
                 max_iterations=max_iterations,
-                active_direction=active_direction,
                 cluster=cluster,
                 model=model,
                 report=report,
@@ -266,42 +320,6 @@ def pregel(
                 vertex_compute_units=vertex_compute_units,
                 always_active=always_active,
             )
-        workers = 1 if parallel_workers is None else int(parallel_workers)
-        if (
-            workers > 1
-            and pgraph.graph.num_edges > 0
-            and pgraph.graph.num_vertices > 0
-        ):
-            from .parallel import parallel_supported, pregel_array_parallel
-
-            if parallel_supported():
-                return pregel_array_parallel(
-                    pgraph,
-                    initial_values,
-                    message_kernel,
-                    workers=workers,
-                    max_iterations=max_iterations,
-                    active_direction=active_direction,
-                    cluster=cluster,
-                    model=model,
-                    report=report,
-                    edge_compute_units=edge_compute_units,
-                    vertex_compute_units=vertex_compute_units,
-                    always_active=always_active,
-                )
-        return _pregel_array(
-            pgraph,
-            initial_values,
-            message_kernel,
-            max_iterations=max_iterations,
-            active_direction=active_direction,
-            cluster=cluster,
-            model=model,
-            report=report,
-            edge_compute_units=edge_compute_units,
-            vertex_compute_units=vertex_compute_units,
-            always_active=always_active,
-        )
 
     if getattr(pgraph, "stream_supersteps", False):
         raise EngineError(
@@ -424,12 +442,13 @@ def pregel(
     )
 
 
-def _pregel_array(
+def _run_supersteps(
     pgraph: PartitionedGraph,
-    initial_values: Dict[int, Any],
+    master_of: np.ndarray,
     kernel: ArrayMessageKernel,
+    state: Any,
+    scan: Callable,
     max_iterations: int,
-    active_direction: str,
     cluster: ClusterConfig,
     model: CostModel,
     report: SimulationReport,
@@ -437,101 +456,53 @@ def _pregel_array(
     vertex_compute_units: float,
     always_active: bool,
 ) -> PregelResult:
-    """The array-native superstep loop (same observable behaviour as the
-    scalar loop above, computed with masks/folds over the triplet arrays)."""
-    trip = pgraph.triplets()
-    num_vertices = trip.num_vertices
-    num_partitions = trip.num_partitions
-    master_of = trip.master_of
-    executor_of = cluster.executor_map(num_partitions)
+    """The one kernelised superstep loop (same observable behaviour as the
+    scalar loop in :func:`pregel`, computed over dense arrays).
+
+    Owns superstep 0, the active set, the vertex program, the replica
+    broadcast and every cost-model record; ``scan(active, state)`` — one of
+    the three strategies named in the module docstring — does the edge
+    scan and message fold and returns ``(target_idx, merged,
+    scanned_per_partition, slots_per_partition, shuffle_remote,
+    shuffle_local)``.
+    """
+    vertex_ids = pgraph.graph.vertex_ids
+    num_vertices = int(vertex_ids.size)
+    num_partitions = pgraph.num_partitions
     vertex_units_per_master = (
         np.bincount(master_of, minlength=num_partitions) * vertex_compute_units
     )
-
-    state = kernel.encode(trip.vertex_ids, initial_values)
-
-    # ------------------------------------------------------------------
-    # Superstep 0: vertex program everywhere with the initial message.
-    # ------------------------------------------------------------------
-    partition_units = np.zeros(num_partitions, dtype=np.float64)
-    state = kernel.initial_program(state)
-    partition_units += vertex_units_per_master
-    sync_remote, sync_local = _broadcast_updates(
-        pgraph, cluster, trip.vertex_ids, partition_units
+    # The all-vertices broadcast plan: superstep 0 uses it, and so does
+    # every superstep of an ``always_active`` run, so it is computed once.
+    all_sync_units = np.zeros(num_partitions, dtype=np.float64)
+    all_sync_remote, all_sync_local = _broadcast_updates(
+        pgraph, cluster, vertex_ids, all_sync_units
     )
+
+    # Superstep 0: vertex program everywhere with the initial message.
+    state = kernel.initial_program(state)
     model.record_superstep(
         report,
         superstep=0,
-        partition_units=partition_units,
-        messages_remote=sync_remote,
-        messages_local=sync_local,
+        partition_units=vertex_units_per_master + all_sync_units,
+        messages_remote=all_sync_remote,
+        messages_local=all_sync_local,
         active_vertices=num_vertices,
         edges_scanned=0,
     )
 
     active = np.ones(num_vertices, dtype=bool)
     supersteps = 0
-
-    # ``always_active`` loops scan every edge, update every vertex and
-    # broadcast every master each superstep, so those plans (and their
-    # counters) are computed once and reused.
-    if always_active:
-        all_edge_units = (
-            np.bincount(trip.edge_pid, minlength=num_partitions) * edge_compute_units
-        )
-        all_sync_units = np.zeros(num_partitions, dtype=np.float64)
-        all_sync_remote, all_sync_local = _broadcast_updates(
-            pgraph, cluster, trip.vertex_ids, all_sync_units
-        )
-    cached_plan = None
-    cached_serialize_units = None
-    cached_shuffle = None
-
-    # ------------------------------------------------------------------
-    # Message-exchange supersteps.
-    # ------------------------------------------------------------------
     while active.any() and supersteps < max_iterations:
         supersteps += 1
-        partition_units = np.zeros(num_partitions, dtype=np.float64)
-
-        if always_active:
-            # Every vertex is active: the scan covers every triplet.
-            scanned_src, scanned_dst = trip.src, trip.dst
-            scanned_pid = trip.edge_pid
-            edges_scanned = trip.num_edges
-            partition_units += all_edge_units
-        else:
-            scan_mask = active_edge_mask(active, trip.src, trip.dst, active_direction)
-            scanned = np.flatnonzero(scan_mask)
-            edges_scanned = int(scanned.size)
-            scanned_src, scanned_dst = trip.src[scanned], trip.dst[scanned]
-            scanned_pid = trip.edge_pid[scanned]
-            partition_units += (
-                np.bincount(scanned_pid, minlength=num_partitions) * edge_compute_units
-            )
-
-        positions, target_idx, messages = kernel.send_message_array(
-            scanned_src, scanned_dst, state
+        target_idx, merged, scanned, slots, shuffle_remote, shuffle_local = scan(
+            active, state
         )
-        if cached_plan is not None:
-            plan = cached_plan
-            partition_units += cached_serialize_units
-            shuffle_remote, shuffle_local = cached_shuffle
-        else:
-            plan = plan_fold(scanned_pid[positions], target_idx, num_vertices)
-            serialize_units = (
-                np.bincount(plan.slot_pid, minlength=num_partitions)
-                * _MESSAGE_SERIALIZE_UNITS
-            )
-            partition_units += serialize_units
-            shuffle_remote, shuffle_local = route_counts(plan, master_of, executor_of)
-            if always_active and kernel.static_message_structure:
-                cached_plan = plan
-                cached_serialize_units = serialize_units
-                cached_shuffle = (shuffle_remote, shuffle_local)
-        merged = fold_messages(kernel, plan, messages)
+        edges_scanned = int(scanned.sum())
+        partition_units = np.multiply(scanned, edge_compute_units, dtype=np.float64)
+        partition_units += slots * _MESSAGE_SERIALIZE_UNITS
 
-        if not plan.target_idx.size and not always_active:
+        if not target_idx.size and not always_active:
             # The scan itself still happened; account for it, then stop.
             model.record_superstep(
                 report,
@@ -542,26 +513,26 @@ def _pregel_array(
                 active_vertices=0,
                 edges_scanned=edges_scanned,
             )
-            active = np.zeros(num_vertices, dtype=bool)
             break
 
         if always_active:
-            state = kernel.apply_messages_all(state, plan.target_idx, merged)
+            state = kernel.apply_messages_all(state, target_idx, merged)
             partition_units += vertex_units_per_master
             partition_units += all_sync_units
             sync_remote, sync_local = all_sync_remote, all_sync_local
             num_updated = num_vertices
         else:
-            state = kernel.apply_messages(state, plan.target_idx, merged)
-            updated_idx = plan.target_idx
+            state = kernel.apply_messages(state, target_idx, merged)
             partition_units += (
-                np.bincount(master_of[updated_idx], minlength=num_partitions)
+                np.bincount(master_of[target_idx], minlength=num_partitions)
                 * vertex_compute_units
             )
-            num_updated = int(updated_idx.size)
             sync_remote, sync_local = _broadcast_updates(
-                pgraph, cluster, trip.vertex_ids[updated_idx], partition_units
+                pgraph, cluster, vertex_ids[target_idx], partition_units
             )
+            num_updated = int(target_idx.size)
+            active = np.zeros(num_vertices, dtype=bool)
+            active[target_idx] = True
         model.record_superstep(
             report,
             superstep=supersteps,
@@ -571,12 +542,9 @@ def _pregel_array(
             active_vertices=num_updated,
             edges_scanned=edges_scanned,
         )
-        if not always_active:
-            active = np.zeros(num_vertices, dtype=bool)
-            active[updated_idx] = True
 
     return PregelResult(
-        vertex_values=kernel.decode(trip.vertex_ids, state),
+        vertex_values=kernel.decode(vertex_ids, state),
         num_supersteps=report.num_supersteps,
         report=report,
     )
@@ -608,10 +576,26 @@ def aggregate_messages(
         report.load_seconds = model.load_seconds(pgraph.dataset_bytes)
 
     if message_kernel is not None:
-        return _aggregate_messages_array(
-            pgraph, vertex_values, message_kernel, cluster, model, report,
-            edge_compute_units,
+        # One all-edges call of the in-process scan strategy.
+        trip = pgraph.triplets()
+        scan = triplet_scan(
+            trip, message_kernel, cluster.executor_map(trip.num_partitions), "either", True
         )
+        target_idx, merged, scanned, slots, remote, local = scan(
+            None, message_kernel.encode(trip.vertex_ids, vertex_values)
+        )
+        partition_units = np.multiply(scanned, edge_compute_units, dtype=np.float64)
+        partition_units += slots * _MESSAGE_SERIALIZE_UNITS
+        model.record_superstep(
+            report,
+            superstep=report.num_supersteps,
+            partition_units=partition_units,
+            messages_remote=remote,
+            messages_local=local,
+            active_vertices=int(target_idx.size),
+            edges_scanned=trip.num_edges,
+        )
+        return message_kernel.decode_messages(trip.vertex_ids[target_idx], merged), report
 
     num_partitions = pgraph.num_partitions
     partition_units = [0.0] * num_partitions
@@ -645,44 +629,3 @@ def aggregate_messages(
         edges_scanned=edges_scanned,
     )
     return merged, report
-
-
-def _aggregate_messages_array(
-    pgraph: PartitionedGraph,
-    vertex_values: Dict[int, Any],
-    kernel: ArrayMessageKernel,
-    cluster: ClusterConfig,
-    model: CostModel,
-    report: SimulationReport,
-    edge_compute_units: float,
-) -> Tuple[Dict[int, Any], SimulationReport]:
-    """Array-native one-shot scan behind :func:`aggregate_messages`."""
-    trip = pgraph.triplets()
-    num_partitions = trip.num_partitions
-    state = kernel.encode(trip.vertex_ids, vertex_values)
-
-    partition_units = (
-        np.bincount(trip.edge_pid, minlength=num_partitions).astype(np.float64)
-        * edge_compute_units
-    )
-    positions, target_idx, messages = kernel.send_message_array(
-        trip.src, trip.dst, state
-    )
-    plan = plan_fold(trip.edge_pid[positions], target_idx, trip.num_vertices)
-    merged = fold_messages(kernel, plan, messages)
-    partition_units += (
-        np.bincount(plan.slot_pid, minlength=num_partitions) * _MESSAGE_SERIALIZE_UNITS
-    )
-    remote, local = route_counts(
-        plan, trip.master_of, cluster.executor_map(num_partitions)
-    )
-    model.record_superstep(
-        report,
-        superstep=report.num_supersteps,
-        partition_units=partition_units,
-        messages_remote=remote,
-        messages_local=local,
-        active_vertices=int(plan.target_idx.size),
-        edges_scanned=trip.num_edges,
-    )
-    return kernel.decode_messages(trip.vertex_ids[plan.target_idx], merged), report

@@ -8,8 +8,9 @@ The pipeline, layer by layer:
    strategy's chunk assigner into a content-addressed shard artifact;
 3. :mod:`repro.ooc.mmap_graph` — serve a shard as a partitioned graph
    whose edges are read-only ``np.load(mmap_mode="r")`` views;
-4. :mod:`repro.ooc.pregel_stream` — run Pregel supersteps one partition
-   chunk at a time, bit-identical to the in-memory array engine;
+4. :mod:`repro.ooc.pregel_stream` — the scan strategy that lets the
+   engine's superstep driver walk the shards one partition chunk at a
+   time, bit-identical to the in-process scan;
 5. :mod:`repro.ooc.ingest` — the driver gluing 1-4 behind one call.
 
 Results over shards are bit-identical to the in-memory path: same
@@ -26,7 +27,6 @@ from .chunks import (
 )
 from .ingest import IngestReport, ingest_source
 from .mmap_graph import ShardEdgePartition, ShardedGraph, load_sharded_graph
-from .pregel_stream import pregel_stream_supersteps
 from .shards import PartitionShardWriter, write_shards
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "ShardEdgePartition",
     "ShardedGraph",
     "load_sharded_graph",
-    "pregel_stream_supersteps",
     "PartitionShardWriter",
     "write_shards",
 ]

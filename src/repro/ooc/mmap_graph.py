@@ -15,7 +15,7 @@ Because :class:`ShardEdgePartition` exposes the same ``local_triplets()``
 :class:`~repro.engine.edge_partition.EdgePartition`, the existing array
 engine (``build_triplets`` and everything behind it) runs on a sharded
 graph unchanged; :attr:`ShardedGraph.stream_supersteps` additionally opts
-it into the partition-at-a-time superstep executor in
+it into the partition-at-a-time scan strategy of
 :mod:`repro.ooc.pregel_stream`.
 """
 
@@ -33,6 +33,7 @@ from ..engine.routing import RoutingTable
 from ..partitioning.membership import VertexMembership
 from ..session.store import ArtifactStore
 from .chunks import DEFAULT_CHUNK_EDGES
+from .pregel_stream import stream_scan
 from .shards import partition_member_name
 
 __all__ = ["ShardEdgePartition", "ShardedGraph", "load_sharded_graph"]
@@ -173,13 +174,13 @@ class ShardedGraph:
 
     Drop-in for :class:`~repro.engine.partitioned_graph.PartitionedGraph`
     wherever the engine and the algorithms are concerned.  The
-    :attr:`stream_supersteps` flag routes :func:`repro.engine.pregel.pregel`
-    to the partition-at-a-time executor; flipping it to ``False`` on an
-    instance forces the ordinary in-memory array path over the same mmap
-    views (the equivalence tests exercise both).
+    :attr:`stream_supersteps` flag makes :func:`repro.engine.pregel.pregel`
+    drive :meth:`stream_scan`; flipping it to ``False`` on an instance
+    selects the ordinary in-process scan over the same mmap views (the
+    equivalence tests exercise both).
     """
 
-    #: Checked by ``pregel`` to select the out-of-core superstep executor.
+    #: Checked by ``pregel`` to select the mmap chunk-walk scan strategy.
     stream_supersteps = True
 
     def __init__(
@@ -214,12 +215,18 @@ class ShardedGraph:
         """Dense triplet arrays — materialises every partition in RAM.
 
         Only meaningful with :attr:`stream_supersteps` disabled (the
-        equivalence tests' in-memory reference); the streaming executor
-        never calls it.
+        equivalence tests' in-memory reference); the streaming scan never
+        calls it.
         """
         if self._triplets is None:
             self._triplets = build_triplets(self)
         return self._triplets
+
+    def stream_scan(self, master_of, kernel, executor_of, active_direction, always_active):
+        """The scan strategy ``pregel`` drives while :attr:`stream_supersteps` is set."""
+        return stream_scan(
+            self, master_of, kernel, executor_of, active_direction, always_active
+        )
 
     @property
     def dataset_bytes(self) -> int:

@@ -1,121 +1,53 @@
-"""Partition-at-a-time Pregel supersteps over memory-mapped shards.
+"""The mmap chunk-walk scan strategy of the Pregel superstep driver.
 
-The in-memory array engine (:func:`repro.engine.pregel._pregel_array`)
-materialises the whole graph as flat triplet arrays and masks them every
-superstep — O(edges) resident memory.  This executor produces **bit
-identical** results (vertex values, every ``SuperstepRecord`` field) while
-holding only one bounded edge chunk in RAM at a time: it walks the shard
-partitions in ascending id, streams each partition's mmapped triplets in
-``chunk_edges`` slices, and folds messages into per-partition dense
-accumulators.
+:func:`repro.engine.pregel.pregel` owns the superstep loop (its module
+docstring has the one-driver / three-scans split and the bit-identity
+argument); for a :class:`~repro.ooc.mmap_graph.ShardedGraph` it drives the
+scan built here, which holds only one bounded edge chunk in RAM at a time:
+it walks the shard partitions in ascending id, streams each partition's
+mmapped triplets in ``chunk_edges`` slices and folds the messages into a
+per-partition dense accumulator.
 
-Why that is exact, not approximate
-----------------------------------
-The serial array path folds messages in two ``ufunc.at`` passes: first
-into ``(partition, target)`` outbox slots in emission order, then slot
-aggregates per target in ascending-partition order.  Because the scanned
-edge arrays are partition-major, a partition's messages are contiguous in
-emission order — so folding them into a per-partition dense accumulator
-chunk by chunk performs the *same sequence* of merge operations per slot,
-and merging the accumulators into a global dense array in ascending
-partition order replays pass 2 exactly.  All counters are per-partition
-``count * unit`` products, identical term by term; shuffle route counts
-decompose by partition into the same integer sums.  The one requirement is
-that the kernel's ``send_message_array`` is elementwise (a subsequence of
-edges yields the subsequence of messages), which holds for every shipped
-kernel — it is the same property the shared-memory parallel executor
+That accumulator *is* the partition's outbox — element ``t`` is slot
+``(partition, t)`` — so the fold orders the argument needs are kept.  The
+one requirement is that the kernel's ``send_message_array`` is elementwise
+(a subsequence of edges yields the subsequence of messages), which holds
+for every shipped kernel — it is the same property the shm-pool scan
 relies on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 import numpy as np
 
-from ..engine.cluster import ClusterConfig
-from ..engine.cost_model import CostModel, SimulationReport
 from ..engine.messaging import ArrayMessageKernel, active_edge_mask
-from ..engine.pregel import (
-    PregelResult,
-    _broadcast_updates,
-    _MESSAGE_SERIALIZE_UNITS,
-)
-from ..partitioning.membership import master_partition_array
 from .chunks import DEFAULT_CHUNK_EDGES
 
-__all__ = ["pregel_stream_supersteps"]
+__all__ = ["stream_scan"]
 
 
-def pregel_stream_supersteps(
+def stream_scan(
     pgraph,
-    initial_values: Dict[int, Any],
+    master_of: np.ndarray,
     kernel: ArrayMessageKernel,
-    max_iterations: int,
+    executor_of: np.ndarray,
     active_direction: str,
-    cluster: ClusterConfig,
-    model: CostModel,
-    report: SimulationReport,
-    edge_compute_units: float,
-    vertex_compute_units: float,
     always_active: bool,
-) -> PregelResult:
-    """Run the array-native superstep loop one partition chunk at a time."""
+):
+    """Build ``scan(active, state)`` over ``pgraph``'s memory-mapped shards.
+
+    Same contract as :func:`repro.engine.messaging.triplet_scan`.
+    """
     vertex_ids = pgraph.graph.vertex_ids
     num_vertices = int(vertex_ids.size)
     num_partitions = int(pgraph.num_partitions)
-    master_of = master_partition_array(vertex_ids, num_partitions)
-    executor_of = cluster.executor_map(num_partitions)
-    vertex_units_per_master = (
-        np.bincount(master_of, minlength=num_partitions) * vertex_compute_units
-    )
     chunk_edges = max(1, int(getattr(pgraph, "chunk_edges", DEFAULT_CHUNK_EDGES)))
 
-    state = kernel.encode(vertex_ids, initial_values)
-
-    # ------------------------------------------------------------------
-    # Superstep 0: vertex program everywhere with the initial message.
-    # ------------------------------------------------------------------
-    partition_units = np.zeros(num_partitions, dtype=np.float64)
-    state = kernel.initial_program(state)
-    partition_units += vertex_units_per_master
-    sync_remote, sync_local = _broadcast_updates(
-        pgraph, cluster, vertex_ids, partition_units
-    )
-    model.record_superstep(
-        report,
-        superstep=0,
-        partition_units=partition_units,
-        messages_remote=sync_remote,
-        messages_local=sync_local,
-        active_vertices=num_vertices,
-        edges_scanned=0,
-    )
-
-    active = np.ones(num_vertices, dtype=bool)
-    supersteps = 0
-
-    if always_active:
-        all_edge_units = (
-            np.array([p.num_edges for p in pgraph.partitions], dtype=np.int64)
-            * edge_compute_units
-        )
-        all_sync_units = np.zeros(num_partitions, dtype=np.float64)
-        all_sync_remote, all_sync_local = _broadcast_updates(
-            pgraph, cluster, vertex_ids, all_sync_units
-        )
-
-    # ------------------------------------------------------------------
-    # Message-exchange supersteps.
-    # ------------------------------------------------------------------
-    while active.any() and supersteps < max_iterations:
-        supersteps += 1
-        partition_units = np.zeros(num_partitions, dtype=np.float64)
-        if always_active:
-            partition_units += all_edge_units
+    def scan(active, state):
         merged_dense = kernel.identity_array(num_vertices)
         received = np.zeros(num_vertices, dtype=bool)
-        edges_scanned = 0
+        scanned_counts = np.zeros(num_partitions, dtype=np.int64)
+        slot_counts = np.zeros(num_partitions, dtype=np.int64)
         shuffle_remote = 0
         shuffle_local = 0
 
@@ -125,11 +57,8 @@ def pregel_stream_supersteps(
             pid = partition.partition_id
             mirror_to_global = np.searchsorted(vertex_ids, partition.vertex_ids)
             local_src, local_dst = partition.local_triplets()
-            # This partition's outbox, folded densely: slot (pid, t) of the
-            # serial plan is element t here, seeded with the same identity.
             acc = kernel.identity_array(num_vertices)
             received_p = np.zeros(num_vertices, dtype=bool)
-            scanned_in_partition = 0
 
             for start in range(0, partition.num_edges, chunk_edges):
                 stop = min(start + chunk_edges, partition.num_edges)
@@ -142,7 +71,7 @@ def pregel_stream_supersteps(
                     src_idx = src_idx[mask]
                     dst_idx = dst_idx[mask]
                 count = int(src_idx.size)
-                scanned_in_partition += count
+                scanned_counts[pid] += count
                 if count == 0:
                     continue
                 _positions, target_idx, messages = kernel.send_message_array(
@@ -150,17 +79,13 @@ def pregel_stream_supersteps(
                 )
                 if target_idx.size:
                     # Emission-order left fold: per slot this is the exact
-                    # operation sequence of the serial outbox pass.
+                    # operation sequence of the in-process outbox pass.
                     kernel.merge_ufunc.at(acc, target_idx, messages)
                     received_p[target_idx] = True
 
-            edges_scanned += scanned_in_partition
-            if not always_active:
-                partition_units[pid] += scanned_in_partition * edge_compute_units
-
             p_targets = np.flatnonzero(received_p)
             if p_targets.size:
-                partition_units[pid] += p_targets.size * _MESSAGE_SERIALIZE_UNITS
+                slot_counts[pid] = p_targets.size
                 masters_p = master_of[p_targets]
                 shipped = masters_p != pid
                 if shipped.any():
@@ -170,59 +95,19 @@ def pregel_stream_supersteps(
                     shuffle_remote += remote
                     shuffle_local += int(shipped.sum()) - remote
                 # Ascending-partition merge into the global accumulator:
-                # pass 2 of the serial fold (slots are partition-major).
+                # pass 2 of the in-process fold (slots are partition-major).
                 kernel.merge_ufunc.at(merged_dense, p_targets, acc[p_targets])
                 received |= received_p
             partition.release()
 
         targets = np.flatnonzero(received)
-        merged = merged_dense[targets]
-
-        if not targets.size and not always_active:
-            # The scan itself still happened; account for it, then stop.
-            model.record_superstep(
-                report,
-                superstep=supersteps,
-                partition_units=partition_units,
-                messages_remote=shuffle_remote,
-                messages_local=shuffle_local,
-                active_vertices=0,
-                edges_scanned=edges_scanned,
-            )
-            active = np.zeros(num_vertices, dtype=bool)
-            break
-
-        if always_active:
-            state = kernel.apply_messages_all(state, targets, merged)
-            partition_units += vertex_units_per_master
-            partition_units += all_sync_units
-            sync_remote, sync_local = all_sync_remote, all_sync_local
-            num_updated = num_vertices
-        else:
-            state = kernel.apply_messages(state, targets, merged)
-            partition_units += (
-                np.bincount(master_of[targets], minlength=num_partitions)
-                * vertex_compute_units
-            )
-            num_updated = int(targets.size)
-            sync_remote, sync_local = _broadcast_updates(
-                pgraph, cluster, vertex_ids[targets], partition_units
-            )
-        model.record_superstep(
-            report,
-            superstep=supersteps,
-            partition_units=partition_units,
-            messages_remote=shuffle_remote + sync_remote,
-            messages_local=shuffle_local + sync_local,
-            active_vertices=num_updated,
-            edges_scanned=edges_scanned,
+        return (
+            targets,
+            merged_dense[targets],
+            scanned_counts,
+            slot_counts,
+            shuffle_remote,
+            shuffle_local,
         )
-        if not always_active:
-            active = np.zeros(num_vertices, dtype=bool)
-            active[targets] = True
 
-    return PregelResult(
-        vertex_values=kernel.decode(vertex_ids, state),
-        num_supersteps=report.num_supersteps,
-        report=report,
-    )
+    return scan

@@ -5,6 +5,7 @@ import textwrap
 from repro.devtools import check_source
 
 ENGINE_PATH = "src/repro/engine/messaging.py"
+STREAM_PATH = "src/repro/ooc/pregel_stream.py"
 
 
 def _rep002(source, path=ENGINE_PATH):
@@ -36,6 +37,10 @@ class TestRep002Positives:
     def test_buffered_minimum_with_subscript_out(self):
         assert len(_rep002("np.minimum(a, b, out=dist[mask])\n")) == 1
 
+    def test_stream_scan_fold_is_in_scope(self):
+        # The mmap stream scan relies on the same left-fold order.
+        assert len(_rep002("acc[target_idx] += messages\n", path=STREAM_PATH)) == 1
+
 
 class TestRep002Negatives:
     def test_scalar_loop_index_is_fine(self):
@@ -61,6 +66,12 @@ class TestRep002Negatives:
 
     def test_rule_is_scoped_to_engine(self):
         assert _rep002("out[indices] += v\n", path="src/repro/backends/csr.py") == []
+
+    def test_rest_of_ooc_is_out_of_scope(self):
+        # Only the stream scan folds messages; shard writing does not.
+        assert _rep002("counts[target_idx] += 1\n", path="src/repro/ooc/shards.py") == []
+        source = "kernel.merge_ufunc.at(acc, target_idx, messages)\n"
+        assert _rep002(source, path=STREAM_PATH) == []
 
     def test_noqa_suppresses(self):
         assert _rep002("out[indices] += v  # repro: noqa[REP002]\n") == []

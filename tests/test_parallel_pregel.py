@@ -158,19 +158,14 @@ class TestExecutorLifecycle:
         executor.close()
         executor.close()  # idempotent
         with pytest.raises(EngineError):
-            executor.run(
-                pgraph,
-                {},
+            with executor.scan(
+                np.ones(pgraph.graph.num_vertices),
                 PageRankKernel(0.15),
-                max_iterations=1,
-                active_direction="either",
-                cluster=None,
-                model=None,
-                report=None,
-                edge_compute_units=1.0,
-                vertex_compute_units=1.0,
-                always_active=True,
-            )
+                np.zeros(pgraph.num_partitions, dtype=np.int64),
+                "either",
+                True,
+            ):
+                pytest.fail("a closed executor must refuse to start a run")
 
     def test_invalid_worker_counts_rejected(self):
         pgraph = _make_pgraph(seed=4)
@@ -280,6 +275,33 @@ def test_no_leak_after_sigterm():
         if proc.poll() is None:  # pragma: no cover - only on assertion failure
             proc.kill()
             proc.wait()
+
+
+@needs_shm
+def test_killed_worker_is_a_named_error_and_the_pool_is_rebuilt():
+    before = len(_own_segments())
+    pgraph = _make_pgraph(seed=10)
+    serial = pagerank(pgraph, num_iterations=3)
+    pagerank(pgraph, num_iterations=3, parallel_workers=2)
+    broken = ParallelPregelExecutor.for_graph(pgraph, 2)
+    victim = next(iter(broken._pool._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=5)
+    assert not victim.is_alive()
+
+    with pytest.raises(EngineError, match="pool died"):
+        pagerank(pgraph, num_iterations=3, parallel_workers=2)
+    # The dead pool took its executor (and every segment) down with it ...
+    assert broken.closed
+    assert len(_own_segments()) == before
+    # ... so the next run gets a fresh one and is bit-identical to serial.
+    rebuilt = pagerank(pgraph, num_iterations=3, parallel_workers=2)
+    assert ParallelPregelExecutor.for_graph(pgraph, 2) is not broken
+    assert rebuilt.vertex_values == serial.vertex_values
+    assert rebuilt.report.supersteps == serial.report.supersteps
+    del pgraph
+    gc.collect()
+    assert len(_own_segments()) == before
 
 
 # ----------------------------------------------------------------------

@@ -11,17 +11,25 @@ across every registered partitioner and the awkward graph shapes
 ``tests/test_array_equivalence.py`` for the partitioning pipeline.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.algorithms.connected_components import connected_components
+from repro.algorithms.connected_components import (
+    ConnectedComponentsKernel,
+    connected_components,
+)
 from repro.algorithms.degrees import degree_count
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.shortest_paths import shortest_paths
 from repro.algorithms.triangle_count import triangle_count
 from repro.core.graph import Graph
 from repro.engine.partitioned_graph import PartitionedGraph
+from repro.engine.pregel import pregel
+from repro.ooc import GraphChunkSource, ingest_source
 from repro.partitioning.registry import available_partitioners
+from repro.session.store import ArtifactStore
 
 ALL_PARTITIONERS = available_partitioners()
 
@@ -138,6 +146,59 @@ def test_degree_directions_identical(direction, small_social_graph):
         degree_count(pgraph, direction=direction, vectorized=False),
         degree_count(pgraph, direction=direction, vectorized=True),
     )
+
+
+@pytest.mark.parametrize("scan", ["in-process", "pool", "stream"])
+@pytest.mark.parametrize("direction", ["out", "in", "both"])
+def test_active_directions_identical_on_every_scan(
+    direction, scan, small_social_graph, tmp_path, monkeypatch
+):
+    # Every shipped algorithm passes "either"; the other three mask
+    # branches are exercised here under each scan strategy, against the
+    # scalar loop running the same label-propagation triple.
+    monkeypatch.setenv("REPRO_PARALLEL_MIN_ACTIVE", "0")
+    graph = small_social_graph
+    pgraph = PartitionedGraph.partition(graph, "2D", 8)
+    kernel_graph = pgraph
+    if scan == "stream":
+        kernel_graph, _ = ingest_source(
+            ArtifactStore(tmp_path / "store"),
+            GraphChunkSource(graph, chunk_edges=53),
+            "2D",
+            8,
+            chunk_edges=53,
+        )
+        assert kernel_graph.stream_supersteps
+
+    def send_message(src, src_value, dst, dst_value):
+        if src_value < dst_value:
+            return [(dst, src_value)]
+        if dst_value < src_value:
+            return [(src, dst_value)]
+        return []
+
+    def run(target, kernel, workers):
+        return pregel(
+            target,
+            initial_values={int(v): int(v) for v in graph.vertex_ids.tolist()},
+            initial_message=math.inf,
+            vertex_program=lambda v, value, m: value if math.isinf(m) else min(value, int(m)),
+            send_message=send_message,
+            merge_message=min,
+            max_iterations=graph.num_vertices + 1,
+            active_direction=direction,
+            vertex_compute_units=0.5,
+            message_kernel=kernel,
+            parallel_workers=workers,
+        )
+
+    scalar = run(pgraph, None, None)
+    kernelised = run(
+        kernel_graph, ConnectedComponentsKernel(), 2 if scan == "pool" else None
+    )
+    assert scalar.num_supersteps > 2  # the frontier really shrank under the mask
+    assert scalar.vertex_values == kernelised.vertex_values
+    assert scalar.report.supersteps == kernelised.report.supersteps
 
 
 def test_road_graph_cc_identical(small_road_graph):
