@@ -1,0 +1,84 @@
+"""Append one row to the committed perf trajectory, ``BENCH_trajectory.jsonl``.
+
+    python benchmarks/trajectory.py --label "PR 13"            # runs run.py --repeat 5
+    python benchmarks/trajectory.py --label parent A.json B.json   # from existing --json-out reports
+
+A row is the median, per workload, of every end-to-end metric
+``BENCHMARK.json`` names over all untraced runs given, the samples the
+medians were taken over (in run order, so the spread stays on record), and
+what is needed to read it later: the label, git SHA, ``nproc``, Python and
+numpy versions, seed and sample count.  To compare a change with its parent, take the two
+sides as alternating pairs (``run.py --json-out`` once per side and pair,
+in the parent's checkout and in this one) and append one row per side from
+the reports; ``run.py --compare`` stays the tool for judging two reports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN = os.path.join(REPO_ROOT, "benchmarks", "e2e", "run.py")
+TRAJECTORY = os.path.join(REPO_ROOT, "BENCH_trajectory.jsonl")
+
+
+def _row(label: str, reports: List[Dict[str, object]]) -> Dict[str, object]:
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
+        end_to_end = [metric["name"] for metric in json.load(handle)["end_to_end"]]
+    if any(report["smoke"] for report in reports):
+        raise SystemExit("no row appended: --smoke reports do not belong in the trajectory")
+    runs = [run for report in reports for run in report["runs"] if not run["trace"]]
+    failed = sorted({run["workload"] for run in runs if run["failed"]})
+    if failed or not runs:
+        raise SystemExit(f"no row appended: {'failed runs in ' + str(failed) if failed else 'no untraced runs'}")
+    samples: Dict[str, Dict[str, List[float]]] = {}
+    for run in runs:
+        for name, entry in run["metrics"].items():
+            if name in end_to_end and entry["value"] is not None:
+                samples.setdefault(run["workload"], {}).setdefault(name, []).append(entry["value"])
+    environment = reports[0]["environment"]
+    return {
+        "label": label,
+        "git_sha": environment["git_sha"],
+        "nproc": environment["nproc"],
+        "python": environment["python"],
+        "numpy": runs[0]["numpy"],
+        "seed": environment["seed"],
+        "repeats": len(runs) // len(samples),
+        "medians": {
+            workload: {name: statistics.median(values) for name, values in metrics.items()}
+            for workload, metrics in samples.items()
+        },
+        "samples": samples,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="what the row measures (PR number, 'parent', ...)")
+    parser.add_argument("reports", nargs="*", help="existing run.py --json-out reports to summarise instead")
+    args = parser.parse_args()
+    paths = list(args.reports)
+    with tempfile.TemporaryDirectory() as tmp:
+        if not paths:
+            paths = [os.path.join(tmp, "report.json")]
+            subprocess.run([sys.executable, RUN, "--repeat", "5", "--json-out", paths[0]], check=True)
+        reports = []
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as handle:
+                reports.append(json.load(handle))
+    row = _row(args.label, reports)
+    with open(TRAJECTORY, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

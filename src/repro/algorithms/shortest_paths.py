@@ -88,13 +88,16 @@ class ShortestPathsKernel(ArrayMessageKernel):
         return state
 
     def decode(self, vertex_ids, state):
-        landmarks = self.landmarks
-        return {
-            int(v): {
-                landmarks[j]: int(row[j]) for j in np.flatnonzero(np.isfinite(row))
-            }
-            for v, row in zip(vertex_ids.tolist(), state)
-        }
+        # Column by column (landmark order, so each map's key order is the
+        # row order): a few numpy calls per landmark, not two per vertex.
+        ids = vertex_ids.tolist()
+        values: Dict[int, Dict[int, int]] = {v: {} for v in ids}
+        for j, landmark in enumerate(self.landmarks):
+            reached = np.flatnonzero(np.isfinite(state[:, j]))
+            distances = state[reached, j].astype(np.int64)
+            for i, distance in zip(reached.tolist(), distances.tolist()):
+                values[ids[i]][landmark] = distance
+        return values
 
     def send_message_array(self, src_idx, dst_idx, state):
         candidates = state[dst_idx] + 1.0

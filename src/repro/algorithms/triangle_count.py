@@ -244,9 +244,7 @@ def _triangle_count_array(
     # ------------------------------------------------------------------
     # Phase 1: canonicalise edges and size the neighbour-id sets.
     # ------------------------------------------------------------------
-    partition_units = (
-        np.bincount(trip.edge_pid, minlength=num_partitions).astype(np.float64) * 1.0
-    )
+    partition_units = np.diff(trip.edge_bounds).astype(np.float64) * 1.0
     keep = trip.src != trip.dst
     lo_all = np.minimum(trip.src[keep], trip.dst[keep])
     hi_all = np.maximum(trip.src[keep], trip.dst[keep])
@@ -254,7 +252,8 @@ def _triangle_count_array(
     _, first_positions = np.unique(codes, return_index=True)
     lo = lo_all[first_positions]
     hi = hi_all[first_positions]
-    first_pid = trip.edge_pid[keep][first_positions]
+    first_edges = np.flatnonzero(keep)[first_positions]
+    first_pid = np.searchsorted(trip.edge_bounds, first_edges, side="right") - 1
     canonical_edges = int(lo.size)
     partition_units += (
         np.bincount(first_pid, minlength=num_partitions) * (2 * _SET_BUILD_UNITS)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import EngineError
 
-__all__ = ["ClusterConfig", "paper_cluster", "STORAGE_BANDWIDTH_BYTES"]
+__all__ = ["ClusterConfig", "paper_cluster", "for_executor_map", "STORAGE_BANDWIDTH_BYTES"]
 
 #: Sequential read bandwidth per storage medium, bytes/second.
 STORAGE_BANDWIDTH_BYTES = {
@@ -91,6 +91,14 @@ def _executor_map(num_executors: int, num_partitions: int) -> np.ndarray:
     executors = np.arange(num_partitions, dtype=np.int64) % num_executors
     executors.setflags(write=False)
     return executors
+
+
+def for_executor_map(kept, executor_of: np.ndarray, build):
+    """``(key, build())`` for ``executor_of`` — or ``kept``, the pair made for
+    the previous map, when that was the same map.  How a placement holds
+    what depends on the cluster only through its executor map."""
+    key = executor_of.tobytes()
+    return kept if kept is not None and kept[0] == key else (key, build())
 
 
 def paper_cluster(network_gbps: float = 1.0, storage: str = "hdd") -> ClusterConfig:

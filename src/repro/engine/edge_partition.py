@@ -64,11 +64,9 @@ class EdgePartition:
 
         This is GraphX's ``EdgePartition`` encoding: triplets reference the
         partition-local vertex table, and the engine composes the local
-        table with the global one.  Built once and cached; the arrays are
-        the vectorised counterpart of :meth:`edge_pairs` and are returned
-        read-only — every later superstep (and the shared-memory parallel
-        executor) folds over the same cached views, so a caller mutating
-        them would silently corrupt all subsequent results.
+        table with the global one.  Cached until :meth:`release`; the arrays
+        are the vectorised counterpart of :meth:`edge_pairs` and are
+        returned read-only, so no caller can corrupt the shared view.
         """
         if self._local_triplets is None:
             local_src = np.searchsorted(self.vertex_ids, self.src)
@@ -77,6 +75,11 @@ class EdgePartition:
             local_dst.flags.writeable = False
             self._local_triplets = (local_src, local_dst)
         return self._local_triplets
+
+    def release(self) -> None:
+        """Drop the cached local triplets (``build_triplets`` keeps them as
+        the graph-wide replica slots, so the per-partition copy is dead weight)."""
+        self._local_triplets = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -9,19 +9,30 @@ This module provides the vectorised replacement.  An algorithm may hand
 the engine an :class:`ArrayMessageKernel` describing its messages as flat
 numpy arrays; the engine then computes active-edge masks, per-target
 message aggregation, master routing and remote/local message counts
-entirely with array operations over the partition triplet arrays cached
-on :class:`~repro.engine.edge_partition.EdgePartition`.
+entirely with array operations over the partition-major
+:class:`TripletArrays` cached on the partitioned graph.
 
 Bit-identical folds
 -------------------
 The scalar engine folds messages strictly left-to-right: first within a
-partition's outbox in edge-scan order, then across partitions in
-partition-id order.  To reproduce its results *bit for bit* (floating
-point included) the aggregation here uses ``ufunc.at`` — an unbuffered,
+partition's outbox dict in edge-scan order, then across partitions in
+partition-id order (``_route_and_merge`` walks the outboxes ascending).
+Here every ``(partition, mirrored vertex)`` pair owns a fixed *replica
+slot* of :class:`TripletArrays` — partition-major, vertex-ascending inside
+a partition, GraphX's partition-local vertex id plus the partition's
+offset — and a triplet knows the slots of its two endpoints.  A
+superstep's outbox entries are therefore the distinct slots its messages
+touch, found with a flag array and ``flatnonzero`` instead of a sort, and
+ascending slot order *is* the scalar order twice over: a slot's messages
+arrive in emission (edge-scan) order, which pass 1 folds in place, and
+one target's slots ascend with their partition id, which is the order
+pass 2 merges them in.  Both passes use ``ufunc.at`` — an unbuffered,
 in-order left fold — rather than ``ufunc.reduceat``/``bincount``, whose
-pairwise summation reassociates long segments.  The fold starts from the
+pairwise summation reassociates long segments, and start from the
 kernel's ``merge_identity`` (``0.0`` for ``np.add``, ``+inf``/``INT64_MAX``
-for ``np.minimum``), which is exact for the shipped merge operators.
+for ``np.minimum``), which is exact for the shipped merge operators.  A
+slot is a shuffle message when its vertex is mastered in another
+partition, so the remote/local counters are sums of static per-slot masks.
 
 The per-partition compute counters are computed as ``count * unit``
 products instead of the scalar path's repeated additions; the two agree
@@ -31,23 +42,20 @@ bit-for-bit whenever the unit costs are dyadic rationals (0.25, 0.5, 1.0,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import EngineError
 from ..partitioning.membership import master_partition_array
+from .cluster import for_executor_map
 
 __all__ = [
     "ArrayMessageKernel",
     "TripletArrays",
     "build_triplets",
     "active_edge_mask",
-    "FoldPlan",
-    "plan_fold",
-    "fold_messages",
-    "route_counts",
     "triplet_scan",
 ]
 
@@ -115,6 +123,12 @@ class ArrayMessageKernel:
         When ``merge_ufunc`` is inexact (float add) the messages must be
         emitted in scanned-edge order so the engine's left fold reproduces
         the scalar outbox fold exactly.
+
+        A message may address only the source or the destination of its
+        own triplet (GraphX's ``sendToSrc``/``sendToDst``): the engine
+        folds it into that endpoint's replica slot and raises
+        :class:`~repro.errors.EngineError` for any other target.  The
+        scalar loop remains the path for arbitrary targets.
         """
         raise NotImplementedError
 
@@ -146,17 +160,33 @@ class ArrayMessageKernel:
 class TripletArrays:
     """The whole partitioned graph as flat, partition-major triplet arrays.
 
-    ``src``/``dst`` are dense vertex indices (positions in ``vertex_ids``);
-    ``edge_pid`` is the owning edge partition of every triplet.  ``master_of``
-    maps every dense vertex index to its master partition.
+    ``src``/``dst`` are dense vertex indices (positions in ``vertex_ids``)
+    and partition ``p`` owns the triplets ``edge_bounds[p]:edge_bounds[p+1]``
+    and the *replica slots* ``slot_bounds[p]:slot_bounds[p+1]``, one per
+    vertex it mirrors, ascending; ``slot_vertex`` is the dense vertex index
+    of every slot.  ``endpoint_slot`` holds the slots of triplet ``i``'s
+    endpoints — source at ``2 * i``, destination at ``2 * i + 1`` (GraphX's
+    partition-local vertex ids plus the partition's first slot; interleaved
+    so that picking an endpoint per message is one gather).  ``slot_shipped``
+    marks the slots whose vertex is mastered in another partition, where an
+    outbox entry is a shuffle message; ``master_of`` maps every dense vertex
+    index to its master partition.
+
+    The slot index costs ``2 * E * 4 + R * 5`` bytes (``R`` slots) plus one
+    ``R``-byte mask per executor map, and is released with the placement.
     """
 
     vertex_ids: np.ndarray
-    edge_pid: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    endpoint_slot: np.ndarray
+    edge_bounds: np.ndarray
+    slot_vertex: np.ndarray
+    slot_bounds: np.ndarray
+    slot_shipped: np.ndarray
     master_of: np.ndarray
     num_partitions: int
+    _remote: Optional[Tuple[bytes, np.ndarray]] = field(default=None, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -166,42 +196,67 @@ class TripletArrays:
     def num_edges(self) -> int:
         return int(self.src.size)
 
+    @property
+    def num_slots(self) -> int:
+        return int(self.slot_vertex.size)
+
+    def remote_slots(self, executor_of: np.ndarray) -> np.ndarray:
+        """Mask of the slots whose master sits on another executor (hence in
+        another partition), kept for the last executor map."""
+        kept = self._remote = for_executor_map(
+            self._remote,
+            executor_of,
+            lambda: np.repeat(executor_of, np.diff(self.slot_bounds))
+            != executor_of[self.master_of[self.slot_vertex]],
+        )
+        return kept[1]
+
 
 def build_triplets(pgraph) -> TripletArrays:
     """Materialise the partition-major triplet arrays of a partitioned graph.
 
-    Composes each partition's cached local triplets (indices into the
-    partition's mirror list) with one ``searchsorted`` of the mirror list
-    into the graph's global vertex table — the same two-level indexing
-    GraphX's ``EdgePartition`` uses.
+    Composes each partition's local triplets (indices into the partition's
+    mirror list) with one ``searchsorted`` of the mirror list into the
+    graph's global vertex table — the same two-level indexing GraphX's
+    ``EdgePartition`` uses.  The local indices, shifted by the partition's
+    first slot, are kept as the triplets' replica slots; each partition's
+    own copy is released once consumed.
     """
     vertex_ids = pgraph.graph.vertex_ids
+    partitions = pgraph.partitions
     num_partitions = pgraph.num_partitions
-    pid_chunks, src_chunks, dst_chunks = [], [], []
-    for partition in pgraph.partitions:
+    edge_bounds = np.cumsum([0] + [p.num_edges for p in partitions], dtype=np.int64)
+    slot_bounds = np.cumsum([0] + [p.num_vertices for p in partitions], dtype=np.int64)
+    num_edges, num_slots = int(edge_bounds[-1]), int(slot_bounds[-1])
+    src = np.empty(num_edges, dtype=np.int64)
+    dst = np.empty(num_edges, dtype=np.int64)
+    endpoint_slot = np.empty(2 * num_edges, dtype=np.int32)
+    slot_vertex = np.empty(num_slots, dtype=np.int32)
+    for pid, partition in enumerate(partitions):
+        first_slot = slot_bounds[pid]
+        global_of_mirror = np.searchsorted(vertex_ids, partition.vertex_ids)
+        slot_vertex[first_slot:slot_bounds[pid + 1]] = global_of_mirror
         if not partition.num_edges:
             continue
+        edges = slice(edge_bounds[pid], edge_bounds[pid + 1])
         local_src, local_dst = partition.local_triplets()
-        global_of_mirror = np.searchsorted(vertex_ids, partition.vertex_ids)
-        pid_chunks.append(
-            np.full(partition.num_edges, partition.partition_id, dtype=np.int64)
-        )
-        src_chunks.append(global_of_mirror[local_src])
-        dst_chunks.append(global_of_mirror[local_dst])
-    if pid_chunks:
-        edge_pid = np.concatenate(pid_chunks)
-        src = np.concatenate(src_chunks)
-        dst = np.concatenate(dst_chunks)
-    else:
-        edge_pid = np.empty(0, dtype=np.int64)
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
+        src[edges] = global_of_mirror[local_src]
+        dst[edges] = global_of_mirror[local_dst]
+        endpoint_slot[2 * edges.start:2 * edges.stop:2] = local_src + first_slot
+        endpoint_slot[2 * edges.start + 1:2 * edges.stop:2] = local_dst + first_slot
+        partition.release()
+    master_of = master_partition_array(vertex_ids, num_partitions)
+    slot_pid = np.repeat(np.arange(num_partitions), np.diff(slot_bounds))
     return TripletArrays(
         vertex_ids=vertex_ids,
-        edge_pid=edge_pid,
         src=src,
         dst=dst,
-        master_of=master_partition_array(vertex_ids, num_partitions),
+        endpoint_slot=endpoint_slot,
+        edge_bounds=edge_bounds,
+        slot_vertex=slot_vertex,
+        slot_bounds=slot_bounds,
+        slot_shipped=master_of[slot_vertex] != slot_pid,
+        master_of=master_of,
         num_partitions=num_partitions,
     )
 
@@ -226,85 +281,6 @@ def active_edge_mask(
     )
 
 
-@dataclass
-class FoldPlan:
-    """The structure of one superstep's two-level message fold.
-
-    ``slot_pid``/``slot_target`` identify the per-partition outbox entries
-    (one slot per distinct ``(partition, target)`` pair, partition-major);
-    ``target_idx`` the distinct recipients.  The plan depends only on which
-    edges emitted to which targets, so ``always_active`` algorithms with a
-    static message structure reuse it (and its routing counters) across
-    supersteps.
-    """
-
-    slot_of_message: np.ndarray
-    slot_pid: np.ndarray
-    slot_target: np.ndarray
-    target_of_slot: np.ndarray
-    target_idx: np.ndarray
-
-    @property
-    def num_outbox_entries(self) -> int:
-        return int(self.slot_pid.size)
-
-
-def plan_fold(msg_pid: np.ndarray, target_idx: np.ndarray, num_vertices: int) -> FoldPlan:
-    """Group the emitted messages by ``(partition, target)`` and by target."""
-    slot_key = msg_pid * np.int64(num_vertices) + target_idx
-    slots, slot_of_message = np.unique(slot_key, return_inverse=True)
-    slot_pid = slots // num_vertices
-    slot_target = slots - slot_pid * num_vertices
-    targets, target_of_slot = np.unique(slot_target, return_inverse=True)
-    return FoldPlan(
-        slot_of_message=slot_of_message,
-        slot_pid=slot_pid,
-        slot_target=slot_target,
-        target_of_slot=target_of_slot,
-        target_idx=targets,
-    )
-
-
-def fold_messages(
-    kernel: ArrayMessageKernel, plan: FoldPlan, messages: np.ndarray
-) -> np.ndarray:
-    """Reproduce the scalar outbox + shuffle fold with two ``ufunc.at`` passes.
-
-    Pass 1 folds messages into their ``(partition, target)`` outbox slot in
-    emission order (the scalar per-partition pre-aggregation); pass 2 folds
-    the slot aggregates per target in ascending-partition order (``slots``
-    are partition-major), exactly like the scalar ``_route_and_merge``
-    master-side merge.  Returns the merged messages aligned with
-    ``plan.target_idx``.
-    """
-    outbox = kernel.identity_array(plan.slot_pid.size)
-    kernel.merge_ufunc.at(outbox, plan.slot_of_message, messages)
-    merged = kernel.identity_array(plan.target_idx.size)
-    kernel.merge_ufunc.at(merged, plan.target_of_slot, outbox)
-    return merged
-
-
-def route_counts(
-    plan: FoldPlan,
-    master_of: np.ndarray,
-    executor_of: np.ndarray,
-) -> Tuple[int, int]:
-    """Remote/local shuffle message counts for one superstep's outboxes.
-
-    Mirrors the scalar ``_route_and_merge`` accounting: one message per
-    outbox entry whose target's master lives in a different partition;
-    remote when that partition sits on a different executor.
-    """
-    masters = master_of[plan.slot_target]
-    shipped = masters != plan.slot_pid
-    if not shipped.any():
-        return 0, 0
-    remote = int(
-        (executor_of[plan.slot_pid[shipped]] != executor_of[masters[shipped]]).sum()
-    )
-    return remote, int(shipped.sum()) - remote
-
-
 def triplet_scan(
     trip: TripletArrays,
     kernel: ArrayMessageKernel,
@@ -317,40 +293,80 @@ def triplet_scan(
     Returns ``scan(active, state) -> (target_idx, merged,
     scanned_per_partition, slots_per_partition, shuffle_remote,
     shuffle_local)`` over the flat triplet arrays.  ``always_active`` scans
-    cover every triplet, so their per-partition edge counts are computed
-    here once; kernels with a static message structure additionally reuse
-    the first superstep's fold plan, slot counts and route counts.
+    cover every triplet; kernels with a static message structure
+    additionally reuse the first superstep's fold plan and counters.
     """
-    num_partitions = trip.num_partitions
-    all_counts = (
-        np.bincount(trip.edge_pid, minlength=num_partitions) if always_active else None
-    )
     static_structure = always_active and kernel.static_message_structure
-    # The last superstep's fold plan and its slot/route counters.  Static
-    # structures reuse them outright; otherwise they stay referenced until
-    # the next plan replaces them, which also stops the allocator trimming
-    # the heap between supersteps (CC on a road network: 4x fewer page
-    # faults, 10-25% less wall time, than releasing them on return).
-    plan = counters = None
+    slot_remote = trip.remote_slots(executor_of)
+    # This run's flag and rank scratch, all-``False`` between plans (runs on
+    # one placement may overlap in threads, so it is not shared).
+    slot_mark = np.zeros(trip.num_slots, dtype=bool)
+    slot_rank = np.empty(trip.num_slots, dtype=np.intp)
+    vertex_mark = np.zeros(trip.num_vertices, dtype=bool)
+    vertex_rank = np.empty(trip.num_vertices, dtype=np.intp)
+    # The last superstep's fold plan.  Static structures reuse it outright;
+    # otherwise it stays referenced until the next plan replaces it, which
+    # also stops the allocator trimming the heap between supersteps (CC on
+    # a road network: 4x fewer page faults, 10-25% less wall time, than
+    # releasing it on return).
+    plan = None
+
+    def plan_slots(edges, dst_idx, target_idx):
+        """Group the messages of triplets ``edges`` by outbox slot and by
+        target without sorting: ascending slot order is partition-major."""
+        endpoint = edges * 2
+        endpoint += target_idx == dst_idx
+        slot = trip.endpoint_slot[endpoint].astype(np.intp)
+        if not np.array_equal(trip.slot_vertex[slot], target_idx):
+            stray = np.flatnonzero(trip.slot_vertex[slot] != target_idx)
+            raise EngineError(
+                f"{type(kernel).__name__}.send_message_array addressed {stray.size} "
+                "messages to vertices that are not an endpoint of their triplet (first: "
+                f"vertex index {int(target_idx[stray[0]])} from triplet {int(edges[stray[0]])}); "
+                "use the scalar loop for arbitrary targets"
+            )
+        slot_mark[slot] = True
+        slots = np.flatnonzero(slot_mark)
+        slot_mark[slots] = False
+        slot_rank[slots] = np.arange(slots.size)
+        slot_target = trip.slot_vertex[slots].astype(np.intp)
+        vertex_mark[slot_target] = True
+        targets = np.flatnonzero(vertex_mark)
+        vertex_mark[targets] = False
+        vertex_rank[targets] = np.arange(targets.size)
+        remote = int(np.count_nonzero(slot_remote[slots]))
+        return (
+            slot_rank[slot],
+            int(slots.size),
+            vertex_rank[slot_target],
+            targets,
+            np.diff(np.searchsorted(slots, trip.slot_bounds)),
+            remote,
+            int(np.count_nonzero(trip.slot_shipped[slots])) - remote,
+        )
 
     def scan(active, state):
-        nonlocal plan, counters
+        nonlocal plan
         if always_active:
-            src, dst, pid, scanned_counts = trip.src, trip.dst, trip.edge_pid, all_counts
+            scanned, src, dst = None, trip.src, trip.dst
+            scanned_counts = np.diff(trip.edge_bounds)
         else:
             scanned = np.flatnonzero(
                 active_edge_mask(active, trip.src, trip.dst, active_direction)
             )
-            src, dst, pid = trip.src[scanned], trip.dst[scanned], trip.edge_pid[scanned]
-            scanned_counts = np.bincount(pid, minlength=num_partitions)
+            src, dst = trip.src[scanned], trip.dst[scanned]
+            scanned_counts = np.diff(np.searchsorted(scanned, trip.edge_bounds))
         positions, target_idx, messages = kernel.send_message_array(src, dst, state)
         if plan is None or not static_structure:
-            plan = plan_fold(pid[positions], target_idx, trip.num_vertices)
-            counters = (
-                np.bincount(plan.slot_pid, minlength=num_partitions),
-                *route_counts(plan, trip.master_of, executor_of),
-            )
-        merged = fold_messages(kernel, plan, messages)
-        return (plan.target_idx, merged, scanned_counts, *counters)
+            edges = positions if scanned is None else scanned[positions]
+            plan = plan_slots(edges, dst[positions], target_idx)
+        slot_of_message, num_slots, target_of_slot, targets, *counters = plan
+        # Pass 1 folds the messages into their outbox slot in emission order,
+        # pass 2 the slot aggregates per target in ascending slot order.
+        outbox = kernel.identity_array(num_slots)
+        kernel.merge_ufunc.at(outbox, slot_of_message, messages)
+        merged = kernel.identity_array(targets.size)
+        kernel.merge_ufunc.at(merged, target_of_slot, outbox)
+        return (targets, merged, scanned_counts, *counters)
 
     return scan

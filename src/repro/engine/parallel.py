@@ -275,8 +275,8 @@ def _worker_scan_fold(
         run.out_values[offset:offset + num_slots] = outbox
         slot_counts[i] = num_slots
         if need_route and num_slots:
-            # Mirrors messaging.route_counts for the slots of this partition
-            # (slot_pid is constant here, so the masks collapse to scalars).
+            # The in-process scan's shipped/remote slot masks for this
+            # partition (its id is constant here, so they collapse to scalars).
             masters = static.master_of[run.out_targets[offset:offset + num_slots]]
             shipped = masters != pid
             if shipped.any():
@@ -370,15 +370,10 @@ class ParallelPregelExecutor:
         self.num_partitions = trip.num_partitions
         self.num_vertices = trip.num_vertices
         self.num_edges = trip.num_edges
-        membership = pgraph.assignment.membership()
-        per_partition = membership.vertices_per_partition()
-        self.outbox_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(per_partition, dtype=np.int64)]
-        )
-        self.outbox_capacity = int(self.outbox_offsets[-1])
-        self.edge_bounds = np.searchsorted(
-            trip.edge_pid, np.arange(self.num_partitions + 1)
-        ).astype(np.int64)
+        # A partition's outbox region is its replica slots.
+        self.outbox_offsets = trip.slot_bounds
+        self.outbox_capacity = trip.num_slots
+        self.edge_bounds = trip.edge_bounds
         edge_counts = np.diff(self.edge_bounds)
         self._chunks = _assign_partition_chunks(edge_counts, self.workers)
 

@@ -38,14 +38,14 @@ slots_per_partition, shuffle_remote, shuffle_local)``, picked by
   graphs that set ``stream_supersteps``.
 
 All three are bit-identical to each other and to the scalar loop because
-outbox slots are partition-major (one per ``(partition, target)`` pair,
-partitions ascending) and every fold is an in-order, unbuffered
-``ufunc.at`` left fold from the merge identity: a partition's messages
-into its slots in edge order, then slot aggregates per target in
-partition order — the order of the scalar dict folds.  Splitting the work
-by partition (pool workers, mmapped shards) keeps both orders, and the
-driver turns the returned counts into compute units with the same
-``count * unit`` products and the same addition order on every path.
+outbox entries live in replica slots — one per ``(partition, mirrored
+vertex)`` pair, partition-major — and every fold is an in-order,
+unbuffered ``ufunc.at`` left fold in ascending slot order, which is the
+order of the scalar dict folds; "Bit-identical folds" in
+:mod:`repro.engine.messaging` has the argument.  Splitting the work by
+partition (pool workers, mmapped shards) keeps that order, and the driver
+turns the returned counts into compute units with the same ``count *
+unit`` products and the same addition order on every path.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..errors import EngineError
-from ..partitioning.membership import master_partition_array
+from ..partitioning.membership import master_partition_array, segment_arange
 from .cluster import ClusterConfig, paper_cluster
 from .cost_model import CostModel, CostParameters, SimulationReport
 from .messaging import ArrayMessageKernel, triplet_scan
@@ -155,34 +155,44 @@ def _route_and_merge(
     return merged, remote, local
 
 
+def _broadcast_dense(
+    plan: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    target_idx: np.ndarray,
+    partition_units: np.ndarray,
+) -> Tuple[int, int]:
+    """Push the master values of the distinct dense vertex indices
+    ``target_idx`` to every replica partition, read off the placement's
+    :meth:`~repro.engine.routing.RoutingTable.broadcast_plan`.
+
+    Returns ``(remote_count, local_count)``.  The volume of this broadcast
+    is what the CommCost metric approximates.
+    """
+    offsets, partitions, remote_of = plan
+    starts = offsets[target_idx]
+    positions = segment_arange(starts, offsets[target_idx + 1] - starts)
+    partition_units += _SYNC_APPLY_UNITS * np.bincount(
+        partitions[positions], minlength=partition_units.size
+    )
+    remote = int(remote_of[target_idx].sum())
+    return remote, int(positions.size) - remote
+
+
 def _broadcast_updates(
     pgraph: PartitionedGraph,
     cluster: ClusterConfig,
     updated_vertices: Iterable[int],
     partition_units: List[float],
 ) -> Tuple[int, int]:
-    """Push updated master values to every replica partition.
-
-    Returns ``(remote_count, local_count)``.  The volume of this broadcast
-    is what the CommCost metric approximates.  The plan is computed as one
-    array pass over the routing table's replication CSR rather than a
-    per-vertex Python loop.
-    """
-    routing = pgraph.routing
-    if isinstance(updated_vertices, np.ndarray):
-        vertices = updated_vertices.astype(np.int64, copy=False)
-    else:
-        vertices = np.fromiter(updated_vertices, dtype=np.int64)
-    parts, masters = routing.replica_sync_pairs(vertices)
-    if not parts.size:
-        return 0, 0
-    executor_of = cluster.executor_map(routing.num_partitions)
-    remote = int((executor_of[parts] != executor_of[masters]).sum())
-    local = int(parts.size - remote)
-    sync_units = np.bincount(parts, minlength=len(partition_units))
-    for partition in np.flatnonzero(sync_units).tolist():
-        partition_units[partition] += _SYNC_APPLY_UNITS * int(sync_units[partition])
-    return remote, local
+    """:func:`_broadcast_dense` for the scalar loop's vertex ids and unit
+    list (ids outside the graph have no replicas)."""
+    vertex_ids = pgraph.graph.vertex_ids
+    ids = np.fromiter(updated_vertices, dtype=np.int64)
+    target_idx = np.searchsorted(vertex_ids, ids[np.isin(ids, vertex_ids)])
+    plan = pgraph.routing.broadcast_plan(cluster.executor_map(pgraph.num_partitions))
+    units = np.array(partition_units)
+    counts = _broadcast_dense(plan, target_idx, units)
+    partition_units[:] = units.tolist()
+    return counts
 
 
 def pregel(
@@ -472,11 +482,12 @@ def _run_supersteps(
     vertex_units_per_master = (
         np.bincount(master_of, minlength=num_partitions) * vertex_compute_units
     )
-    # The all-vertices broadcast plan: superstep 0 uses it, and so does
-    # every superstep of an ``always_active`` run, so it is computed once.
+    broadcast = pgraph.routing.broadcast_plan(cluster.executor_map(num_partitions))
+    # The all-vertices broadcast: superstep 0 uses it, and so does every
+    # superstep of an ``always_active`` run, so it is computed once.
     all_sync_units = np.zeros(num_partitions, dtype=np.float64)
-    all_sync_remote, all_sync_local = _broadcast_updates(
-        pgraph, cluster, vertex_ids, all_sync_units
+    all_sync_remote, all_sync_local = _broadcast_dense(
+        broadcast, np.arange(num_vertices), all_sync_units
     )
 
     # Superstep 0: vertex program everywhere with the initial message.
@@ -527,8 +538,8 @@ def _run_supersteps(
                 np.bincount(master_of[target_idx], minlength=num_partitions)
                 * vertex_compute_units
             )
-            sync_remote, sync_local = _broadcast_updates(
-                pgraph, cluster, vertex_ids[target_idx], partition_units
+            sync_remote, sync_local = _broadcast_dense(
+                broadcast, target_idx, partition_units
             )
             num_updated = int(target_idx.size)
             active = np.zeros(num_vertices, dtype=bool)

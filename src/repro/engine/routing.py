@@ -22,6 +22,7 @@ import numpy as np
 
 from ..partitioning.base import EdgePartitionAssignment
 from ..partitioning.membership import VertexMembership, master_partition_array
+from .cluster import for_executor_map
 
 __all__ = ["RoutingTable"]
 
@@ -44,6 +45,8 @@ class RoutingTable:
         self.master_of_placed = membership.masters
         self._replicas: Optional[Dict[int, Tuple[int, ...]]] = None
         self._masters: Optional[Dict[int, int]] = None
+        self._sync_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._sync_remote: Optional[Tuple[bytes, np.ndarray]] = None
 
     @classmethod
     def from_assignment(cls, assignment: EdgePartitionAssignment) -> "RoutingTable":
@@ -92,7 +95,7 @@ class RoutingTable:
 
         .. deprecated:: compatibility shim over the CSR arrays; prefer
            :attr:`membership` (``partitions_of`` / ``expand``) or the bulk
-           accessors :meth:`replica_sync_pairs` / :meth:`sync_message_counts`.
+           accessor :meth:`broadcast_plan`.
         """
         if self._replicas is None:
             self._replicas = self.membership.to_dict(self._all_vertex_ids, factory=tuple)
@@ -144,34 +147,33 @@ class RoutingTable:
     # ------------------------------------------------------------------
     # Array-native accessors used by the engine and the metrics.
     # ------------------------------------------------------------------
-    def sync_message_counts(self) -> np.ndarray:
-        """Per-placed-vertex replica broadcast counts (aligned with
-        ``membership.vertices``); summing this is the engine-side CommCost."""
-        membership = self.membership
-        non_master = membership.pair_partition != np.repeat(
-            self.master_of_placed, membership.counts
-        )
-        segments = np.repeat(
-            np.arange(membership.num_placed_vertices), membership.counts
-        )
-        return np.bincount(
-            segments[non_master], minlength=membership.num_placed_vertices
-        ).astype(np.int64)
+    def broadcast_plan(
+        self, executor_of: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The replica broadcast of this placement in dense-index space.
 
-    def replica_sync_pairs(self, vertex_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(replica_partition, master_partition)`` rows for every non-master
-        replica of ``vertex_ids`` — the per-superstep broadcast plan.
-
-        Vertices that are not placed in any partition contribute no rows.
+        Returns ``(offsets, partitions, remote)``: a CSR over the dense
+        vertex index (position in the graph's sorted vertex ids) of every
+        vertex's non-master replica partitions, and per vertex how many of
+        them sit on another executor than its master.  The CSR is built
+        once per placement; ``remote`` depends on the cluster only through
+        ``executor_of`` and is kept for the last executor map.
         """
         membership = self.membership
-        idx = membership.indices_of(vertex_ids)
-        idx = idx[idx >= 0]
-        if not idx.size:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        positions, counts = membership.expand(idx)
-        parts = membership.pair_partition[positions]
-        masters = np.repeat(self.master_of_placed[idx], counts)
-        keep = parts != masters
-        return parts[keep], masters[keep]
+        if self._sync_csr is None:
+            keep = membership.pair_partition != np.repeat(
+                self.master_of_placed, membership.counts
+            )
+            dense = np.searchsorted(self._all_vertex_ids, membership.pair_vertex[keep])
+            offsets = np.searchsorted(dense, np.arange(self._all_vertex_ids.size + 1))
+            self._sync_csr = (offsets, membership.pair_partition[keep].astype(np.int32))
+        offsets, partitions = self._sync_csr
+
+        def remote() -> np.ndarray:
+            masters = master_partition_array(self._all_vertex_ids, self.num_partitions)
+            dense = np.repeat(np.arange(masters.size), np.diff(offsets))
+            crossing = executor_of[partitions] != executor_of[masters][dense]
+            return np.bincount(dense[crossing], minlength=masters.size)
+
+        kept = self._sync_remote = for_executor_map(self._sync_remote, executor_of, remote)
+        return offsets, partitions, kept[1]

@@ -65,9 +65,8 @@ def segment_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    return np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(
+        total, dtype=np.int64
     )
 
 

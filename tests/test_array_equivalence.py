@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.graph import Graph
+from repro.engine.cluster import paper_cluster
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.engine.routing import RoutingTable
 from repro.metrics.partition_metrics import compute_metrics, compute_metrics_reference
@@ -108,7 +109,9 @@ def test_sync_message_counts_matches_scalar(name, small_social_graph):
     routing = RoutingTable.from_assignment(
         make_partitioner(name).assign(small_social_graph, 8)
     )
-    counts = routing.sync_message_counts()
+    offsets, _, _ = routing.broadcast_plan(paper_cluster().executor_map(8))
+    placed = np.searchsorted(small_social_graph.vertex_ids, routing.membership.vertices)
+    counts = np.diff(offsets)[placed]
     for index, vertex in enumerate(routing.membership.vertices.tolist()):
         assert counts[index] == routing.sync_message_count(vertex)
     # Summed over all placed vertices this is the engine-side broadcast

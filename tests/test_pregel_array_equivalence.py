@@ -236,7 +236,7 @@ def test_triplet_arrays_match_partition_scan(small_social_graph):
     ids = trip.vertex_ids
     got = list(
         zip(
-            trip.edge_pid.tolist(),
+            np.repeat(np.arange(trip.num_partitions), np.diff(trip.edge_bounds)).tolist(),
             ids[trip.src].tolist(),
             ids[trip.dst].tolist(),
         )
