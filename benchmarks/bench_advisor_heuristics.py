@@ -21,8 +21,8 @@ is small and not worse than the general-purpose pick.
 
 from __future__ import annotations
 
+from repro import Session
 from repro.analysis.advisor import recommend_empirically, recommend_partitioner
-from repro.analysis.experiments import ExperimentConfig, run_algorithm_study
 from repro.analysis.results import group_by_dataset
 from repro.metrics.report import format_table
 
@@ -33,27 +33,22 @@ DATASETS = ["youtube", "pokec", "orkut", "soclivejournal", "follow-jul"]
 ALGORITHMS = ["PR", "CC", "TR"]
 
 
-def _collect_runs(all_graphs, bench_scale, bench_seed):
+def _collect_runs(all_graphs):
     graphs = {name: all_graphs[name] for name in DATASETS}
-    runs = {}
-    for algorithm in ALGORITHMS:
-        config = ExperimentConfig(
-            algorithm=algorithm,
-            num_partitions=CONFIG_I_PARTITIONS,
-            datasets=DATASETS,
-            scale=bench_scale,
-            seed=bench_seed,
-            num_iterations=5,
-        )
-        runs[algorithm] = run_algorithm_study(config, graphs=graphs)
+    plan = (
+        Session(graphs=graphs)
+        .plan()
+        .datasets(DATASETS)
+        .granularities(CONFIG_I_PARTITIONS)
+        .iterations(5)
+    )
+    runs = {algorithm: plan.algorithms(algorithm).run() for algorithm in ALGORITHMS}
     return graphs, runs
 
 
-def test_advisor_choices_beat_the_general_case(benchmark, all_graphs, bench_scale, bench_seed):
+def test_advisor_choices_beat_the_general_case(benchmark, all_graphs):
     """Tailoring the partitioner to the computation is close to optimal."""
-    graphs, runs = benchmark.pedantic(
-        _collect_runs, args=(all_graphs, bench_scale, bench_seed), rounds=1, iterations=1
-    )
+    graphs, runs = benchmark.pedantic(_collect_runs, args=(all_graphs,), rounds=1, iterations=1)
 
     print_header("Advisor validation — tailoring the partitioner to the computation")
 

@@ -16,39 +16,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import ExperimentConfig, run_algorithm_study
-
 from bench_utils import print_figure_summary
 from conftest import CONFIG_I_PARTITIONS, CONFIG_II_PARTITIONS
 
 
-def _run(config_partitions, bench_session, dataset_names, bench_scale, bench_seed):
-    config = ExperimentConfig(
-        algorithm="PR",
-        num_partitions=config_partitions,
-        datasets=dataset_names,
-        scale=bench_scale,
-        seed=bench_seed,
-        num_iterations=10,
-    )
+def _run(config_partitions, bench_session, dataset_names):
     # The shared session means each (dataset, partitioner, k) triple is
     # partitioned once per pytest session across the whole figure suite.
-    return run_algorithm_study(config, session=bench_session)
+    return (
+        bench_session.plan()
+        .datasets(dataset_names)
+        .granularities(config_partitions)
+        .algorithms("PR")
+        .run()
+    )
 
 
 @pytest.fixture(scope="module")
-def pagerank_runs(bench_session, dataset_names, bench_scale, bench_seed):
+def pagerank_runs(bench_session, dataset_names):
     return {
-        "config-i": _run(CONFIG_I_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
-        "config-ii": _run(CONFIG_II_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        "config-i": _run(CONFIG_I_PARTITIONS, bench_session, dataset_names),
+        "config-ii": _run(CONFIG_II_PARTITIONS, bench_session, dataset_names),
     }
 
 
-def test_fig3_pagerank_config_i(benchmark, bench_session, dataset_names, bench_scale, bench_seed):
+def test_fig3_pagerank_config_i(benchmark, bench_session, dataset_names):
     """Figure 3, configuration (i): 128 partitions."""
     records = benchmark.pedantic(
         _run,
-        args=(CONFIG_I_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        args=(CONFIG_I_PARTITIONS, bench_session, dataset_names),
         rounds=1,
         iterations=1,
     )
@@ -62,11 +58,11 @@ def test_fig3_pagerank_config_i(benchmark, bench_session, dataset_names, bench_s
     assert correlations["comm_cost"] > correlations["part_stdev"]
 
 
-def test_fig3_pagerank_config_ii(benchmark, bench_session, dataset_names, bench_scale, bench_seed):
+def test_fig3_pagerank_config_ii(benchmark, bench_session, dataset_names):
     """Figure 3, configuration (ii): 256 partitions."""
     records = benchmark.pedantic(
         _run,
-        args=(CONFIG_II_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        args=(CONFIG_II_PARTITIONS, bench_session, dataset_names),
         rounds=1,
         iterations=1,
     )

@@ -7,35 +7,27 @@ configuration (ii) performs better on the larger datasets (up to 22%).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.experiments import ExperimentConfig, run_algorithm_study
-
 from bench_utils import print_figure_summary
 from conftest import CONFIG_I_PARTITIONS, CONFIG_II_PARTITIONS
 
 
-def _run(config_partitions, bench_session, dataset_names, bench_scale, bench_seed):
-    config = ExperimentConfig(
-        algorithm="CC",
-        num_partitions=config_partitions,
-        datasets=dataset_names,
-        scale=bench_scale,
-        seed=bench_seed,
-        num_iterations=10,
-    )
+def _run(config_partitions, bench_session, dataset_names):
     # Shared session: placements built by the other figure modules are
     # reused here instead of re-partitioned.
-    return run_algorithm_study(config, session=bench_session)
+    return (
+        bench_session.plan()
+        .datasets(dataset_names)
+        .granularities(config_partitions)
+        .algorithms("CC")
+        .run()
+    )
 
 
-def test_fig4_connected_components_config_i(
-    benchmark, bench_session, dataset_names, bench_scale, bench_seed
-):
+def test_fig4_connected_components_config_i(benchmark, bench_session, dataset_names):
     """Figure 4, configuration (i)."""
     records = benchmark.pedantic(
         _run,
-        args=(CONFIG_I_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        args=(CONFIG_I_PARTITIONS, bench_session, dataset_names),
         rounds=1,
         iterations=1,
     )
@@ -48,13 +40,11 @@ def test_fig4_connected_components_config_i(
     assert correlations["comm_cost"] > correlations["balance"]
 
 
-def test_fig4_connected_components_config_ii(
-    benchmark, bench_session, dataset_names, bench_scale, bench_seed
-):
+def test_fig4_connected_components_config_ii(benchmark, bench_session, dataset_names):
     """Figure 4, configuration (ii)."""
     records = benchmark.pedantic(
         _run,
-        args=(CONFIG_II_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        args=(CONFIG_II_PARTITIONS, bench_session, dataset_names),
         rounds=1,
         iterations=1,
     )

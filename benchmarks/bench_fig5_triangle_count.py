@@ -14,39 +14,37 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import ExperimentConfig, run_algorithm_study
 from repro.analysis.results import group_by_dataset
 
 from bench_utils import print_figure_summary
 from conftest import CONFIG_I_PARTITIONS, CONFIG_II_PARTITIONS
 
 
-def _run(config_partitions, bench_session, dataset_names, bench_scale, bench_seed):
-    config = ExperimentConfig(
-        algorithm="TR",
-        num_partitions=config_partitions,
-        datasets=dataset_names,
-        scale=bench_scale,
-        seed=bench_seed,
-    )
+def _run(config_partitions, bench_session, dataset_names):
     # Shared session: placements built by the other figure modules are
     # reused here instead of re-partitioned.
-    return run_algorithm_study(config, session=bench_session)
+    return (
+        bench_session.plan()
+        .datasets(dataset_names)
+        .granularities(config_partitions)
+        .algorithms("TR")
+        .run()
+    )
 
 
 @pytest.fixture(scope="module")
-def triangle_runs(bench_session, dataset_names, bench_scale, bench_seed):
+def triangle_runs(bench_session, dataset_names):
     return {
-        "config-i": _run(CONFIG_I_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
-        "config-ii": _run(CONFIG_II_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        "config-i": _run(CONFIG_I_PARTITIONS, bench_session, dataset_names),
+        "config-ii": _run(CONFIG_II_PARTITIONS, bench_session, dataset_names),
     }
 
 
-def test_fig5_triangle_count_config_i(benchmark, bench_session, dataset_names, bench_scale, bench_seed):
+def test_fig5_triangle_count_config_i(benchmark, bench_session, dataset_names):
     """Figure 5, configuration (i)."""
     records = benchmark.pedantic(
         _run,
-        args=(CONFIG_I_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        args=(CONFIG_I_PARTITIONS, bench_session, dataset_names),
         rounds=1,
         iterations=1,
     )
@@ -59,11 +57,11 @@ def test_fig5_triangle_count_config_i(benchmark, bench_session, dataset_names, b
     assert correlations["cut"] > 0.5
 
 
-def test_fig5_triangle_count_config_ii(benchmark, bench_session, dataset_names, bench_scale, bench_seed):
+def test_fig5_triangle_count_config_ii(benchmark, bench_session, dataset_names):
     """Figure 5, configuration (ii)."""
     records = benchmark.pedantic(
         _run,
-        args=(CONFIG_II_PARTITIONS, bench_session, dataset_names, bench_scale, bench_seed),
+        args=(CONFIG_II_PARTITIONS, bench_session, dataset_names),
         rounds=1,
         iterations=1,
     )

@@ -9,8 +9,8 @@ concludes that a good partitioner matters *more* on better infrastructure.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_infrastructure_study
-from repro.engine.cluster import paper_cluster
+from repro import Session
+from repro.engine.cluster import INFRASTRUCTURE_CONFIGS, paper_cluster
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.algorithms.pagerank import pagerank
 
@@ -22,31 +22,36 @@ def test_infrastructure_network_and_storage(benchmark, all_graphs, bench_scale):
     """Reproduce the configuration (ii)/(iii)/(iv) comparison for PageRank on follow-dec."""
 
     def run():
-        return run_infrastructure_study(
-            dataset="follow-dec",
-            partitioner="2D",
-            num_partitions=CONFIG_II_PARTITIONS,
-            algorithm="PR",
-            num_iterations=10,
-            graph=all_graphs["follow-dec"],
+        plan = (
+            Session(graphs={"follow-dec": all_graphs["follow-dec"]})
+            .plan()
+            .datasets("follow-dec")
+            .partitioners("2D")
+            .granularities(CONFIG_II_PARTITIONS)
+            .algorithms("PR")
         )
+        return {
+            label: plan.cluster(cluster).run()[0].simulated_seconds
+            for label, cluster in INFRASTRUCTURE_CONFIGS.items()
+        }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print_header(f"Section 4 — infrastructure study (follow-dec, scale={bench_scale})")
-    baseline = results[0]
-    for result in results:
+    config_ii, config_iii, config_iv = results.values()
+    speedup_iii = 1.0 - config_iii / config_ii
+    speedup_iv = 1.0 - config_iv / config_ii
+    for label, seconds in results.items():
         print(
-            f"  {result.label:30s} {result.simulated_seconds:8.4f}s  "
-            f"({result.speedup_vs(baseline) * 100:5.1f}% faster than config ii)"
+            f"  {label:30s} {seconds:8.4f}s  "
+            f"({(1.0 - seconds / config_ii) * 100:5.1f}% faster than config ii)"
         )
 
-    config_ii, config_iii, config_iv = results
-    assert config_iii.simulated_seconds < config_ii.simulated_seconds
-    assert config_iv.simulated_seconds < config_iii.simulated_seconds
-    assert config_iii.speedup_vs(config_ii) > 0.05
-    assert config_iv.speedup_vs(config_ii) > config_iii.speedup_vs(config_ii)
-    assert config_iv.speedup_vs(config_ii) < 0.6
+    assert config_iii < config_ii
+    assert config_iv < config_iii
+    assert speedup_iii > 0.05
+    assert speedup_iv > speedup_iii
+    assert speedup_iv < 0.6
 
 
 def test_infrastructure_partitioner_gap_grows(benchmark, all_graphs):

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_partitioning_study
+from repro import Session
 from repro.metrics.report import format_metrics_table
 from repro.partitioning.hash_partitioners import EdgePartition2D
 
-from bench_utils import print_header
+from bench_utils import metrics_table, print_header
 from conftest import CONFIG_I_PARTITIONS
 
 
@@ -14,11 +14,7 @@ def test_table2_partitioning_metrics_128(benchmark, all_graphs, dataset_names, b
     """Reproduce Table 2 (configuration i, 128 partitions)."""
 
     def build():
-        return run_partitioning_study(
-            num_partitions=CONFIG_I_PARTITIONS,
-            datasets=dataset_names,
-            graphs=all_graphs,
-        )
+        return metrics_table(Session(graphs=all_graphs), dataset_names, CONFIG_I_PARTITIONS)
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)
 

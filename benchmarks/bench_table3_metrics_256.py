@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_partitioning_study
+from repro import Session
 from repro.metrics.report import format_metrics_table
 
-from bench_utils import print_header
+from bench_utils import metrics_table, print_header
 from conftest import CONFIG_I_PARTITIONS, CONFIG_II_PARTITIONS
 
 
@@ -13,16 +13,10 @@ def test_table3_partitioning_metrics_256(benchmark, all_graphs, dataset_names, b
     """Reproduce Table 3 (configuration ii, 256 partitions) and the Table 2 -> 3 movement."""
 
     def build():
-        return run_partitioning_study(
-            num_partitions=CONFIG_II_PARTITIONS,
-            datasets=dataset_names,
-            graphs=all_graphs,
-        )
+        return metrics_table(Session(graphs=all_graphs), dataset_names, CONFIG_II_PARTITIONS)
 
     fine = benchmark.pedantic(build, rounds=1, iterations=1)
-    coarse = run_partitioning_study(
-        num_partitions=CONFIG_I_PARTITIONS, datasets=dataset_names, graphs=all_graphs
-    )
+    coarse = metrics_table(Session(graphs=all_graphs), dataset_names, CONFIG_I_PARTITIONS)
 
     print_header(
         f"Table 3 — partitioning metrics, {CONFIG_II_PARTITIONS} partitions (scale={bench_scale})"

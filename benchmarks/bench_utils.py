@@ -4,11 +4,24 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
+from repro import Session
 from repro.analysis.correlation import correlation_table
 from repro.analysis.results import RunRecord, best_partitioner_per_dataset, group_by_dataset
+from repro.metrics.partition_metrics import PartitioningMetrics
 from repro.metrics.report import format_table
 
-__all__ = ["print_header", "print_figure_summary", "records_table"]
+__all__ = ["metrics_table", "print_header", "print_figure_summary", "records_table"]
+
+
+def metrics_table(
+    session: Session, datasets: Sequence[str], num_partitions: int
+) -> Dict[str, List[PartitioningMetrics]]:
+    """Table 2/3: every paper partitioner's metrics per dataset (a metrics-only plan)."""
+    results = session.plan().datasets(datasets).granularities(num_partitions).run()
+    return {
+        dataset: [record.metrics for record in rows]
+        for dataset, rows in results.group_by("dataset").items()
+    }
 
 
 def print_header(title: str) -> None:

@@ -24,7 +24,6 @@ from repro import (
     load_dataset,
     recommend_empirically,
     recommend_partitioner,
-    run_algorithm,
     summarize,
 )
 from repro.metrics.report import format_table
@@ -59,23 +58,29 @@ def main(dataset: str = "soclivejournal", algorithm: str = "PR") -> None:
 
     # Step 3: verify by actually running the computation.
     print(f"\nRunning {algorithm} with three strategies at {NUM_PARTITIONS} partitions:")
-    results = []
-    for label, strategy in (
-        ("heuristic", heuristic.partitioner),
-        ("empirical", empirical.partitioner),
-        ("baseline (RVC)", "RVC"),
-    ):
-        pgraph = session.partitioned(dataset, strategy, NUM_PARTITIONS)
-        outcome = run_algorithm(algorithm, pgraph, num_iterations=10)
-        results.append(
-            {
-                "policy": label,
-                "partitioner": strategy,
-                "comm_cost": pgraph.metrics.comm_cost,
-                "cut": pgraph.metrics.cut,
-                "seconds": round(outcome.simulated_seconds, 4),
-            }
-        )
+    policies = {
+        "heuristic": heuristic.partitioner,
+        "empirical": empirical.partitioner,
+        "baseline (RVC)": "RVC",
+    }
+    records = (
+        session.plan()
+        .datasets(dataset)
+        .partitioners(list(policies.values()))
+        .granularities(NUM_PARTITIONS)
+        .algorithms(algorithm)
+        .run()
+    )
+    results = [
+        {
+            "policy": label,
+            "partitioner": record.partitioner,
+            "comm_cost": record.metrics.comm_cost,
+            "cut": record.metrics.cut,
+            "seconds": round(record.simulated_seconds, 4),
+        }
+        for label, record in zip(policies, records)
+    ]
     print(format_table(results))
     fastest = min(results, key=lambda row: row["seconds"])
     print(f"\nFastest policy here: {fastest['policy']} ({fastest['partitioner']})")

@@ -5,7 +5,7 @@ table of the paper (correlation coefficients, best partitioners,
 granularity and infrastructure effects) and prints them next to the values
 the paper reports.  It is the script used to populate EXPERIMENTS.md.
 
-Every study runs through one shared :class:`repro.Session`, so each
+Every study is a plan over one shared :class:`repro.Session`, so each
 (dataset, partitioner, granularity) triple is partitioned exactly once
 even though four algorithm sweeps, two metric tables and the
 infrastructure study all consume it; the cache accounting is printed at
@@ -20,17 +20,12 @@ from __future__ import annotations
 
 import sys
 
-from repro import (
-    ExperimentConfig,
-    Session,
-    run_algorithm_study,
-    run_infrastructure_study,
-    run_partitioning_study,
-)
+from repro import Session
 from repro.analysis import best_partitioner_per_dataset, correlation_with_time
 from repro.analysis.results import group_by_dataset
 from repro.datasets.catalog import PAPER_DATASET_NAMES, load_all_datasets
 from repro.datasets.characterization import build_table1, format_table1
+from repro.engine.cluster import INFRASTRUCTURE_CONFIGS
 
 SOCIAL = ["youtube", "pokec", "orkut", "soclivejournal", "follow-jul", "follow-dec"]
 
@@ -46,12 +41,11 @@ def main(scale: float = 0.35, seed: int = 17) -> None:
     print()
 
     print("### Tables 2/3 — partitioning metrics movement (128 -> 256 partitions)")
-    coarse = run_partitioning_study(128, session=session)
-    fine = run_partitioning_study(256, session=session)
+    coarse = session.plan().granularities(128).run()
+    fine = session.plan().granularities(256).run()
     growth = []
-    for dataset in PAPER_DATASET_NAMES:
-        for c, f in zip(coarse[dataset], fine[dataset]):
-            growth.append(f.comm_cost / c.comm_cost if c.comm_cost else 1.0)
+    for c, f in zip(coarse, fine):
+        growth.append(f.metrics.comm_cost / c.metrics.comm_cost if c.metrics.comm_cost else 1.0)
     print(f"CommCost growth when doubling partitions: "
           f"min x{min(growth):.2f}, mean x{sum(growth) / len(growth):.2f}, max x{max(growth):.2f}"
           f"  (paper: increases, but significantly less than double)")
@@ -68,16 +62,14 @@ def main(scale: float = 0.35, seed: int = 17) -> None:
         datasets = SOCIAL if algorithm == "SSSP" else list(PAPER_DATASET_NAMES)
         print(f"### Figure for {algorithm} — correlation of {metric} with simulated time")
         for partitions in (128, 256):
-            config = ExperimentConfig(
-                algorithm=algorithm,
-                num_partitions=partitions,
-                datasets=datasets,
-                scale=scale,
-                seed=seed,
-                num_iterations=10,
-                landmark_count=5,
+            records = (
+                session.plan()
+                .datasets(datasets)
+                .granularities(partitions)
+                .algorithms(algorithm)
+                .landmarks(5)
+                .run()
             )
-            records = run_algorithm_study(config, session=session)
             value = correlation_with_time(records, metric)
             other = correlation_with_time(records, "comm_cost" if metric == "cut" else "cut")
             best = best_partitioner_per_dataset(records)
@@ -93,14 +85,15 @@ def main(scale: float = 0.35, seed: int = 17) -> None:
         print()
 
     print("### Section 4 — infrastructure study (PR on follow-dec, 256 partitions)")
-    results = run_infrastructure_study(
-        dataset="follow-dec", partitioner="2D", num_partitions=256,
-        num_iterations=10, session=session,
-    )
-    baseline = results[0]
-    for result in results:
-        print(f"  {result.label:30s} {result.simulated_seconds:8.4f}s "
-              f"({result.speedup_vs(baseline) * 100:5.1f}% faster; paper: 15% for iii, 20% for iv)")
+    plan = session.plan().datasets("follow-dec").partitioners("2D").granularities(256).algorithms("PR")
+    times = {
+        label: plan.cluster(cluster).run()[0].simulated_seconds
+        for label, cluster in INFRASTRUCTURE_CONFIGS.items()
+    }
+    baseline = next(iter(times.values()))
+    for label, seconds in times.items():
+        print(f"  {label:30s} {seconds:8.4f}s "
+              f"({(1.0 - seconds / baseline) * 100:5.1f}% faster; paper: 15% for iii, 20% for iv)")
     print()
 
     stats = session.stats

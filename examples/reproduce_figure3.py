@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import ExperimentConfig, Session, run_algorithm_study
+from repro import Session
 from repro.analysis import best_partitioner_per_dataset, correlation_with_time
 from repro.analysis.results import records_to_rows
 from repro.metrics.report import format_table
@@ -26,14 +26,7 @@ def main(scale: float = 0.25) -> None:
     # own placements — they are different triples).
     session = Session(scale=scale, seed=17)
     for label, partitions in (("configuration (i)", 128), ("configuration (ii)", 256)):
-        config = ExperimentConfig(
-            algorithm="PR",
-            num_partitions=partitions,
-            scale=scale,
-            seed=17,
-            num_iterations=10,
-        )
-        records = run_algorithm_study(config, session=session)
+        records = session.plan().granularities(partitions).algorithms("PR").run()
 
         print("=" * 72)
         print(f"Figure 3, {label}: PageRank, {partitions} partitions, scale={scale}")

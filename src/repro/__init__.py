@@ -13,13 +13,13 @@ of Kolokasis & Pratikakis' study of vertex-cut partitioning in GraphX:
   and SSSP on top of the engine;
 * :mod:`repro.backends` — pluggable execution backends: the ``reference``
   cost-model simulator and the ``vectorized`` CSR/numpy kernels;
-* :mod:`repro.session` — the unified experiment API: :class:`Session`
+* :mod:`repro.session` — the experiment API (every table and figure is a
+  plan over it): :class:`Session`
   (memoized dataset loads + partitioned-graph cache),
   :class:`ExperimentPlan` (the declarative grid planner) and
   :class:`ResultSet` (queryable, serialisable run records);
-* :mod:`repro.analysis` — correlation analysis, the "cut to fit"
-  partitioner advisor, and the legacy study entry points (now thin
-  wrappers over the session planner);
+* :mod:`repro.analysis` — correlation analysis, run records and the
+  "cut to fit" partitioner advisor;
 * :mod:`repro.serve` — a long-lived HTTP query daemon over preloaded
   partitioned graphs: landmark-based distance estimates, batched
   multi-source exact SSSP, top-k PageRank, components and neighborhoods
@@ -59,20 +59,12 @@ from .algorithms import (
     triangle_count,
 )
 from .analysis import (
-    ExperimentConfig,
-    GranularityPoint,
-    GranularitySweep,
-    InfrastructureResult,
     Recommendation,
     RunRecord,
     load_records,
     recommend_empirically,
     recommend_partitioner,
-    run_algorithm_study,
-    run_infrastructure_study,
-    run_partitioning_study,
     save_records,
-    sweep_granularity,
 )
 from .backends import (
     Backend,
@@ -127,17 +119,13 @@ __all__ = [
     "CostParameters",
     "DatasetError",
     "EngineError",
-    "ExperimentConfig",
     "ExperimentPlan",
     "EXTENSION_PARTITIONER_NAMES",
-    "GranularityPoint",
-    "GranularitySweep",
     "Graph",
     "GraphBuilder",
     "GraphIOError",
     "GraphSummary",
     "GraphValidationError",
-    "InfrastructureResult",
     "LandmarkMatrix",
     "PAPER_DATASET_NAMES",
     "PAPER_PARTITIONER_NAMES",
@@ -174,13 +162,9 @@ __all__ = [
     "register_backend",
     "recommend_partitioner",
     "run_algorithm",
-    "run_algorithm_study",
-    "run_infrastructure_study",
-    "run_partitioning_study",
     "save_records",
     "shortest_paths",
     "summarize",
-    "sweep_granularity",
     "total_triangles",
     "triangle_count",
     "validate_backends",

@@ -1,17 +1,9 @@
-"""Experiment harness, correlation analysis and the cut-to-fit advisor."""
+"""Correlation analysis, result records and the cut-to-fit advisor."""
 
 from .advisor import Recommendation, recommend_empirically, recommend_partitioner
 from .correlation import correlation_table, correlation_with_time, pearson, spearman
 from .plots import ascii_scatter, loglog_histogram, scatter_from_records
 from .serialization import load_records, record_from_dict, record_to_dict, report_to_dict, save_records
-from .sweep import GranularityPoint, GranularitySweep, sweep_granularity
-from .experiments import (
-    ExperimentConfig,
-    InfrastructureResult,
-    run_algorithm_study,
-    run_infrastructure_study,
-    run_partitioning_study,
-)
 from .results import (
     RunRecord,
     best_partitioner_per_dataset,
@@ -20,8 +12,6 @@ from .results import (
 )
 
 __all__ = [
-    "ExperimentConfig",
-    "InfrastructureResult",
     "Recommendation",
     "RunRecord",
     "best_partitioner_per_dataset",
@@ -34,17 +24,11 @@ __all__ = [
     "record_to_dict",
     "report_to_dict",
     "save_records",
-    "GranularityPoint",
-    "GranularitySweep",
-    "sweep_granularity",
     "correlation_with_time",
     "group_by_dataset",
     "pearson",
     "recommend_empirically",
     "recommend_partitioner",
     "records_to_rows",
-    "run_algorithm_study",
-    "run_infrastructure_study",
-    "run_partitioning_study",
     "spearman",
 ]

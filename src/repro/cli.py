@@ -57,15 +57,11 @@ from typing import List, Optional
 from .algorithms.registry import run_algorithm
 from .analysis.advisor import recommend_empirically, recommend_partitioner
 from .analysis.correlation import correlation_table
-from .analysis.experiments import (
-    ExperimentConfig,
-    run_algorithm_study,
-    run_partitioning_study,
-)
-from .analysis.results import best_partitioner_per_dataset, records_to_rows
+from .analysis.results import best_partitioner_per_dataset
 from .backends import available_backends, get_backend
 from .datasets.catalog import PAPER_DATASET_NAMES, get_spec, load_dataset
 from .datasets.characterization import build_table1, format_table1
+from .engine.cluster import paper_cluster
 from .engine.partitioned_graph import PartitionedGraph
 from .errors import AnalysisError, PartitioningError, ReproError
 from .metrics.report import format_metrics_table, format_table
@@ -81,6 +77,11 @@ __all__ = [
 
 #: Partition count used by ``advise --backend`` when ``--partitions`` is omitted.
 DEFAULT_ADVISE_PARTITIONS = 16
+
+#: SSSP landmarks per dataset in ``repro run`` and ``repro sweep`` — the
+#: paper's count — so the two front-ends report identical numbers for
+#: identical cells.
+SWEEP_LANDMARK_COUNT = 5
 
 
 def _partitioner_name(name: str) -> str:
@@ -573,14 +574,25 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    table = run_partitioning_study(
-        num_partitions=args.partitions,
-        datasets=args.datasets or PAPER_DATASET_NAMES,
-        partitioners=args.partitioners,
-        scale=args.scale,
-        seed=args.seed,
+def _grid_plan(args: argparse.Namespace):
+    """The one-granularity plan behind ``metrics`` and in-memory ``run``."""
+    plan = (
+        Session(scale=args.scale, seed=args.seed)
+        .plan()
+        .datasets(args.datasets or PAPER_DATASET_NAMES)
+        .granularities(args.partitions)
     )
+    if args.partitioners:
+        plan.partitioners(args.partitioners)
+    return plan
+
+
+def _cmd_metrics(args: argparse.Namespace) -> int:
+    results = _grid_plan(args).run()
+    table = {
+        dataset: [record.metrics for record in subset]
+        for dataset, subset in results.group_by("dataset").items()
+    }
     print(format_metrics_table(table))
     return 0
 
@@ -666,22 +678,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "--cache-dir/--chunk-edges only apply to 'run' together with "
             "--out-of-core (use 'sweep' for cached in-memory grids)"
         )
-    config_kwargs = {}
-    if args.partitioners:
-        config_kwargs["partitioners"] = args.partitioners
-    config = ExperimentConfig(
-        algorithm=args.algorithm,
-        num_partitions=args.partitions,
-        datasets=args.datasets or PAPER_DATASET_NAMES,
-        scale=args.scale,
-        seed=args.seed,
-        num_iterations=args.iterations,
-        backend=args.backend,
-        engine_workers=args.engine_workers,
-        **config_kwargs,
+    records = (
+        _grid_plan(args)
+        .algorithms(args.algorithm)
+        .backends(args.backend)
+        .iterations(args.iterations)
+        .landmarks(SWEEP_LANDMARK_COUNT, seed=args.seed + 7)
+        .cluster(paper_cluster())
+        .engine_workers(args.engine_workers)
+        .run()
     )
-    records = run_algorithm_study(config)
-    print(format_table(records_to_rows(records)))
+    print(format_table(records.to_rows()))
     print()
     if args.backend != "reference":
         # No cluster cost model: report measured wall-clock time instead of
@@ -707,12 +714,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for dataset, partitioner in best.items():
         print(f"  {dataset:>16}: {partitioner}")
     return 0
-
-
-#: SSSP landmarks per dataset in ``repro sweep`` — the paper's count, and
-#: the same default ``run`` uses via ``ExperimentConfig.landmark_count``,
-#: so the two front-ends report identical numbers for identical cells.
-SWEEP_LANDMARK_COUNT = 5
 
 
 def _build_sweep_plan(args: argparse.Namespace):

@@ -10,7 +10,6 @@ benchmark harness.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -299,27 +298,9 @@ def dataset_names() -> List[str]:
     return list(PAPER_DATASET_NAMES)
 
 
-#: Deprecated spellings still accepted (case-insensitively) by :func:`get_spec`.
-#: The SNAP dataset is Pokec; early versions of this catalog misspelled it.
-_DEPRECATED_ALIASES: Dict[str, str] = {"pocek": "pokec"}
-
-
 def get_spec(name: str) -> DatasetSpec:
-    """Look up a dataset specification by name (case-insensitive).
-
-    Deprecated aliases (e.g. the historical ``"pocek"`` misspelling of
-    ``"pokec"``) resolve to their canonical entry with a
-    :class:`DeprecationWarning`.
-    """
+    """Look up a dataset specification by name (case-insensitive)."""
     lowered = name.lower()
-    canonical = _DEPRECATED_ALIASES.get(lowered)
-    if canonical is not None:
-        warnings.warn(
-            f"dataset name {name!r} is a deprecated alias; use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        lowered = canonical
     for key, spec in _SPECS.items():
         if key.lower() == lowered:
             return spec

@@ -12,7 +12,6 @@ from . import (  # noqa: F401
     rep002_fold_order,
     rep003_shm_lifecycle,
     rep004_blocking_async,
-    rep005_deprecated_shims,
     rep006_canonical_names,
     rep007_swallowed_errors,
     rep008_unseeded_random,

@@ -16,7 +16,13 @@ import numpy as np
 
 from ..errors import EngineError
 
-__all__ = ["ClusterConfig", "paper_cluster", "for_executor_map", "STORAGE_BANDWIDTH_BYTES"]
+__all__ = [
+    "ClusterConfig",
+    "INFRASTRUCTURE_CONFIGS",
+    "paper_cluster",
+    "for_executor_map",
+    "STORAGE_BANDWIDTH_BYTES",
+]
 
 #: Sequential read bandwidth per storage medium, bytes/second.
 STORAGE_BANDWIDTH_BYTES = {
@@ -111,3 +117,13 @@ def paper_cluster(network_gbps: float = 1.0, storage: str = "hdd") -> ClusterCon
         storage=storage,
         name="paper-cluster",
     )
+
+
+#: Section 4's infrastructure study, by label, in the paper's order:
+#: configuration (ii) is the 1 Gbps / HDD baseline, (iii) upgrades the
+#: network to 40 Gbps, (iv) also moves shuffle storage to local SSDs.
+INFRASTRUCTURE_CONFIGS = {
+    "config-ii (1 Gbps, HDD)": paper_cluster(network_gbps=1.0, storage="hdd"),
+    "config-iii (40 Gbps, HDD)": paper_cluster(network_gbps=40.0, storage="hdd"),
+    "config-iv (40 Gbps, SSD)": paper_cluster(network_gbps=40.0, storage="ssd"),
+}

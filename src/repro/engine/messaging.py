@@ -2,8 +2,8 @@
 
 The scalar Pregel loop scans every edge triplet with a Python loop and
 merges messages through per-target dict folds.  That loop is the last big
-scalar hot path of the simulator: it dominates every ``run_algorithm_study``
-sweep because it runs once per superstep per edge.
+scalar hot path of the simulator: it dominates every algorithm sweep
+because it runs once per superstep per edge.
 
 This module provides the vectorised replacement.  An algorithm may hand
 the engine an :class:`ArrayMessageKernel` describing its messages as flat

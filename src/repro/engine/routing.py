@@ -10,8 +10,8 @@ The table is array-native: it shares the CSR pair arrays of
 :class:`~repro.partitioning.membership.VertexMembership` and a vectorised
 master assignment, so constructing it costs one ``np.unique`` + one hash
 pass instead of the seed implementation's per-vertex dict build.  The
-``replicas`` / ``masters`` dict attributes of the seed API survive as
-lazily-expanded shims.
+``replicas`` / ``masters`` dicts are expanded lazily, for the scalar
+reference Pregel loop and the scalar triangle count that read them.
 """
 
 from __future__ import annotations
@@ -63,10 +63,12 @@ class RoutingTable:
         num_partitions: int,
         vertex_partitions: Dict[int, frozenset],
     ) -> "RoutingTable":
-        """Seed dict-walking constructor, kept for equivalence tests/benchmarks.
+        """Seed dict-walking constructor: the oracle of the equivalence tests.
 
         Builds the ``replicas`` / ``masters`` dicts exactly as the seed
-        ``from_assignment`` did, then wraps them in the array representation.
+        ``from_assignment`` did (from a
+        :meth:`~repro.partitioning.base.EdgePartitionAssignment.vertex_partitions_reference`
+        dict), then wraps them in the array representation.
         """
         from ..metrics.partition_metrics import master_partition
 
@@ -87,15 +89,15 @@ class RoutingTable:
         return table
 
     # ------------------------------------------------------------------
-    # Dict shims (deprecated): the seed API expanded on demand.
+    # Dict views, expanded on demand for the scalar reference paths.
     # ------------------------------------------------------------------
     @property
     def replicas(self) -> Dict[int, Tuple[int, ...]]:
         """``{vertex: sorted partitions holding a copy}`` for every graph vertex.
 
-        .. deprecated:: compatibility shim over the CSR arrays; prefer
-           :attr:`membership` (``partitions_of`` / ``expand``) or the bulk
-           accessor :meth:`broadcast_plan`.
+        Read by the scalar triangle count; code that touches many vertices
+        should use :attr:`membership` (``partitions_of`` / ``expand``) or
+        the bulk accessor :meth:`broadcast_plan` instead.
         """
         if self._replicas is None:
             self._replicas = self.membership.to_dict(self._all_vertex_ids, factory=tuple)
@@ -103,7 +105,7 @@ class RoutingTable:
 
     @property
     def masters(self) -> Dict[int, int]:
-        """``{vertex: master partition}`` for every graph vertex (shim)."""
+        """``{vertex: master partition}`` for every graph vertex (scalar loop, TR)."""
         if self._masters is None:
             masters_all = master_partition_array(self._all_vertex_ids, self.num_partitions)
             self._masters = dict(

@@ -13,7 +13,9 @@ Lifecycle hygiene is the whole point of this module:
 * all registries created by a process are tracked so an ``atexit`` hook
   and a chained ``SIGTERM`` handler unlink anything still live when the
   process dies (guarded by owner pid — a forked worker inheriting the
-  table must never unlink its parent's segments);
+  table must never unlink its parent's segments); the ``SIGTERM`` handler
+  also stops the process's pool workers, which would otherwise outlive
+  it — and keep its resource tracker alive — forever;
 * segment names carry the :data:`SEGMENT_PREFIX` and the owner pid, so
   tests can scan ``/dev/shm`` for leaks and attribute them;
 * the attach side works around the CPython < 3.13 resource-tracker bug
@@ -24,6 +26,7 @@ Lifecycle hygiene is the whole point of this module:
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import signal
 import threading
@@ -105,6 +108,14 @@ def cleanup_all() -> int:
 
 def _handle_sigterm(signum, frame):  # pragma: no cover - exercised in a subprocess
     cleanup_all()
+    # Forked pool workers block on their call queue and never notice the
+    # parent is gone; they also hold the resource tracker's pipe open.
+    # Stop and reap them here, since SIG_DFL below skips every atexit hook.
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+    for child in children:
+        child.join(timeout=1.0)
     previous = _PREVIOUS_SIGTERM
     if callable(previous):
         previous(signum, frame)

@@ -93,9 +93,6 @@ class EdgePartitionAssignment:
     partition_of: np.ndarray
     strategy_name: str = ""
     _membership: Optional[VertexMembership] = field(default=None, repr=False, compare=False)
-    _vertex_partitions: Optional[Dict[int, frozenset]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.partition_of = np.asarray(self.partition_of, dtype=np.int64)
@@ -124,8 +121,7 @@ class EdgePartitionAssignment:
         """The array-native vertex replication relation (built once, cached).
 
         This is the representation the metrics, routing tables and engine
-        consume; the dict-returning accessors below are shims kept for API
-        compatibility with the seed implementation.
+        consume.
         """
         if self._membership is None:
             self._membership = VertexMembership.from_edges(
@@ -133,27 +129,14 @@ class EdgePartitionAssignment:
             )
         return self._membership
 
-    def vertex_partitions(self) -> Dict[int, frozenset]:
-        """Map every vertex to the set of partitions that contain a copy of it.
+    def vertex_partitions_reference(self) -> Dict[int, frozenset]:
+        """Map every vertex to the partitions holding a copy of it, the seed way.
 
         A vertex is present in a partition whenever at least one of its
-        edges is assigned there.  Isolated vertices map to an empty set.
-
-        .. deprecated::
-            This dict expansion is a compatibility shim over
-            :meth:`membership`; new code should consume the
-            :class:`~repro.partitioning.membership.VertexMembership` arrays
-            directly.  The result is cached.
-        """
-        if self._vertex_partitions is None:
-            self._vertex_partitions = self.membership().to_dict(self.graph.vertex_ids)
-        return self._vertex_partitions
-
-    def vertex_partitions_reference(self) -> Dict[int, frozenset]:
-        """Seed per-edge dict implementation of :meth:`vertex_partitions`.
-
-        Kept (uncached) as the ground truth for the equivalence tests and
-        the ``bench_partitioning_pipeline`` seed-vs-array comparison.
+        edges is assigned there; isolated vertices map to an empty set.
+        This per-edge dict walk is the oracle :meth:`membership` is checked
+        against (uncached), by the equivalence tests and the
+        ``bench_partitioning_pipeline`` seed-vs-array comparison.
         """
         membership: Dict[int, set] = {int(v): set() for v in self.graph.vertex_ids.tolist()}
         src = self.graph.src.tolist()
@@ -163,10 +146,6 @@ class EdgePartitionAssignment:
             membership[s].add(p)
             membership[d].add(p)
         return {v: frozenset(ps) for v, ps in membership.items()}
-
-    def replication_counts(self) -> Dict[int, int]:
-        """Map every vertex to its number of copies across partitions."""
-        return {v: len(parts) for v, parts in self.vertex_partitions().items()}
 
 
 class PartitionStrategy(abc.ABC):

@@ -19,8 +19,9 @@ numpy arrays in CSR form:
 
 Everything downstream (metrics, routing, edge-partition mirror lists, the
 engine's replica broadcasts) reduces to ``bincount`` / boolean-mask /
-segment operations over these arrays.  The dict-returning seed APIs are
-kept as thin shims that expand this representation on demand.
+segment operations over these arrays.  :meth:`VertexMembership.to_dict`
+expands it into the seed's dict form for the routing table's ``replicas``
+view (read by the scalar triangle count) and the equivalence tests.
 """
 
 from __future__ import annotations

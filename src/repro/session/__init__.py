@@ -14,10 +14,9 @@ This package is the front door of the experiment layer:
   records survive the process, making sweeps warm-startable and
   resumable (``repro sweep --cache-dir/--resume``).
 
-The legacy harness entry points (``run_algorithm_study``,
-``run_partitioning_study``, ``run_infrastructure_study``,
-``sweep_granularity``, ``recommend_empirically``) are thin wrappers over
-this package; see :mod:`repro.analysis`.
+It is the one way to run the paper's grid: the CLI's ``metrics``,
+``run`` and ``sweep`` commands, the empirical advisor and the
+table/figure benchmarks all build a ``session.plan()``.
 """
 
 from .store import STORE_FORMAT_VERSION, ArtifactStore, DiskStats, StoreInfo

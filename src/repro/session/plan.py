@@ -289,11 +289,10 @@ class ExperimentPlan:
     def cells(self) -> List[PlannedRun]:
         """Expand the grid into explicit cells.
 
-        The order is deterministic and mirrors the legacy harness loops:
-        dataset-major, then granularity, then algorithm, then backend,
-        then partitioner — so single-axis plans reproduce the record
-        order of ``run_algorithm_study`` (dataset -> partitioner) and
-        ``sweep_granularity`` (granularity -> partitioner) exactly.
+        The order is deterministic: dataset-major, then granularity, then
+        algorithm, then backend, then partitioner — so a one-granularity
+        plan lists dataset -> partitioner, the row order of Tables 2-3 and
+        Figures 3-6.
         """
         if self._datasets is None:
             from ..datasets.catalog import PAPER_DATASET_NAMES

@@ -28,6 +28,10 @@ __all__ = ["ResultSet"]
 #: Aliases accepted wherever a field name selects a record value.
 _FIELD_ALIASES = {"seconds": "simulated_seconds", "partitions": "num_partitions"}
 
+#: The only backend whose records carry cost-model (simulated) seconds;
+#: metrics-only cells record backend ``"none"``.
+_SIMULATING_BACKEND = "reference"
+
 #: Direct attributes of RunRecord; anything else resolves as a metric name.
 _RECORD_FIELDS = frozenset(
     (
@@ -124,9 +128,26 @@ class ResultSet:
         return {key: ResultSet(records) for key, records in grouped.items()}
 
     def best(self, by: str = "simulated_seconds") -> RunRecord:
-        """The record minimising ``by`` (a record field or metric name)."""
+        """The record minimising ``by`` (a record field or metric name).
+
+        Ranking by simulated time raises :class:`AnalysisError` when a
+        record has none — a metrics-only cell or a backend without the
+        cluster cost model records 0.0, which would otherwise always win.
+        """
         if not self._records:
             raise AnalysisError("cannot take the best record of an empty result set")
+        if _FIELD_ALIASES.get(by, by) == "simulated_seconds":
+            untimed = [r for r in self._records if r.backend != _SIMULATING_BACKEND]
+            if untimed:
+                cells = ", ".join(
+                    f"{r.dataset}/{r.partitioner}/{r.num_partitions}/{r.algorithm}/{r.backend}"
+                    for r in untimed[:5]
+                ) + (", ..." if len(untimed) > 5 else "")
+                raise AnalysisError(
+                    f"cannot rank by simulated time: {len(untimed)} record(s) carry no "
+                    f"cost-model time ({cells}); filter to backend={_SIMULATING_BACKEND!r} "
+                    f"algorithm runs or rank by another field"
+                )
         return min(self._records, key=lambda record: _value_of(record, by))
 
     def pivot(

@@ -193,8 +193,7 @@ class Session:
     ``scale`` and ``seed`` are the session's defaults for dataset
     generation; ``cluster`` and ``cost_parameters`` are the default
     simulation settings of plans opened with :meth:`plan`.  ``graphs``
-    registers pre-built graphs by name (the equivalent of the legacy
-    harness' ``graphs=`` argument).  ``store`` attaches a persistent
+    registers pre-built graphs by name.  ``store`` attaches a persistent
     :class:`~repro.session.store.ArtifactStore` (or a directory path to
     open one in): the in-memory caches become an L1 over that disk L2,
     so placements, landmark choices and completed run records survive
@@ -301,7 +300,7 @@ class Session:
     def adopt_graph(self, name: str, graph: Graph) -> "Session":
         """Register ``graph`` under ``name``, refusing to displace another graph.
 
-        The harness wrappers use this instead of :meth:`add_graph`: sharing
+        The empirical advisor uses this instead of :meth:`add_graph`: sharing
         a session across studies must never *silently* swap the graph every
         later study sees (and evict its placements).  Re-adopting the same
         object is a no-op; a conflicting graph raises — replace it
@@ -508,8 +507,8 @@ class Session:
     def landmarks(self, dataset: str, count: int, seed: Optional[int] = None) -> List[int]:
         """Memoized deterministic SSSP landmark choice for ``dataset``.
 
-        ``seed`` defaults to ``session.seed + 7``, matching the legacy
-        ``run_algorithm_study`` convention.
+        ``seed`` defaults to ``session.seed + 7``, the convention of
+        ``repro run`` and ``repro sweep``.
         """
         chosen_seed = self.seed + 7 if seed is None else int(seed)
         key = (dataset, int(count), chosen_seed)

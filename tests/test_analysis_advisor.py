@@ -6,6 +6,9 @@ from repro.analysis.advisor import recommend_empirically, recommend_partitioner
 from repro.core.properties import summarize
 from repro.datasets.generators import road_network, social_graph
 from repro.errors import AnalysisError
+from repro.metrics.partition_metrics import compute_metrics
+from repro.partitioning.registry import make_partitioner
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +96,36 @@ class TestEmpiricalRecommendation:
     def test_rationale_mentions_measurement(self, road):
         recommendation = recommend_empirically(road, "PR", num_partitions=4)
         assert "Measured" in recommendation.rationale
+
+    def test_scores_match_direct_measurement(self, small_social_graph):
+        candidates = ["RVC", "2D", "DC"]
+        recommendation = recommend_empirically(
+            small_social_graph, "PR", num_partitions=8, candidates=candidates
+        )
+        direct = {
+            name: compute_metrics(make_partitioner(name).assign(small_social_graph, 8)).comm_cost
+            for name in candidates
+        }
+        assert recommendation.candidates == direct
+        # Ties go to the earlier candidate.
+        assert recommendation.partitioner == min(
+            direct, key=lambda name: (direct[name], candidates.index(name))
+        )
+
+    def test_shares_the_session_cache_with_later_plans(self, small_social_graph):
+        session = Session()
+        recommend_empirically(
+            small_social_graph, "PR", num_partitions=8, candidates=["RVC", "2D"], session=session
+        )
+        assert session.stats.partition_misses == 2
+        # The study that follows the advice reuses the advisor's placements.
+        (
+            session.plan()
+            .datasets(small_social_graph.name)
+            .partitioners("RVC", "2D")
+            .granularities(8)
+            .algorithms("PR")
+            .iterations(2)
+            .run()
+        )
+        assert session.stats.partition_misses == 2

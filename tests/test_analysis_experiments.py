@@ -1,91 +1,88 @@
-"""Tests for the experiment harness (partitioning study, algorithm study, infrastructure)."""
+"""The paper's studies as session plans: Tables 2-3, Figures 3-6 and Section 4."""
 
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentConfig,
-    run_algorithm_study,
-    run_infrastructure_study,
-    run_partitioning_study,
-)
 from repro.analysis.results import best_partitioner_per_dataset
 from repro.datasets.generators import social_graph
-from repro.errors import AnalysisError
+from repro.engine.cluster import INFRASTRUCTURE_CONFIGS
+from repro.errors import AnalysisError, DatasetError
+from repro.partitioning.registry import PAPER_PARTITIONER_NAMES
+from repro.session import Session
 
 DATASETS = ["youtube", "pokec"]
 SCALE = 0.08
 SEED = 4
 
 
-class TestExperimentConfig:
-    def test_defaults_cover_paper_setup(self):
-        config = ExperimentConfig(algorithm="PR")
-        assert config.num_partitions == 128
-        assert len(config.datasets) == 9
-        assert config.partitioners == ["RVC", "1D", "2D", "CRVC", "SC", "DC"]
-        assert config.num_iterations == 10
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"num_partitions": 0},
-            {"scale": 0.0},
-            {"num_iterations": 0},
-        ],
-    )
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(AnalysisError):
-            ExperimentConfig(algorithm="PR", **kwargs)
+def test_plan_defaults_cover_paper_setup():
+    cells = Session().plan().algorithms("PR").cells()
+    assert len({cell.dataset for cell in cells}) == 9
+    assert {cell.num_partitions for cell in cells} == {128, 256}
+    assert [cell.partitioner for cell in cells[:6]] == list(PAPER_PARTITIONER_NAMES)
+    assert {cell.num_iterations for cell in cells} == {10}
 
 
-class TestPartitioningStudy:
+@pytest.mark.parametrize(
+    "configure",
+    [
+        lambda: Session().plan().granularities(0),
+        lambda: Session(scale=0.0),
+        lambda: Session().plan().iterations(0),
+    ],
+    ids=["num_partitions", "scale", "num_iterations"],
+)
+def test_invalid_settings_rejected(configure):
+    with pytest.raises(AnalysisError):
+        configure()
+
+
+class TestPartitioningTables:
     def test_table_shape(self):
-        table = run_partitioning_study(
-            num_partitions=8, datasets=DATASETS, scale=SCALE, seed=SEED
+        results = (
+            Session(scale=SCALE, seed=SEED).plan().datasets(DATASETS).granularities(8).run()
         )
-        assert list(table) == DATASETS
-        for rows in table.values():
-            assert [m.strategy for m in rows] == ["RVC", "1D", "2D", "CRVC", "SC", "DC"]
-            for metrics in rows:
-                assert metrics.num_partitions == 8
-                assert metrics.comm_cost + metrics.non_cut == metrics.total_replicas
+        grouped = results.group_by("dataset")
+        assert list(grouped) == DATASETS
+        for rows in grouped.values():
+            assert [r.partitioner for r in rows] == list(PAPER_PARTITIONER_NAMES)
+            for record in rows:
+                assert record.metrics.num_partitions == 8
+                assert record.metrics.comm_cost + record.metrics.non_cut == (
+                    record.metrics.total_replicas
+                )
 
-    def test_accepts_pre_built_graphs(self, small_social_graph):
-        table = run_partitioning_study(
-            num_partitions=4,
-            datasets=["custom"],
-            partitioners=["RVC", "2D"],
-            graphs={"custom": small_social_graph},
-        )
-        assert list(table) == ["custom"]
-        assert len(table["custom"]) == 2
+    def test_accepts_registered_graphs(self, small_social_graph):
+        session = Session(graphs={"custom": small_social_graph})
+        results = session.plan().datasets("custom").partitioners("RVC", "2D").granularities(4).run()
+        assert [r.dataset for r in results] == ["custom", "custom"]
+        assert results[0].metrics.num_edges == small_social_graph.num_edges
 
-    def test_missing_graph_rejected(self, small_social_graph):
-        with pytest.raises(AnalysisError):
-            run_partitioning_study(
-                num_partitions=4, datasets=["a", "b"], graphs={"a": small_social_graph}
-            )
+    def test_unknown_dataset_rejected(self, small_social_graph):
+        session = Session(graphs={"a": small_social_graph})
+        with pytest.raises(DatasetError):
+            session.plan().datasets("a", "b").partitioners("RVC").granularities(4).run()
 
     def test_finer_granularity_does_not_decrease_comm_cost(self):
-        coarse = run_partitioning_study(num_partitions=8, datasets=["pokec"], scale=SCALE, seed=SEED)
-        fine = run_partitioning_study(num_partitions=32, datasets=["pokec"], scale=SCALE, seed=SEED)
-        for coarse_metrics, fine_metrics in zip(coarse["pokec"], fine["pokec"]):
-            assert fine_metrics.comm_cost >= coarse_metrics.comm_cost
+        plan = Session(scale=SCALE, seed=SEED).plan().datasets("pokec")
+        coarse = plan.granularities(8).run()
+        fine = plan.granularities(32).run()
+        for coarse_record, fine_record in zip(coarse, fine):
+            assert fine_record.metrics.comm_cost >= coarse_record.metrics.comm_cost
 
 
-class TestAlgorithmStudy:
+class TestAlgorithmFigures:
     @pytest.fixture(scope="class")
     def pr_records(self):
-        config = ExperimentConfig(
-            algorithm="PR",
-            num_partitions=8,
-            datasets=DATASETS,
-            partitioners=["RVC", "2D", "DC"],
-            scale=SCALE,
-            seed=SEED,
-            num_iterations=3,
+        return (
+            Session(scale=SCALE, seed=SEED)
+            .plan()
+            .datasets(DATASETS)
+            .partitioners("RVC", "2D", "DC")
+            .granularities(8)
+            .algorithms("PR")
+            .iterations(3)
+            .run()
         )
-        return run_algorithm_study(config)
 
     def test_one_record_per_dataset_partitioner_pair(self, pr_records):
         assert len(pr_records) == len(DATASETS) * 3
@@ -103,53 +100,59 @@ class TestAlgorithmStudy:
         best = best_partitioner_per_dataset(pr_records)
         assert set(best) == set(DATASETS)
         assert all(p in {"RVC", "2D", "DC"} for p in best.values())
+        per_dataset = pr_records.group_by("dataset")
+        assert {d: rows.best().partitioner for d, rows in per_dataset.items()} == best
 
-    def test_sssp_study_runs(self):
-        config = ExperimentConfig(
-            algorithm="SSSP",
-            num_partitions=6,
-            datasets=["youtube"],
-            partitioners=["2D"],
-            scale=SCALE,
-            seed=SEED,
-            landmark_count=2,
+    @pytest.mark.parametrize("algorithm", ["SSSP", "TR"])
+    def test_figure_plan_runs(self, algorithm):
+        records = (
+            Session(scale=SCALE, seed=SEED)
+            .plan()
+            .datasets("youtube")
+            .partitioners("2D")
+            .granularities(6)
+            .algorithms(algorithm)
+            .landmarks(2)
+            .run()
         )
-        records = run_algorithm_study(config)
         assert len(records) == 1
-        assert records[0].algorithm == "SSSP"
+        assert records[0].algorithm == algorithm
+        assert records[0].simulated_seconds > 0
 
-    def test_uses_supplied_graphs_without_regenerating(self):
+    def test_registered_graph_runs_without_regenerating(self):
         graph = social_graph(num_vertices=80, num_edges=300, seed=1, name="custom")
-        config = ExperimentConfig(
-            algorithm="CC",
-            num_partitions=4,
-            datasets=["custom"],
-            partitioners=["RVC"],
-            num_iterations=5,
+        session = Session(graphs={"custom": graph})
+        (record,) = (
+            session.plan()
+            .datasets("custom")
+            .partitioners("RVC")
+            .granularities(4)
+            .algorithms("CC")
+            .iterations(5)
+            .run()
         )
-        records = run_algorithm_study(config, graphs={"custom": graph})
-        assert records[0].dataset == "custom"
-        assert records[0].metrics.num_edges == graph.num_edges
+        assert record.dataset == "custom"
+        assert record.metrics.num_edges == graph.num_edges
 
 
-class TestInfrastructureStudy:
-    def test_faster_infrastructure_reduces_simulated_time(self):
-        results = run_infrastructure_study(
-            dataset="pokec",
-            partitioner="2D",
-            num_partitions=16,
-            scale=SCALE,
-            seed=SEED,
-            num_iterations=3,
-        )
-        assert [r.label.split()[0] for r in results] == ["config-ii", "config-iii", "config-iv"]
-        baseline, fast_network, fast_storage = results
-        assert fast_network.simulated_seconds < baseline.simulated_seconds
-        assert fast_storage.simulated_seconds <= fast_network.simulated_seconds
-        assert 0.0 < fast_network.speedup_vs(baseline) < 1.0
-
-    def test_speedup_vs_self_is_zero(self):
-        results = run_infrastructure_study(
-            dataset="youtube", num_partitions=8, scale=SCALE, seed=SEED, num_iterations=2
-        )
-        assert results[0].speedup_vs(results[0]) == pytest.approx(0.0)
+def test_faster_infrastructure_reduces_simulated_time():
+    plan = (
+        Session(scale=SCALE, seed=SEED)
+        .plan()
+        .datasets("pokec")
+        .partitioners("2D")
+        .granularities(16)
+        .algorithms("PR")
+        .iterations(3)
+    )
+    assert [label.split()[0] for label in INFRASTRUCTURE_CONFIGS] == [
+        "config-ii",
+        "config-iii",
+        "config-iv",
+    ]
+    baseline, fast_network, fast_storage = (
+        plan.cluster(cluster).run()[0].simulated_seconds
+        for cluster in INFRASTRUCTURE_CONFIGS.values()
+    )
+    assert fast_network < baseline
+    assert fast_storage <= fast_network

@@ -1,4 +1,4 @@
-"""Tests for granularity sweeps and result serialisation."""
+"""Tests for granularity sweeps over plans and result serialisation."""
 
 import pytest
 
@@ -12,60 +12,100 @@ from repro.analysis.serialization import (
     report_to_dict,
     save_records,
 )
-from repro.analysis.sweep import sweep_granularity
 from repro.algorithms.pagerank import pagerank
 from repro.errors import AnalysisError
 from repro.metrics.partition_metrics import compute_metrics
 from repro.partitioning.registry import make_partitioner
+from repro.session import METRICS_ONLY, Session
 
 
-class TestGranularitySweep:
+class TestGranularityPlans:
+    """The partition-count axis of a plan: curves, winners and their guards."""
+
+    @staticmethod
+    def _plan(graph, counts, partitioners):
+        session = Session(graphs={"social": graph})
+        return session.plan().datasets("social").partitioners(partitioners).granularities(counts)
+
     def test_metrics_only_sweep(self, small_social_graph):
-        sweep = sweep_granularity(small_social_graph, [4, 8, 16], partitioners=["RVC", "DC"])
-        assert len(sweep.points) == 3 * 2
-        assert all(p.simulated_seconds is None for p in sweep.points)
-        curve = sweep.curve("RVC", "comm_cost")
+        results = self._plan(small_social_graph, [4, 8, 16], ["RVC", "DC"]).run()
+        assert len(results) == 3 * 2
+        assert {r.algorithm for r in results} == {METRICS_ONLY}
+        curve = [
+            (r.num_partitions, r.metrics.comm_cost) for r in results.filter(partitioner="RVC")
+        ]
         assert [n for n, _ in curve] == [4, 8, 16]
         # CommCost grows (weakly) with the partition count.
         values = [v for _, v in curve]
         assert values == sorted(values)
 
     def test_sweep_with_algorithm_records_runtimes(self, small_social_graph):
-        sweep = sweep_granularity(
-            small_social_graph,
-            [4, 8],
-            partitioners=["RVC", "DC"],
-            algorithm="PR",
-            num_iterations=2,
+        results = (
+            self._plan(small_social_graph, [4, 8], ["RVC", "DC"])
+            .algorithms("PR")
+            .iterations(2)
+            .run()
         )
-        assert all(p.simulated_seconds > 0 for p in sweep.points)
-        best = sweep.crossover_points(by="seconds")
+        assert all(r.simulated_seconds > 0 for r in results)
+        best = {n: rows.best().partitioner for n, rows in results.group_by("partitions").items()}
         assert set(best) == {4, 8}
         assert all(choice in {"RVC", "DC"} for choice in best.values())
 
     def test_best_partitioner_by_metric(self, small_social_graph):
-        sweep = sweep_granularity(small_social_graph, [8], partitioners=["RVC", "DC", "2D"])
-        best = sweep.best_partitioner(8, by="comm_cost")
-        by_hand = min(
-            (p for p in sweep.points if p.num_partitions == 8),
-            key=lambda p: p.metrics.comm_cost,
-        ).partitioner
-        assert best == by_hand
+        results = self._plan(small_social_graph, [8], ["RVC", "DC", "2D"]).run()
+        by_hand = min(results, key=lambda r: r.metrics.comm_cost).partitioner
+        assert results.best(by="comm_cost").partitioner == by_hand
 
     def test_best_by_seconds_without_algorithm_rejected(self, small_social_graph):
-        sweep = sweep_granularity(small_social_graph, [4], partitioners=["RVC"])
-        with pytest.raises(AnalysisError):
-            sweep.best_partitioner(4, by="seconds")
+        results = self._plan(small_social_graph, [4], ["RVC", "DC"]).run()
+        with pytest.raises(AnalysisError, match="social/RVC/4/METRICS/none"):
+            results.best(by="seconds")
+        with pytest.raises(AnalysisError, match="no cost-model time"):
+            results.best()
 
-    def test_unknown_granularity_rejected(self, small_social_graph):
-        sweep = sweep_granularity(small_social_graph, [4], partitioners=["RVC"])
+    def test_best_by_seconds_on_a_backend_without_cost_model_rejected(
+        self, small_social_graph
+    ):
+        results = (
+            self._plan(small_social_graph, [4], ["RVC", "DC"])
+            .algorithms("PR")
+            .backends("vectorized")
+            .iterations(2)
+            .run()
+        )
+        assert {r.simulated_seconds for r in results} == {0.0}
+        with pytest.raises(AnalysisError, match="social/DC/4/PR/vectorized"):
+            results.best()
+        # Other fields still rank, and filtering to the simulator recovers it.
+        assert results.best(by="comm_cost").partitioner in {"RVC", "DC"}
+        mixed = (
+            self._plan(small_social_graph, [4], ["RVC", "DC"])
+            .algorithms("PR")
+            .backends("reference", "vectorized")
+            .iterations(2)
+            .run()
+        )
+        timed = mixed.filter(backend="reference")
+        assert timed.best() == min(timed, key=lambda r: r.simulated_seconds)
+
+    def test_rejection_counts_every_untimed_cell_but_names_five(self, small_social_graph):
+        results = self._plan(small_social_graph, [4, 8, 16], ["RVC", "DC"]).run()
+        with pytest.raises(AnalysisError) as caught:
+            results.best()
+        message = str(caught.value)
+        assert "6 record(s)" in message
+        assert message.count("/METRICS/none") == 5
+        assert "16/METRICS/none, ..." in message
+
+    def test_unknown_granularity_is_an_empty_slice(self, small_social_graph):
+        results = self._plan(small_social_graph, [4], ["RVC"]).run()
         with pytest.raises(AnalysisError):
-            sweep.best_partitioner(128)
+            results.filter(num_partitions=128).best(by="comm_cost")
 
     @pytest.mark.parametrize("counts", [[], [0], [-2]])
     def test_invalid_partition_counts_rejected(self, small_social_graph, counts):
         with pytest.raises(AnalysisError):
-            sweep_granularity(small_social_graph, counts)
+            self._plan(small_social_graph, counts, ["RVC"])
 
 
 def _sample_record(graph, partitioner="CRVC", num_partitions=8):

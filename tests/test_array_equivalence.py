@@ -60,11 +60,10 @@ class TestMetricsAndRoutingEquivalence:
                 1 for p in seed_table.replicas[vertex] if p != seed_table.masters[vertex]
             )
 
-    def test_vertex_partitions_shim_matches_reference(
-        self, name, num_partitions, small_social_graph
-    ):
+    def test_membership_matches_reference(self, name, num_partitions, small_social_graph):
         assignment = make_partitioner(name).assign(small_social_graph, num_partitions)
-        assert assignment.vertex_partitions() == assignment.vertex_partitions_reference()
+        expanded = assignment.membership().to_dict(small_social_graph.vertex_ids)
+        assert expanded == assignment.vertex_partitions_reference()
 
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)
@@ -73,7 +72,8 @@ def test_metrics_equivalent_on_edge_case_graphs(name, label):
     graph = _edge_case_graphs()[label]
     assignment = make_partitioner(name).assign(graph, 5)
     assert compute_metrics(assignment) == compute_metrics_reference(assignment)
-    assert assignment.vertex_partitions() == assignment.vertex_partitions_reference()
+    expanded = assignment.membership().to_dict(graph.vertex_ids)
+    assert expanded == assignment.vertex_partitions_reference()
     array_table = RoutingTable.from_assignment(assignment)
     seed_table = RoutingTable.from_vertex_partitions(
         5, assignment.vertex_partitions_reference()

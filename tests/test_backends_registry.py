@@ -3,7 +3,6 @@
 import pytest
 
 from repro.algorithms.registry import run_algorithm
-from repro.analysis.experiments import ExperimentConfig, run_algorithm_study
 from repro.backends import (
     Backend,
     available_backends,
@@ -13,6 +12,7 @@ from repro.backends import (
 )
 from repro.backends.base import _REGISTRY, resolve_graph
 from repro.errors import BackendError
+from repro.session import Session
 
 
 class TestRegistry:
@@ -83,17 +83,20 @@ class TestDispatch:
             run_algorithm("PR", partitioned_social, backend="quantum")
 
 
-class TestExperimentHarness:
-    def test_study_carries_backend_provenance(self, small_social_graph):
-        config = ExperimentConfig(
-            algorithm="CC",
-            num_partitions=4,
-            datasets=["small-social"],
-            partitioners=["1D", "2D"],
-            num_iterations=3,
-            backend="vectorized",
+def _plan(graph, *partitioners):
+    session = Session(graphs={"small-social": graph})
+    return session.plan().datasets("small-social").partitioners(partitioners).granularities(4)
+
+
+class TestExperimentPlans:
+    def test_plan_carries_backend_provenance(self, small_social_graph):
+        records = (
+            _plan(small_social_graph, "1D", "2D")
+            .algorithms("CC")
+            .iterations(3)
+            .backends("vectorized")
+            .run()
         )
-        records = run_algorithm_study(config, graphs={"small-social": small_social_graph})
         assert len(records) == 2
         for record in records:
             assert record.backend == "vectorized"
@@ -105,15 +108,8 @@ class TestExperimentHarness:
         # partitioner row reuses that single run.
         assert len({record.wall_seconds for record in records}) == 1
 
-    def test_reference_study_unchanged(self, small_social_graph):
-        config = ExperimentConfig(
-            algorithm="PR",
-            num_partitions=4,
-            datasets=["small-social"],
-            partitioners=["1D"],
-            num_iterations=2,
-        )
-        (record,) = run_algorithm_study(config, graphs={"small-social": small_social_graph})
+    def test_reference_plan_unchanged(self, small_social_graph):
+        (record,) = _plan(small_social_graph, "1D").algorithms("PR").iterations(2).run()
         assert record.backend == "reference"
         assert record.simulated_seconds > 0.0
 

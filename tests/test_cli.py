@@ -664,3 +664,97 @@ class TestIngestAndOutOfCore:
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", store]) == 0
         assert "shards:     1" in capsys.readouterr().out
+
+
+#: ``repro --scale 0.05 metrics --datasets youtube --partitions 8``.
+METRICS_GOLDEN = [
+    "dataset  partitioner  balance  non_cut  cut  comm_cost  part_stdev",
+    "-------  -----------  -------  -------  ---  ---------  ----------",
+    "youtube  RVC          1.29     1        31   173        4.00      ",
+    "youtube  1D           2.19     0        32   141        12.05     ",
+    "youtube  2D           1.52     0        32   140        6.61      ",
+    "youtube  CRVC         1.43     1        31   119        6.48      ",
+    "youtube  SC           1.33     0        32   138        5.02      ",
+    "youtube  DC           1.33     0        32   138        5.02      ",
+    "",
+]
+
+#: ``repro --scale 0.05 run --datasets youtube --partitioners 2d dc
+#: --partitions 8 --algorithm SSSP --iterations 2``; ``~`` marks the
+#: measured wall-clock column, the one byte range that is not deterministic.
+RUN_GOLDEN = [
+    "dataset  partitioner  partitions  algorithm  comm_cost  cut  balance  seconds  wall_s  supersteps  backend  ",
+    "-------  -----------  ----------  ---------  ---------  ---  -------  -------  ------  ----------  ---------",
+    "youtube  2D           8           SSSP       140        32   1.52     0.02     ~~~~~~  6           reference",
+    "youtube  DC           8           SSSP       138        32   1.33     0.02     ~~~~~~  6           reference",
+    "",
+    "Correlation of metrics with simulated time:",
+    "     comm_cost: +1.00",
+    "           cut: +0.00",
+    "       non_cut: +0.00",
+    "       balance: +1.00",
+    "    part_stdev: +1.00",
+    "Best partitioner per dataset:",
+    "           youtube: DC",
+    "",
+]
+
+
+def _mask_wall_clock(output):
+    """Replace the ``wall_s`` cells of the leading table with ``~``."""
+    header, rule, *rest = output.split("\n")
+    start = header.index("wall_s")
+    stop = start + len(rule[start:].split(" ")[0])
+    for index, line in enumerate(rest):
+        if not line:
+            break
+        rest[index] = line[:start] + "~" * (stop - start) + line[stop:]
+    return "\n".join([header, rule, *rest])
+
+
+class TestGoldenOutput:
+    """Byte-for-byte stdout of the table commands, pinned across refactors."""
+
+    def test_metrics_stdout(self, capsys):
+        assert main(["--scale", "0.05", "metrics", "--datasets", "youtube", "--partitions", "8"]) == 0
+        assert capsys.readouterr().out == "\n".join(METRICS_GOLDEN)
+
+    def test_run_stdout(self, capsys):
+        argv = [
+            "--scale", "0.05",
+            "run",
+            "--datasets", "youtube",
+            "--partitioners", "2d", "dc",
+            "--partitions", "8",
+            "--algorithm", "SSSP",
+            "--iterations", "2",
+        ]
+        assert main(argv) == 0
+        assert _mask_wall_clock(capsys.readouterr().out) == "\n".join(RUN_GOLDEN)
+
+    def test_run_stdout_is_the_same_on_engine_workers(self, capsys):
+        argv = [
+            "--scale", "0.05",
+            "run",
+            "--datasets", "youtube",
+            "--partitioners", "2d", "dc",
+            "--partitions", "8",
+            "--algorithm", "SSSP",
+            "--iterations", "2",
+            "--engine-workers", "2",
+        ]
+        assert main(argv) == 0
+        assert _mask_wall_clock(capsys.readouterr().out) == "\n".join(RUN_GOLDEN)
+
+    def test_metrics_rows_follow_the_partitioner_selection(self, capsys):
+        argv = [
+            "--scale", "0.05",
+            "metrics",
+            "--datasets", "youtube",
+            "--partitions", "8",
+            "--partitioners", "dc", "rvc",
+        ]
+        assert main(argv) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:] if line]
+        golden = {line.split()[1]: line.split() for line in METRICS_GOLDEN[2:] if line}
+        assert rows == [golden["DC"], golden["RVC"]]

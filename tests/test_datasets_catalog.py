@@ -49,17 +49,6 @@ class TestCatalog:
         second = load_dataset("pokec", scale=SCALE, seed=SEED)
         assert first.edge_set() == second.edge_set()
 
-    def test_deprecated_pocek_alias_still_loads(self):
-        # The historical misspelling keeps working, but warns and resolves
-        # to the canonical pokec entry.
-        with pytest.warns(DeprecationWarning, match="pocek"):
-            assert get_spec("pocek").name == "pokec"
-        with pytest.warns(DeprecationWarning):
-            aliased = load_dataset("POCEK", scale=SCALE, seed=SEED)
-        canonical = load_dataset("pokec", scale=SCALE, seed=SEED)
-        assert aliased.name == "pokec"
-        assert aliased.edge_set() == canonical.edge_set()
-
     def test_scale_controls_size(self):
         small = load_dataset("youtube", scale=0.1, seed=SEED)
         large = load_dataset("youtube", scale=0.4, seed=SEED)

@@ -20,9 +20,9 @@ VIOLATION = "def f(x: int = None):\n    return x\n"
 
 
 class TestRegistry:
-    def test_all_fourteen_rules_register(self):
+    def test_all_thirteen_rules_register(self):
         registry = all_rules()
-        expected = [f"REP{i:03d}" for i in range(1, 15)]
+        expected = [f"REP{i:03d}" for i in range(1, 15) if i != 5]  # id 5 is retired
         assert sorted(registry) == expected
         for meta in registry.values():
             assert meta.description
@@ -40,6 +40,11 @@ class TestRegistry:
     def test_select_unknown_rule_raises(self):
         with pytest.raises(StaticCheckError, match="REP999"):
             select_rules(["REP999"])
+
+    def test_retired_rule_is_not_selectable(self):
+        # REP005 policed the deleted dict shims; its id stays reserved.
+        with pytest.raises(StaticCheckError, match="REP005"):
+            select_rules(["REP005"])
 
     def test_static_check_error_is_a_repro_error(self):
         assert issubclass(StaticCheckError, ReproError)

@@ -26,7 +26,6 @@ SEEDED_VIOLATIONS = {
             "async def handler(request):\n    time.sleep(0.1)\n",
         ),
     ),
-    "REP005": (("src/repro/metrics/bad_shim.py", "parts = assignment.vertex_partitions()\n"),),
     "REP006": (("src/repro/analysis/bad_names.py", 'ok = name == "pr"\n'),),
     "REP007": (
         (
@@ -152,7 +151,7 @@ class TestCliSurface:
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for index in range(1, 15):
-            assert f"REP{index:03d}" in out
+            assert (f"REP{index:03d}" in out) == (index != 5)  # id 5 is retired, never reused
 
     def test_unknown_rule_id_is_a_usage_error(self, capsys):
         assert main(["check", "--rule", "REP999"]) == 2

@@ -17,7 +17,7 @@ class TestRoutingTable:
     def test_replicas_match_assignment_membership(self, small_social_graph):
         assignment = make_partitioner("RVC").assign(small_social_graph, 8)
         routing = RoutingTable.from_assignment(assignment)
-        membership = assignment.vertex_partitions()
+        membership = assignment.vertex_partitions_reference()
         for vertex, parts in membership.items():
             assert set(routing.replica_partitions(vertex)) == set(parts)
             assert routing.replication_count(vertex) == len(parts)

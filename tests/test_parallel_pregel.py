@@ -8,6 +8,7 @@ exception, or a SIGTERM — and a live executor keeps exactly its static
 graph segments until its graph is collected.
 """
 
+import contextlib
 import gc
 import glob
 import multiprocessing
@@ -23,7 +24,6 @@ import pytest
 
 from repro.algorithms.pagerank import PageRankKernel, pagerank
 from repro.algorithms.registry import run_algorithm
-from repro.analysis.experiments import ExperimentConfig
 from repro.core.graph import Graph
 from repro.engine.parallel import (
     ParallelPregelExecutor,
@@ -231,14 +231,25 @@ def test_no_leak_after_worker_exception():
     assert len(_own_segments()) == before
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @needs_shm
 @needs_fork
 def test_no_leak_after_sigterm():
     script = textwrap.dedent(
         """
         import time
+        from multiprocessing import resource_tracker
         import numpy as np
         from repro.core.graph import Graph
+        from repro.engine.parallel import ParallelPregelExecutor
         from repro.engine.partitioned_graph import PartitionedGraph
         from repro.algorithms.pagerank import pagerank
 
@@ -247,6 +258,8 @@ def test_no_leak_after_sigterm():
         pgraph = PartitionedGraph.partition(graph, "1D", 4)
         pagerank(pgraph, num_iterations=2, parallel_workers=2)
         print("READY", flush=True)
+        workers = ParallelPregelExecutor.for_graph(pgraph, 2)._pool._processes
+        print(*workers, resource_tracker._resource_tracker._pid, flush=True)
         time.sleep(30)
         """
     )
@@ -261,20 +274,30 @@ def test_no_leak_after_sigterm():
         text=True,
         env=env,
     )
+    children = []
     try:
         assert proc.stdout.readline().strip() == "READY", proc.stderr.read()
+        children = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(children) == 3, "two pool workers and the resource tracker"
         pattern = f"/dev/shm/{SEGMENT_PREFIX}-{proc.pid}-*"
         assert glob.glob(pattern), "executor should hold live static segments"
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=15)
         deadline = time.monotonic() + 5.0
-        while glob.glob(pattern) and time.monotonic() < deadline:
+        while (glob.glob(pattern) or any(map(_running, children))) and (
+            time.monotonic() < deadline
+        ):
             time.sleep(0.05)
         assert glob.glob(pattern) == [], "SIGTERM handler must unlink segments"
+        orphans = [pid for pid in children if _running(pid)]
+        assert orphans == [], "SIGTERM handler must stop the pool workers"
     finally:
         if proc.poll() is None:  # pragma: no cover - only on assertion failure
             proc.kill()
             proc.wait()
+        for pid in filter(_running, children):  # pragma: no cover - likewise
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 @needs_shm
@@ -364,11 +387,11 @@ def test_run_algorithm_engine_workers_identical():
     )
 
 
-def test_experiment_config_validates_engine_workers():
+def test_plan_validates_engine_workers():
+    plan = Session().plan()
     with pytest.raises(AnalysisError):
-        ExperimentConfig(algorithm="PR", engine_workers=0)
-    config = ExperimentConfig(algorithm="PR", engine_workers=2)
-    assert config.engine_workers == 2
+        plan.engine_workers(0)
+    assert plan.engine_workers(2)._engine_workers == 2
 
 
 def test_engine_workers_not_part_of_record_identity(small_social_graph):
@@ -382,8 +405,6 @@ def test_engine_workers_not_part_of_record_identity(small_social_graph):
     serial_cell = serial_plan.cells()[0]
     parallel_cell = parallel_plan.cells()[0]
     assert serial_plan._record_key(serial_cell) == parallel_plan._record_key(parallel_cell)
-    with pytest.raises(AnalysisError):
-        session.plan().engine_workers(0)
 
 
 @needs_shm

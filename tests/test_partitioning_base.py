@@ -49,26 +49,26 @@ class TestAssignmentAccessors:
 
     def test_vertex_partitions_cover_every_endpoint(self, triangle_graph):
         assignment = RandomVertexCut().assign(triangle_graph, 2)
-        membership = assignment.vertex_partitions()
+        membership = assignment.vertex_partitions_reference()
         assert set(membership) == {0, 1, 2}
         assert all(parts for parts in membership.values())
 
-    def test_vertex_partitions_cached(self, triangle_graph):
+    def test_membership_cached(self, triangle_graph):
         assignment = RandomVertexCut().assign(triangle_graph, 2)
-        assert assignment.vertex_partitions() is assignment.vertex_partitions()
+        assert assignment.membership() is assignment.membership()
 
-    def test_replication_counts(self):
+    def test_replica_counts(self):
         graph = Graph([0, 0], [1, 2])
         assignment = EdgePartitionAssignment(graph, 2, np.array([0, 1]), strategy_name="manual")
-        counts = assignment.replication_counts()
-        assert counts[0] == 2  # vertex 0 touches both partitions
-        assert counts[1] == 1
-        assert counts[2] == 1
+        membership = assignment.membership()
+        assert membership.vertices.tolist() == [0, 1, 2]
+        assert membership.counts.tolist() == [2, 1, 1]  # vertex 0 touches both partitions
 
     def test_isolated_vertices_have_empty_membership(self):
         graph = Graph([0], [1], vertices=[9])
         assignment = RandomVertexCut().assign(graph, 4)
-        assert assignment.vertex_partitions()[9] == frozenset()
+        assert assignment.vertex_partitions_reference()[9] == frozenset()
+        assert assignment.membership().partitions_of(9).size == 0
 
 
 class TestScalarFallback:

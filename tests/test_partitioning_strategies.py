@@ -101,7 +101,7 @@ class TestEdgePartition2D:
         assignment = strategy.assign(small_social_graph, num_partitions)
         bound = strategy.max_replication(num_partitions)
         assert bound == 2 * int(math.sqrt(num_partitions)) - 1
-        worst = max(len(p) for p in assignment.vertex_partitions().values())
+        worst = int(assignment.membership().counts.max())
         assert worst <= bound
 
     def test_grid_side_is_ceiling_of_sqrt(self):
@@ -150,7 +150,7 @@ class TestSourceAndDestinationCut:
 
 
 def _total_replicas(assignment) -> int:
-    return sum(len(parts) for parts in assignment.vertex_partitions().values())
+    return assignment.membership().num_pairs
 
 
 class TestPaperPartitionerSet:

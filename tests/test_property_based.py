@@ -93,8 +93,7 @@ class TestPartitioningProperties:
         strategy = make_partitioner("2D")
         assignment = strategy.assign(graph, perfect_square)
         bound = 2 * side - 1
-        for membership in assignment.vertex_partitions().values():
-            assert len(membership) <= bound
+        assert (assignment.membership().counts <= bound).all()
 
 
 def _bfs_components(graph):
