@@ -96,6 +96,7 @@ def _triangle_count_scalar(
 
     routing = pgraph.routing
     num_partitions = pgraph.num_partitions
+    edge_lists = pgraph.triplets().edge_lists()
 
     # ------------------------------------------------------------------
     # Phase 1: canonicalise edges and collect neighbour-id sets at vertex
@@ -111,10 +112,8 @@ def _triangle_count_scalar(
     edges_scanned = 0
     canonical_edges = 0
 
-    for partition in pgraph.partitions:
-        pid = partition.partition_id
-        src_list, dst_list = partition.edge_pairs()
-        for src, dst in zip(src_list, dst_list):
+    for pid, edges in enumerate(edge_lists):
+        for src, dst in edges:
             edges_scanned += 1
             partition_units[pid] += 1.0
             if src == dst:
@@ -175,10 +174,8 @@ def _triangle_count_scalar(
     edges_scanned = 0
     counted: Set = set()
 
-    for partition in pgraph.partitions:
-        pid = partition.partition_id
-        src_list, dst_list = partition.edge_pairs()
-        for src, dst in zip(src_list, dst_list):
+    for pid, edges in enumerate(edge_lists):
+        for src, dst in edges:
             if src == dst:
                 continue
             lo, hi = (src, dst) if src < dst else (dst, src)

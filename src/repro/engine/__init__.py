@@ -2,7 +2,6 @@
 
 from .cluster import STORAGE_BANDWIDTH_BYTES, ClusterConfig, paper_cluster
 from .cost_model import CostModel, CostParameters, SimulationReport, SuperstepRecord
-from .edge_partition import EdgePartition
 from .messaging import ArrayMessageKernel, TripletArrays
 from .parallel import ParallelPregelExecutor, engine_stats, parallel_supported
 from .partitioned_graph import PartitionedGraph
@@ -19,7 +18,6 @@ __all__ = [
     "SimulationReport",
     "SuperstepRecord",
     "ArrayMessageKernel",
-    "EdgePartition",
     "PartitionedGraph",
     "TripletArrays",
     "ParallelPregelExecutor",

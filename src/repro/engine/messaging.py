@@ -10,7 +10,9 @@ the engine an :class:`ArrayMessageKernel` describing its messages as flat
 numpy arrays; the engine then computes active-edge masks, per-target
 message aggregation, master routing and remote/local message counts
 entirely with array operations over the partition-major
-:class:`TripletArrays` cached on the partitioned graph.
+:class:`TripletArrays` cached on the partitioned graph — the engine's view
+of the placement :func:`~repro.partitioning.membership.compile_placement`
+compiles once, from which the metrics' membership comes too.
 
 Bit-identical folds
 -------------------
@@ -43,18 +45,17 @@ bit-for-bit whenever the unit costs are dyadic rationals (0.25, 0.5, 1.0,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import EngineError
-from ..partitioning.membership import master_partition_array
+from ..partitioning.membership import CompiledPlacement, master_partition_array
 from .cluster import for_executor_map
 
 __all__ = [
     "ArrayMessageKernel",
     "TripletArrays",
-    "build_triplets",
     "active_edge_mask",
     "triplet_scan",
 ]
@@ -188,6 +189,22 @@ class TripletArrays:
     num_partitions: int
     _remote: Optional[Tuple[bytes, np.ndarray]] = field(default=None, repr=False, compare=False)
 
+    @classmethod
+    def from_placement(cls, vertex_ids: np.ndarray, placement: CompiledPlacement) -> "TripletArrays":
+        """The engine's view of a compiled placement over ``vertex_ids``:
+        its arrays plus every vertex's master partition."""
+        arrays = placement._asdict()
+        num_partitions = arrays.pop("membership").num_partitions
+        master_of = master_partition_array(vertex_ids, num_partitions)
+        slot_pid = np.repeat(np.arange(num_partitions), np.diff(placement.slot_bounds))
+        return cls(
+            vertex_ids=vertex_ids,
+            slot_shipped=master_of[placement.slot_vertex] != slot_pid,
+            master_of=master_of,
+            num_partitions=num_partitions,
+            **arrays,
+        )
+
     @property
     def num_vertices(self) -> int:
         return int(self.vertex_ids.size)
@@ -211,54 +228,13 @@ class TripletArrays:
         )
         return kept[1]
 
-
-def build_triplets(pgraph) -> TripletArrays:
-    """Materialise the partition-major triplet arrays of a partitioned graph.
-
-    Composes each partition's local triplets (indices into the partition's
-    mirror list) with one ``searchsorted`` of the mirror list into the
-    graph's global vertex table — the same two-level indexing GraphX's
-    ``EdgePartition`` uses.  The local indices, shifted by the partition's
-    first slot, are kept as the triplets' replica slots; each partition's
-    own copy is released once consumed.
-    """
-    vertex_ids = pgraph.graph.vertex_ids
-    partitions = pgraph.partitions
-    num_partitions = pgraph.num_partitions
-    edge_bounds = np.cumsum([0] + [p.num_edges for p in partitions], dtype=np.int64)
-    slot_bounds = np.cumsum([0] + [p.num_vertices for p in partitions], dtype=np.int64)
-    num_edges, num_slots = int(edge_bounds[-1]), int(slot_bounds[-1])
-    src = np.empty(num_edges, dtype=np.int64)
-    dst = np.empty(num_edges, dtype=np.int64)
-    endpoint_slot = np.empty(2 * num_edges, dtype=np.int32)
-    slot_vertex = np.empty(num_slots, dtype=np.int32)
-    for pid, partition in enumerate(partitions):
-        first_slot = slot_bounds[pid]
-        global_of_mirror = np.searchsorted(vertex_ids, partition.vertex_ids)
-        slot_vertex[first_slot:slot_bounds[pid + 1]] = global_of_mirror
-        if not partition.num_edges:
-            continue
-        edges = slice(edge_bounds[pid], edge_bounds[pid + 1])
-        local_src, local_dst = partition.local_triplets()
-        src[edges] = global_of_mirror[local_src]
-        dst[edges] = global_of_mirror[local_dst]
-        endpoint_slot[2 * edges.start:2 * edges.stop:2] = local_src + first_slot
-        endpoint_slot[2 * edges.start + 1:2 * edges.stop:2] = local_dst + first_slot
-        partition.release()
-    master_of = master_partition_array(vertex_ids, num_partitions)
-    slot_pid = np.repeat(np.arange(num_partitions), np.diff(slot_bounds))
-    return TripletArrays(
-        vertex_ids=vertex_ids,
-        src=src,
-        dst=dst,
-        endpoint_slot=endpoint_slot,
-        edge_bounds=edge_bounds,
-        slot_vertex=slot_vertex,
-        slot_bounds=slot_bounds,
-        slot_shipped=master_of[slot_vertex] != slot_pid,
-        master_of=master_of,
-        num_partitions=num_partitions,
-    )
+    def edge_lists(self) -> List[List[Tuple[int, int]]]:
+        """Every partition's edges as ``(src, dst)`` vertex-id tuples, in
+        scan order: the input of the scalar reference loops."""
+        src = self.vertex_ids[self.src].tolist()
+        dst = self.vertex_ids[self.dst].tolist()
+        bounds = self.edge_bounds.tolist()
+        return [list(zip(src[a:b], dst[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def active_edge_mask(

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
-
-import numpy as np
+from typing import Dict, Optional, Union
 
 from ..core.graph import Graph
 from ..core.properties import estimated_size_bytes
 from ..errors import EngineError
 from ..metrics.partition_metrics import PartitioningMetrics, compute_metrics
 from ..partitioning.base import EdgePartitionAssignment, PartitionStrategy
+from ..partitioning.membership import CompiledPlacement
 from ..partitioning.registry import make_partitioner
-from .edge_partition import EdgePartition
-from .messaging import TripletArrays, build_triplets
+from .messaging import TripletArrays
 from .routing import RoutingTable
 
 __all__ = ["PartitionedGraph"]
@@ -22,8 +20,8 @@ __all__ = ["PartitionedGraph"]
 class PartitionedGraph:
     """The distributed representation GraphX builds from an edge placement.
 
-    Holds the per-partition edge lists, the vertex routing table and the
-    partitioning metrics of Section 3.1, and is the input type of every
+    Holds the partition-major triplet arrays, the vertex routing table and
+    the partitioning metrics of Section 3.1, and is the input type of every
     algorithm in :mod:`repro.algorithms`.
     """
 
@@ -32,7 +30,6 @@ class PartitionedGraph:
         self.graph = assignment.graph
         self.num_partitions = assignment.num_partitions
         self.strategy_name = assignment.strategy_name
-        self._partitions: Optional[List[EdgePartition]] = None
         self._routing: Optional[RoutingTable] = None
         self._metrics: Optional[PartitioningMetrics] = None
         self._triplets: Optional[TripletArrays] = None
@@ -61,34 +58,10 @@ class PartitionedGraph:
 
     # ------------------------------------------------------------------
     @property
-    def partitions(self) -> List[EdgePartition]:
-        """The edge partitions (built lazily, cached).
-
-        One stable argsort groups the edge arrays by partition (preserving
-        the original edge order inside each partition, as the seed's bucket
-        loop did); the per-partition vertex mirror lists come straight from
-        the assignment's :class:`VertexMembership` instead of a per-partition
-        ``np.unique`` over the endpoints.
-        """
-        if self._partitions is None:
-            partition_of = self.assignment.partition_of
-            order = np.argsort(partition_of, kind="stable")
-            src_sorted = self.graph.src[order]
-            dst_sorted = self.graph.dst[order]
-            bounds = np.searchsorted(
-                partition_of[order], np.arange(self.num_partitions + 1)
-            )
-            membership = self.assignment.membership()
-            self._partitions = [
-                EdgePartition(
-                    partition_id=pid,
-                    src=src_sorted[bounds[pid]:bounds[pid + 1]],
-                    dst=dst_sorted[bounds[pid]:bounds[pid + 1]],
-                    vertex_ids=membership.vertices_of_partition(pid),
-                )
-                for pid in range(self.num_partitions)
-            ]
-        return self._partitions
+    def partitions(self) -> CompiledPlacement:
+        """The placement grouped by partition (``edge_bounds`` /
+        ``slot_bounds`` slices), as compiled for membership and triplets."""
+        return self.assignment.compiled()
 
     @property
     def routing(self) -> RoutingTable:
@@ -107,12 +80,11 @@ class PartitionedGraph:
     def triplets(self) -> TripletArrays:
         """Partition-major dense triplet arrays (built lazily, cached).
 
-        The input representation of the engine's array-native superstep
-        path: every partition's cached local triplets composed with the
-        graph's global vertex table.
+        The input representation of the engine: the compiled placement
+        (shared with the membership) plus the vertex masters.
         """
         if self._triplets is None:
-            self._triplets = build_triplets(self)
+            self._triplets = TripletArrays.from_placement(self.graph.vertex_ids, self.partitions)
         return self._triplets
 
     @property
@@ -121,10 +93,6 @@ class PartitionedGraph:
         return estimated_size_bytes(self.graph)
 
     # ------------------------------------------------------------------
-    def non_empty_partitions(self) -> List[EdgePartition]:
-        """Partitions that hold at least one edge."""
-        return [p for p in self.partitions if p.num_edges > 0]
-
     def out_degrees(self) -> Dict[int, int]:
         """Out-degree of every vertex (convenience passthrough)."""
         return self.graph.out_degrees()

@@ -104,13 +104,15 @@ def _check_direction(active_direction: str) -> None:
         )
 
 
-def _edge_lists(pgraph: PartitionedGraph) -> List[List[Tuple[int, int]]]:
-    """Materialise each partition's edges once as Python tuples."""
-    result = []
-    for partition in pgraph.partitions:
-        src, dst = partition.edge_pairs()
-        result.append(list(zip(src, dst)))
-    return result
+def _scalar_edge_lists(pgraph: PartitionedGraph) -> List[List[Tuple[int, int]]]:
+    """Each partition's edges as Python tuples, for the scalar loops; an
+    out-of-core graph is refused rather than materialised in memory."""
+    if getattr(pgraph, "stream_supersteps", False):
+        raise EngineError(
+            "out-of-core graphs require an array message kernel; the scalar "
+            "Pregel loop would materialise every partition's edges in memory"
+        )
+    return pgraph.triplets().edge_lists()
 
 
 def _route_and_merge(
@@ -331,15 +333,9 @@ def pregel(
                 always_active=always_active,
             )
 
-    if getattr(pgraph, "stream_supersteps", False):
-        raise EngineError(
-            "out-of-core graphs require an array message kernel; the scalar "
-            "Pregel loop would materialise every partition's edges in memory"
-        )
-
+    edge_lists = _scalar_edge_lists(pgraph)
     values: Dict[int, Any] = dict(initial_values)
     num_partitions = pgraph.num_partitions
-    edge_lists = _edge_lists(pgraph)
 
     # ------------------------------------------------------------------
     # Superstep 0: run the vertex program everywhere with the initial
@@ -587,13 +583,17 @@ def aggregate_messages(
         report.load_seconds = model.load_seconds(pgraph.dataset_bytes)
 
     if message_kernel is not None:
-        # One all-edges call of the in-process scan strategy.
-        trip = pgraph.triplets()
-        scan = triplet_scan(
-            trip, message_kernel, cluster.executor_map(trip.num_partitions), "either", True
-        )
+        # One all-edges call of the in-process or the mmap scan strategy.
+        vertex_ids = pgraph.graph.vertex_ids
+        num_partitions = pgraph.num_partitions
+        strategy = (message_kernel, cluster.executor_map(num_partitions), "either", True)
+        if getattr(pgraph, "stream_supersteps", False):
+            master_of = master_partition_array(vertex_ids, num_partitions)
+            scan = pgraph.stream_scan(master_of, *strategy)
+        else:
+            scan = triplet_scan(pgraph.triplets(), *strategy)
         target_idx, merged, scanned, slots, remote, local = scan(
-            None, message_kernel.encode(trip.vertex_ids, vertex_values)
+            None, message_kernel.encode(vertex_ids, vertex_values)
         )
         partition_units = np.multiply(scanned, edge_compute_units, dtype=np.float64)
         partition_units += slots * _MESSAGE_SERIALIZE_UNITS
@@ -604,19 +604,19 @@ def aggregate_messages(
             messages_remote=remote,
             messages_local=local,
             active_vertices=int(target_idx.size),
-            edges_scanned=trip.num_edges,
+            edges_scanned=int(scanned.sum()),
         )
-        return message_kernel.decode_messages(trip.vertex_ids[target_idx], merged), report
+        return message_kernel.decode_messages(vertex_ids[target_idx], merged), report
 
+    edge_lists = _scalar_edge_lists(pgraph)
     num_partitions = pgraph.num_partitions
     partition_units = [0.0] * num_partitions
     outboxes: List[Dict[int, Any]] = [dict() for _ in range(num_partitions)]
     edges_scanned = 0
 
-    for partition_id, partition in enumerate(pgraph.partitions):
+    for partition_id, edges in enumerate(edge_lists):
         outbox = outboxes[partition_id]
-        src_list, dst_list = partition.edge_pairs()
-        for src, dst in zip(src_list, dst_list):
+        for src, dst in edges:
             edges_scanned += 1
             partition_units[partition_id] += edge_compute_units
             for target, message in send_message(

@@ -7,11 +7,12 @@ to replicas.  The number of those broadcasts is exactly the paper's
 Communication Cost metric.
 
 The table is array-native: it shares the CSR pair arrays of
-:class:`~repro.partitioning.membership.VertexMembership` and a vectorised
-master assignment, so constructing it costs one ``np.unique`` + one hash
-pass instead of the seed implementation's per-vertex dict build.  The
-``replicas`` / ``masters`` dicts are expanded lazily, for the scalar
-reference Pregel loop and the scalar triangle count that read them.
+:class:`~repro.partitioning.membership.VertexMembership` (from the
+placement's one compile) and a vectorised master assignment, so
+constructing it costs one hash pass instead of the seed implementation's
+per-vertex dict build.  The ``replicas`` / ``masters`` dicts are expanded
+lazily, for the scalar reference Pregel loop and the scalar triangle
+count that read them.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class RoutingTable:
         """``{vertex: sorted partitions holding a copy}`` for every graph vertex.
 
         Read by the scalar triangle count; code that touches many vertices
-        should use :attr:`membership` (``partitions_of`` / ``expand``) or
-        the bulk accessor :meth:`broadcast_plan` instead.
+        should use :attr:`membership` or the bulk accessor
+        :meth:`broadcast_plan` instead.
         """
         if self._replicas is None:
             self._replicas = self.membership.to_dict(self._all_vertex_ids, factory=tuple)

@@ -2,21 +2,18 @@
 
 :class:`ShardedGraph` is the out-of-core counterpart of
 :class:`~repro.engine.partitioned_graph.PartitionedGraph`: the same facade
-(``graph`` vertex table, ``partitions``, ``routing``, ``triplets()``,
-``dataset_bytes``) built from a shard artifact instead of in-memory edge
-arrays.  Only the vertex-scale state lives in RAM — vertex ids, degrees
-and the replication membership, exactly the state GraphX keeps in its
-vertex RDD — while every partition's edges stay on disk and are served as
-``np.load(mmap_mode="r")`` read-only views, so the Pregel engine touches
-at most one partition's pages at a time.
+(``graph`` vertex table, ``routing``, ``triplets()``, ``dataset_bytes``)
+built from a shard artifact instead of in-memory edge arrays, plus the
+shard's ``partitions``.  Only the vertex-scale state lives in RAM —
+vertex ids, degrees and the replication membership, exactly the state
+GraphX keeps in its vertex RDD — while every partition's edges stay on
+disk and are served as ``np.load(mmap_mode="r")`` read-only views, so
+the Pregel engine touches at most one partition's pages at a time.
 
-Because :class:`ShardEdgePartition` exposes the same ``local_triplets()``
-/ ``vertex_ids`` / ``num_edges`` surface as
-:class:`~repro.engine.edge_partition.EdgePartition`, the existing array
-engine (``build_triplets`` and everything behind it) runs on a sharded
-graph unchanged; :attr:`ShardedGraph.stream_supersteps` additionally opts
-it into the partition-at-a-time scan strategy of
-:mod:`repro.ooc.pregel_stream`.
+While :attr:`ShardedGraph.stream_supersteps` is set, the Pregel engine
+scans the shards partition at a time (:mod:`repro.ooc.pregel_stream`);
+cleared, it runs on :meth:`ShardedGraph.triplets`, the shards' edges
+compiled exactly as an in-memory placement's are.
 """
 
 from __future__ import annotations
@@ -28,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.properties import estimated_size_bytes
-from ..engine.messaging import TripletArrays, build_triplets
+from ..engine.messaging import TripletArrays
 from ..engine.routing import RoutingTable
-from ..partitioning.membership import VertexMembership
+from ..partitioning.membership import VertexMembership, compile_placement
 from ..session.store import ArtifactStore
 from .chunks import DEFAULT_CHUNK_EDGES
 from .pregel_stream import stream_scan
@@ -138,9 +135,8 @@ class ShardEdgePartition:
     def local_triplets(self) -> Tuple[np.ndarray, np.ndarray]:
         """The partition's edges as indices into its ``vertex_ids`` mirror list.
 
-        Same contract as :meth:`EdgePartition.local_triplets`, served from
-        the memory-mapped sidecar: read-only, stable across calls until
-        :meth:`release`.
+        Served from the memory-mapped sidecar: read-only, stable across
+        calls until :meth:`release`.
         """
         if self._num_edges == 0 or self.path is None:
             empty = np.empty(0, dtype=np.int64)
@@ -176,7 +172,7 @@ class ShardedGraph:
     wherever the engine and the algorithms are concerned.  The
     :attr:`stream_supersteps` flag makes :func:`repro.engine.pregel.pregel`
     drive :meth:`stream_scan`; flipping it to ``False`` on an instance
-    selects the ordinary in-process scan over the same mmap views (the
+    selects the ordinary in-process scan over :meth:`triplets` (the
     equivalence tests exercise both).
     """
 
@@ -219,7 +215,15 @@ class ShardedGraph:
         calls it.
         """
         if self._triplets is None:
-            self._triplets = build_triplets(self)
+            edges = [p.vertex_ids[np.asarray(p.local_triplets())] for p in self.partitions]
+            self.release()
+            src, dst = np.concatenate(edges, axis=1)
+            counts = [p.num_edges for p in self.partitions]
+            partition_of = np.repeat(np.arange(self.num_partitions), counts)
+            ids, k = self.graph.vertex_ids, self.num_partitions
+            self._triplets = TripletArrays.from_placement(
+                ids, compile_placement(ids, src, dst, partition_of, k)
+            )
         return self._triplets
 
     def stream_scan(self, master_of, kernel, executor_of, active_direction, always_active):
@@ -232,10 +236,6 @@ class ShardedGraph:
     def dataset_bytes(self) -> int:
         """Estimated on-disk size of the underlying edge list."""
         return estimated_size_bytes(self.graph)
-
-    def non_empty_partitions(self) -> List[ShardEdgePartition]:
-        """Partitions that hold at least one edge."""
-        return [p for p in self.partitions if p.num_edges > 0]
 
     def out_degrees(self) -> dict:
         """Out-degree of every vertex (convenience passthrough)."""

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..errors import PartitioningError
 from ..partitioning.base import PartitionStrategy
-from ..partitioning.membership import VertexMembership, _unique_pairs
+from ..partitioning.membership import VertexMembership, sorted_unique
 from ..session.store import STORE_FORMAT_VERSION, ArtifactStore
 from .chunks import EdgeChunkSource
 
@@ -177,8 +177,8 @@ class PartitionShardWriter:
         """Append this chunk's edges to their partitions' spill files.
 
         The stable sort preserves stream order within each partition, so a
-        finalised partition holds its edges in exactly the order the
-        in-memory ``PartitionedGraph.partitions`` grouping produces.
+        finalised partition holds its edges in exactly the order an
+        in-memory placement's compiled edge order has.
         """
         order = np.argsort(placement, kind="stable")
         sorted_pids = placement[order]
@@ -186,7 +186,7 @@ class PartitionShardWriter:
         interleaved = np.empty((src.size, 2), dtype=np.int64)
         interleaved[:, 0] = src[order]
         interleaved[:, 1] = dst[order]
-        for pid in np.unique(sorted_pids).tolist():
+        for pid in np.flatnonzero(np.diff(bounds)).tolist():
             handle = spill_handles.get(pid)
             if handle is None:
                 handle = open(os.path.join(spill_dir, f"part-{pid:05d}.bin"), "ab")
@@ -212,7 +212,7 @@ class PartitionShardWriter:
                 )
             mirror = np.empty(0, dtype=np.int64)
             for block in _iter_spill_blocks(spill_path, count):
-                mirror = np.union1d(mirror, block)
+                mirror = sorted_unique(np.concatenate([mirror, block.ravel()]))
             mirrors[pid] = mirror
         return mirrors
 
@@ -225,26 +225,10 @@ class PartitionShardWriter:
     ) -> Dict[str, object]:
         mirrors = self._mirror_sets(spill_dir, edge_counts)
 
-        # Every (vertex, partition) pair, sorted by vertex then partition.
-        # Pairs from different partitions are already distinct, so the one
-        # _unique_pairs call is a pure lexsort — the per-chunk merges this
-        # replaces dominated ingest time on multi-ten-million-edge runs.
-        if mirrors:
-            pair_vertex, pair_partition = _unique_pairs(
-                np.concatenate(list(mirrors.values())),
-                np.concatenate(
-                    [
-                        np.full(mirror.size, pid, dtype=np.int64)
-                        for pid, mirror in mirrors.items()
-                    ]
-                ),
-                self.num_partitions,
-            )
-        else:
-            pair_vertex = np.empty(0, dtype=np.int64)
-            pair_partition = np.empty(0, dtype=np.int64)
-        membership = VertexMembership(
-            pair_vertex, pair_partition, self.num_partitions
+        # The mirror sets are the placement's replica slots (in raw ids).
+        slots = [mirrors.get(p, np.empty(0, np.int64)) for p in range(self.num_partitions)]
+        membership = VertexMembership.from_slots(
+            np.concatenate(slots), np.cumsum([0] + [s.size for s in slots]), self.num_partitions
         )
 
         # The graph's vertex set: every placed endpoint, plus any isolated
@@ -252,8 +236,10 @@ class PartitionShardWriter:
         vertex_ids = membership.vertices
         source_vertices = source.vertex_ids
         if source_vertices is not None:
-            vertex_ids = np.union1d(
-                vertex_ids, np.asarray(source_vertices, dtype=np.int64)
+            vertex_ids = sorted_unique(
+                np.concatenate(
+                    [vertex_ids, np.asarray(source_vertices, dtype=np.int64)]
+                )
             )
         out_degree = np.zeros(vertex_ids.size, dtype=np.int64)
         in_degree = np.zeros(vertex_ids.size, dtype=np.int64)

@@ -17,7 +17,7 @@ import numpy as np
 from ..core.graph import Graph
 from ..core.validation import require_positive_partitions
 from ..errors import PartitioningError
-from .membership import VertexMembership
+from .membership import CompiledPlacement, VertexMembership, compile_placement
 
 __all__ = [
     "ChunkAssigner",
@@ -92,7 +92,7 @@ class EdgePartitionAssignment:
     num_partitions: int
     partition_of: np.ndarray
     strategy_name: str = ""
-    _membership: Optional[VertexMembership] = field(default=None, repr=False, compare=False)
+    _compiled: Optional[CompiledPlacement] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.partition_of = np.asarray(self.partition_of, dtype=np.int64)
@@ -117,17 +117,20 @@ class EdgePartitionAssignment:
         """Indices of the edges placed in ``partition_id``."""
         return np.nonzero(self.partition_of == partition_id)[0]
 
-    def membership(self) -> VertexMembership:
-        """The array-native vertex replication relation (built once, cached).
-
-        This is the representation the metrics, routing tables and engine
-        consume.
-        """
-        if self._membership is None:
-            self._membership = VertexMembership.from_edges(
-                self.graph.src, self.graph.dst, self.partition_of, self.num_partitions
+    def compiled(self) -> CompiledPlacement:
+        """This placement compiled once (cached): the engine's triplet
+        arrays and the metrics' membership both read it."""
+        if self._compiled is None:
+            graph = self.graph
+            self._compiled = compile_placement(
+                graph.vertex_ids, graph.src, graph.dst, self.partition_of, self.num_partitions
             )
-        return self._membership
+        return self._compiled
+
+    def membership(self) -> VertexMembership:
+        """The array-native vertex replication relation the metrics,
+        routing tables and engine consume (part of :meth:`compiled`)."""
+        return self.compiled().membership
 
     def vertex_partitions_reference(self) -> Dict[int, frozenset]:
         """Map every vertex to the partitions holding a copy of it, the seed way.

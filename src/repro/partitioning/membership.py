@@ -1,14 +1,13 @@
-"""Array-native vertex replication model.
+"""Array-native vertex replication model and the placement compiler.
 
 The paper's replication accounting (replication factor, CommCost,
-vertices-to-same/other, routing tables) all derive from one relation: the
-set of ``(vertex, partition)`` pairs induced by an edge placement.  The
-seed implementation materialised that relation as ``Dict[int, frozenset]``
-with a per-edge Python loop, which dominates the cost of every
-partitioning study at the paper's granularities (128/256 partitions).
-
-:class:`VertexMembership` stores the same relation as flat, deduplicated
-numpy arrays in CSR form:
+vertices-to-same/other, routing tables) and the engine's replica slots
+all derive from one relation: the ``(vertex, partition)`` pairs of an
+edge placement.  :func:`compile_placement` builds it once per placement
+by sorting, never hashing (numpy 2's ``np.unique`` hashes, which on a
+placement's endpoints is 20-40x slower than a sort), in both orders it
+is read in: partition-major as the engine's replica slots, and
+vertex-major as :class:`VertexMembership`'s flat CSR arrays:
 
 * ``pair_vertex`` / ``pair_partition`` — the distinct ``(vertex,
   partition)`` pairs, sorted by vertex then partition;
@@ -17,16 +16,15 @@ numpy arrays in CSR form:
 * ``offsets`` — ``offsets[i]:offsets[i+1]`` slices the pair arrays to the
   partitions holding a copy of ``vertices[i]``.
 
-Everything downstream (metrics, routing, edge-partition mirror lists, the
-engine's replica broadcasts) reduces to ``bincount`` / boolean-mask /
-segment operations over these arrays.  :meth:`VertexMembership.to_dict`
-expands it into the seed's dict form for the routing table's ``replicas``
-view (read by the scalar triangle count) and the equivalence tests.
+Everything downstream reduces to ``bincount`` / boolean-mask / segment
+operations over these arrays.  :meth:`VertexMembership.to_dict` expands
+it into the seed's dict form for the routing table's ``replicas`` view
+(read by the scalar triangle count) and the equivalence tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,9 +32,12 @@ from .hashing import mix64
 
 __all__ = [
     "MASTER_SALT",
+    "CompiledPlacement",
     "VertexMembership",
+    "compile_placement",
     "master_partition_array",
     "segment_arange",
+    "sorted_unique",
 ]
 
 #: Salt applied before hashing so the vertex-master placement is independent
@@ -71,22 +72,18 @@ def segment_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _unique_pairs(vertex: np.ndarray, partition: np.ndarray, num_partitions: int):
-    """Distinct ``(vertex, partition)`` pairs sorted by vertex then partition."""
-    if vertex.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    # Encode each pair as vertex * P + partition so one 1-D np.unique both
-    # deduplicates and sorts lexicographically; fall back to the slower
-    # 2-column unique only when the encoding could overflow int64.
-    max_vertex = int(vertex.max())
-    if max_vertex <= (np.iinfo(np.int64).max - (num_partitions - 1)) // num_partitions:
-        keys = np.unique(vertex * np.int64(num_partitions) + partition)
-        pair_vertex = keys // num_partitions
-        pair_partition = keys - pair_vertex * num_partitions
-        return pair_vertex, pair_partition
-    stacked = np.unique(np.stack([vertex, partition], axis=1), axis=0)
-    return np.ascontiguousarray(stacked[:, 0]), np.ascontiguousarray(stacked[:, 1])
+def _run_heads(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in ``ordered``."""
+    heads = np.empty(ordered.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    return heads
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort, without ``np.unique``'s hashing."""
+    ordered = np.sort(values, axis=None)
+    return ordered[_run_heads(ordered)]
 
 
 class VertexMembership:
@@ -101,33 +98,29 @@ class VertexMembership:
         self.pair_vertex = pair_vertex
         self.pair_partition = pair_partition
         self.num_partitions = int(num_partitions)
-        if pair_vertex.size:
-            change = np.empty(pair_vertex.size, dtype=bool)
-            change[0] = True
-            np.not_equal(pair_vertex[1:], pair_vertex[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            self.vertices = pair_vertex[starts]
-            self.offsets = np.append(starts, pair_vertex.size).astype(np.int64)
-        else:
-            self.vertices = np.empty(0, dtype=np.int64)
-            self.offsets = np.zeros(1, dtype=np.int64)
+        starts = np.flatnonzero(_run_heads(pair_vertex))
+        self.vertices = pair_vertex[starts]
+        self.offsets = np.append(starts, pair_vertex.size).astype(np.int64)
         self._masters: Optional[np.ndarray] = None
         self._by_partition = None  # (sorted vertices, offsets) grouped by partition
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_edges(
+    def from_slots(
         cls,
-        src: np.ndarray,
-        dst: np.ndarray,
-        partition_of: np.ndarray,
+        slot_vertex: np.ndarray,
+        slot_bounds: np.ndarray,
         num_partitions: int,
     ) -> "VertexMembership":
-        """Build the membership relation of one edge placement."""
-        vertex = np.concatenate([src, dst]).astype(np.int64, copy=False)
-        partition = np.concatenate([partition_of, partition_of]).astype(np.int64, copy=False)
-        pair_vertex, pair_partition = _unique_pairs(vertex, partition, num_partitions)
-        return cls(pair_vertex, pair_partition, num_partitions)
+        """The relation of a placement's replica slots.
+
+        ``slot_vertex[slot_bounds[p]:slot_bounds[p+1]]`` are the distinct
+        vertex ids partition ``p`` mirrors, ascending; so one stable sort
+        by vertex puts the pairs in vertex-then-partition order.
+        """
+        order = np.argsort(slot_vertex, kind="stable")
+        slot_pid = np.repeat(np.arange(num_partitions, dtype=np.int64), np.diff(slot_bounds))
+        return cls(slot_vertex[order], slot_pid[order], num_partitions)
 
     # ------------------------------------------------------------------
     @property
@@ -153,33 +146,12 @@ class VertexMembership:
         return self._masters
 
     # ------------------------------------------------------------------
-    def indices_of(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Positions of ``vertex_ids`` in ``vertices`` (-1 where not placed)."""
-        vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        if self.vertices.size == 0:
-            return np.full(vertex_ids.shape, -1, dtype=np.int64)
-        idx = np.searchsorted(self.vertices, vertex_ids)
-        np.clip(idx, 0, self.vertices.size - 1, out=idx)
-        idx[self.vertices[idx] != vertex_ids] = -1
-        return idx
-
     def partitions_of(self, vertex: int) -> np.ndarray:
         """Sorted partitions holding a copy of ``vertex`` (empty if unplaced)."""
         idx = int(np.searchsorted(self.vertices, vertex))
         if idx >= self.vertices.size or self.vertices[idx] != vertex:
             return np.empty(0, dtype=np.int64)
         return self.pair_partition[self.offsets[idx]:self.offsets[idx + 1]]
-
-    def expand(self, indices: np.ndarray):
-        """Flatten the pair slices of placed-vertex ``indices``.
-
-        Returns ``(pair_positions, counts)`` where ``pair_positions`` indexes
-        the pair arrays and ``counts[i]`` replicas belong to ``indices[i]``
-        (the standard CSR segment-arange expansion).
-        """
-        starts = self.offsets[indices]
-        counts = self.offsets[indices + 1] - starts
-        return segment_arange(starts, counts), counts
 
     def vertices_per_partition(self) -> np.ndarray:
         """Number of distinct vertices mirrored into each partition."""
@@ -215,3 +187,70 @@ class VertexMembership:
         }
         empty = factory(())
         return {int(v): placed.get(int(v), empty) for v in np.asarray(all_vertex_ids).tolist()}
+
+
+class CompiledPlacement(NamedTuple):
+    """One edge placement, compiled: the arrays of
+    :class:`~repro.engine.messaging.TripletArrays` (which documents them)
+    that follow from the placement alone, plus its membership."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    edge_bounds: np.ndarray
+    endpoint_slot: np.ndarray
+    slot_vertex: np.ndarray
+    slot_bounds: np.ndarray
+    membership: VertexMembership
+
+
+def compile_placement(
+    vertex_ids: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    partition_of: np.ndarray,
+    num_partitions: int,
+) -> CompiledPlacement:
+    """Compile the placement of edges ``(src[i], dst[i])`` into partitions
+    ``partition_of[i]`` over the sorted vertex table ``vertex_ids``.
+
+    A stable sort of the partition ids orders the edges.  One sort of the
+    2E endpoints by ``(partition, vertex)`` — by vertex, then stably by
+    partition — yields the slots: an endpoint's slot is its key's rank
+    among the distinct keys, so the sorted keys' run heads are the slots
+    and the running head count scattered back is ``endpoint_slot``.
+    :meth:`VertexMembership.from_slots` sorts the slots vertex-major.
+    """
+    # Partition ids fit 8 or 16 bits at any practical k, where numpy's
+    # stable sort is a radix sort.
+    pid = partition_of.astype(np.min_scalar_type(max(num_partitions - 1, 0)))
+    order = np.argsort(pid, kind="stable")
+    edges_per_partition = np.bincount(pid, minlength=num_partitions)
+    edge_bounds = np.append(0, np.cumsum(edges_per_partition))
+    # Endpoint 2i is partition-major edge i's source, 2i + 1 its destination.
+    endpoints = np.stack([src[order], dst[order]], axis=1).ravel()
+    endpoint_pid = np.repeat(np.arange(num_partitions, dtype=pid.dtype), 2 * edges_per_partition)
+    del order, pid
+    by_vertex = np.argsort(endpoints)
+    by_slot = by_vertex[np.argsort(endpoint_pid[by_vertex], kind="stable")]
+    del by_vertex
+    endpoints = endpoints[by_slot]
+    heads = _run_heads(endpoints)
+    heads[2 * edge_bounds[:-1][edges_per_partition > 0]] = True  # partition starts
+    endpoint_slot = np.empty(by_slot.size, dtype=np.int32)
+    endpoint_slot[by_slot] = np.cumsum(heads, dtype=np.int32) - 1
+    del by_slot
+
+    slot_ids = endpoints[heads]
+    slot_bounds = np.searchsorted(endpoint_pid[heads], np.arange(num_partitions + 1))
+    del endpoints, endpoint_pid, heads
+    slot_vertex = np.searchsorted(vertex_ids, slot_ids).astype(np.int32)
+    dense = slot_vertex.astype(np.int64)
+    return CompiledPlacement(
+        src=dense[endpoint_slot[0::2]],
+        dst=dense[endpoint_slot[1::2]],
+        edge_bounds=edge_bounds,
+        endpoint_slot=endpoint_slot,
+        slot_vertex=slot_vertex,
+        slot_bounds=slot_bounds,
+        membership=VertexMembership.from_slots(slot_ids, slot_bounds, num_partitions),
+    )

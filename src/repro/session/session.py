@@ -367,12 +367,11 @@ class Session:
         Builds (and caches) the placement on first request; the Section 3.1
         metrics are computed inside the build lock so every consumer shares
         one metrics object.  ``engine_ready=True`` additionally materialises
-        the engine-facing derived structures (edge partitions, routing
-        table, triplet arrays) under a per-key lock, so concurrent
-        algorithm cells share them instead of racing — and duplicating —
-        the lazy initialisers on the shared ``PartitionedGraph``.
-        Metrics-only consumers should leave it off: those structures are
-        the dominant memory cost of a placement.
+        the engine-facing structures (routing table, triplet arrays) under
+        a per-key lock, so concurrent algorithm cells share them instead of
+        racing — and duplicating — the lazy initialisers on the shared
+        ``PartitionedGraph``.  Both wrap the compiled placement the metrics
+        were computed from, so metrics-only consumers can leave it off.
         """
         if num_partitions < 1:
             raise AnalysisError("num_partitions must be >= 1")
@@ -429,7 +428,6 @@ class Session:
 
     @staticmethod
     def _materialize_engine_state(pgraph: PartitionedGraph) -> bool:
-        pgraph.partitions
         pgraph.routing
         pgraph.triplets()
         return True

@@ -84,24 +84,21 @@ def test_metrics_equivalent_on_edge_case_graphs(name, label):
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)
 def test_edge_partitions_match_seed_bucketing(name, small_social_graph):
-    """The argsort-based EdgePartition build preserves the seed's per-partition
-    edge order and vertex mirror sets."""
+    """The compiled edge order preserves the seed's per-partition edge order,
+    and the slots are the partitions' vertex mirror sets."""
     pgraph = PartitionedGraph.partition(small_social_graph, name, 7)
     placement = pgraph.assignment.partition_of.tolist()
-    for partition in pgraph.partitions:
+    trip = pgraph.triplets()
+    edge_lists = trip.edge_lists()
+    for pid in range(7):
         expected_pairs = [
             (s, d)
             for (s, d), p in zip(small_social_graph.edge_pairs(), placement)
-            if p == partition.partition_id
+            if p == pid
         ]
-        src, dst = partition.edge_pairs()
-        assert list(zip(src, dst)) == expected_pairs
-        endpoints = (
-            np.concatenate([partition.src, partition.dst])
-            if partition.num_edges
-            else np.empty(0, np.int64)
-        )
-        assert partition.vertex_ids.tolist() == np.unique(endpoints).tolist()
+        assert edge_lists[pid] == expected_pairs
+        mirrors = trip.vertex_ids[trip.slot_vertex[trip.slot_bounds[pid]:trip.slot_bounds[pid + 1]]]
+        assert mirrors.tolist() == sorted({v for pair in expected_pairs for v in pair})
 
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)

@@ -1,39 +1,12 @@
-"""Unit tests for EdgePartition and PartitionedGraph."""
+"""Unit tests for PartitionedGraph."""
 
 import numpy as np
 import pytest
 
 from repro.core.graph import Graph
-from repro.engine.edge_partition import EdgePartition
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.errors import EngineError
 from repro.partitioning.hash_partitioners import EdgePartition2D
-
-
-class TestEdgePartition:
-    def test_vertex_ids_derived_from_edges(self):
-        partition = EdgePartition(partition_id=0, src=[0, 1], dst=[1, 2])
-        assert partition.num_edges == 2
-        assert partition.num_vertices == 3
-        assert partition.vertex_ids.tolist() == [0, 1, 2]
-
-    def test_explicit_vertex_ids_respected(self):
-        partition = EdgePartition(partition_id=1, src=[0], dst=[1], vertex_ids=[0, 1, 5])
-        assert partition.num_vertices == 3
-
-    def test_empty_partition(self):
-        partition = EdgePartition(partition_id=3, src=[], dst=[])
-        assert partition.num_edges == 0
-        assert partition.num_vertices == 0
-
-    def test_edge_pairs_returns_plain_int_sequences(self):
-        partition = EdgePartition(partition_id=0, src=[4, 5], dst=[5, 6])
-        src, dst = partition.edge_pairs()
-        # Cached as immutable tuples so no caller can corrupt the shared view.
-        assert list(src) == [4, 5]
-        assert list(dst) == [5, 6]
-        assert all(isinstance(v, int) for v in (*src, *dst))
-        assert partition.edge_pairs() is partition.edge_pairs()
 
 
 class TestPartitionedGraph:
@@ -47,36 +20,31 @@ class TestPartitionedGraph:
             PartitionedGraph.partition(small_social_graph, 42, 4)
 
     def test_partitions_cover_all_edges_exactly_once(self, partitioned_social, small_social_graph):
-        total = sum(p.num_edges for p in partitioned_social.partitions)
-        assert total == small_social_graph.num_edges
-        assert len(partitioned_social.partitions) == partitioned_social.num_partitions
+        edge_bounds = partitioned_social.triplets().edge_bounds
+        assert edge_bounds[0] == 0 and edge_bounds[-1] == small_social_graph.num_edges
+        assert (np.diff(edge_bounds) >= 0).all()
+        assert edge_bounds.size == partitioned_social.num_partitions + 1
 
     def test_partition_contents_match_assignment(self, partitioned_social):
         placement = partitioned_social.assignment.partition_of.tolist()
         graph = partitioned_social.graph
-        for partition in partitioned_social.partitions:
+        trip = partitioned_social.triplets()
+        for pid in range(partitioned_social.num_partitions):
             expected = [
-                (s, d)
-                for (s, d), p in zip(graph.edge_pairs(), placement)
-                if p == partition.partition_id
+                (s, d) for (s, d), p in zip(graph.edge_pairs(), placement) if p == pid
             ]
-            assert list(zip(*partition.edge_pairs())) == expected or (
-                not expected and partition.num_edges == 0
-            )
+            edges = slice(trip.edge_bounds[pid], trip.edge_bounds[pid + 1])
+            got = zip(trip.vertex_ids[trip.src[edges]], trip.vertex_ids[trip.dst[edges]])
+            assert [(int(s), int(d)) for s, d in got] == expected
 
     def test_metrics_and_routing_are_cached(self, partitioned_social):
         assert partitioned_social.metrics is partitioned_social.metrics
         assert partitioned_social.routing is partitioned_social.routing
-        assert partitioned_social.partitions is partitioned_social.partitions
+        assert partitioned_social.triplets() is partitioned_social.triplets()
 
     def test_metrics_strategy_name_propagates(self, partitioned_social):
         assert partitioned_social.metrics.strategy == "CRVC"
         assert partitioned_social.strategy_name == "CRVC"
-
-    def test_non_empty_partitions_subset(self, partitioned_social):
-        non_empty = partitioned_social.non_empty_partitions()
-        assert all(p.num_edges > 0 for p in non_empty)
-        assert len(non_empty) <= partitioned_social.num_partitions
 
     def test_dataset_bytes_positive(self, partitioned_social):
         assert partitioned_social.dataset_bytes == partitioned_social.graph.num_edges * 16
@@ -84,4 +52,5 @@ class TestPartitionedGraph:
     def test_more_partitions_than_edges_is_allowed(self):
         graph = Graph([0, 1], [1, 2])
         pgraph = PartitionedGraph.partition(graph, "RVC", 16)
-        assert sum(p.num_edges for p in pgraph.partitions) == 2
+        edge_bounds = pgraph.triplets().edge_bounds
+        assert edge_bounds.size == 17 and edge_bounds[-1] == 2

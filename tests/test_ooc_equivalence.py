@@ -14,12 +14,13 @@ import pytest
 from repro.algorithms import (
     choose_landmarks,
     connected_components,
+    degree_count,
     pagerank,
     shortest_paths,
 )
 from repro.core.graph import Graph
 from repro.engine.partitioned_graph import PartitionedGraph
-from repro.errors import PartitioningError
+from repro.errors import EngineError, PartitioningError
 from repro.ooc import GraphChunkSource, ingest_source, load_sharded_graph
 from repro.partitioning.registry import make_partitioner
 from repro.session.store import ArtifactStore
@@ -164,18 +165,42 @@ class TestAlgorithmBitIdentity:
         assert actual.vertex_values == expected.vertex_values
         assert _records(actual.report) == _records(expected.report)
 
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
+    def test_aggregate_messages_streams_the_shards(
+        self, tmp_path, small_social_graph, direction
+    ):
+        pgraph = PartitionedGraph.partition(small_social_graph, "HDRF", 6)
+        expected = degree_count(pgraph, direction)
+        _, sharded = _ingest(tmp_path, small_social_graph, "HDRF", 6, chunk_edges=64)
+        sharded.chunk_edges = 50
+        actual = degree_count(sharded, direction)
+        assert actual.vertex_values == expected.vertex_values
+        assert _records(actual.report) == _records(expected.report)
+        assert sharded._triplets is None  # nothing materialised in RAM
+        with pytest.raises(EngineError, match="out-of-core graphs require an array message kernel"):
+            degree_count(sharded, direction, vectorized=False)
+
     def test_membership_and_partitions_match(self, tmp_path, small_social_graph):
         pgraph = PartitionedGraph.partition(small_social_graph, "HDRF", 6)
         _, sharded = _ingest(tmp_path, small_social_graph, "HDRF", 6, chunk_edges=64)
         assert sharded.num_partitions == pgraph.num_partitions
-        for mem, ooc in zip(pgraph.partitions, sharded.partitions):
-            assert mem.num_edges == ooc.num_edges
-            np.testing.assert_array_equal(mem.vertex_ids, ooc.vertex_ids)
-            if ooc.num_edges:
-                mem_src, mem_dst = mem.local_triplets()
-                ooc_src, ooc_dst = ooc.local_triplets()
-                np.testing.assert_array_equal(mem_src, ooc_src)
-                np.testing.assert_array_equal(mem_dst, ooc_dst)
+        trip = pgraph.triplets()
+        for pid, ooc in enumerate(sharded.partitions):
+            # A shard partition is the compiled partition's edge and slot
+            # slices, its slots stored relative to the partition's first.
+            first, last = trip.slot_bounds[pid], trip.slot_bounds[pid + 1]
+            edges = slice(trip.edge_bounds[pid], trip.edge_bounds[pid + 1])
+            assert ooc.num_edges == edges.stop - edges.start
+            np.testing.assert_array_equal(
+                trip.vertex_ids[trip.slot_vertex[first:last]], ooc.vertex_ids
+            )
+            ooc_src, ooc_dst = ooc.local_triplets()
+            np.testing.assert_array_equal(
+                trip.endpoint_slot[2 * edges.start:2 * edges.stop:2] - first, ooc_src
+            )
+            np.testing.assert_array_equal(
+                trip.endpoint_slot[2 * edges.start + 1:2 * edges.stop:2] - first, ooc_dst
+            )
 
 
 class TestMmapDiscipline:

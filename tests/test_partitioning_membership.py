@@ -48,6 +48,14 @@ class TestConstruction:
         assert membership.vertices_per_partition().tolist() == [0, 0, 0]
         assert membership.to_dict(np.array([5])) == {5: frozenset()}
 
+    def test_from_slots_turns_partition_major_slots_vertex_major(self):
+        # Partition 0 mirrors {5, 2**62}, partition 1 {0, 5}, partition 2 nothing.
+        slots = np.array([5, 2**62, 0, 5], dtype=np.int64)
+        membership = VertexMembership.from_slots(slots, np.array([0, 2, 4, 4]), 3)
+        assert membership.pair_vertex.tolist() == [0, 5, 5, 2**62]
+        assert membership.pair_partition.tolist() == [1, 0, 1, 0]
+        assert membership.vertices_per_partition().tolist() == [2, 2, 0]
+
     def test_cached_on_assignment(self, small_social_graph):
         assignment = make_partitioner("RVC").assign(small_social_graph, 8)
         assert assignment.membership() is assignment.membership()
@@ -61,19 +69,6 @@ class TestAccessors:
             membership.vertices.tolist(), membership.masters.tolist()
         ):
             assert master == master_partition(vertex, 9)
-
-    def test_indices_of_marks_missing_vertices(self):
-        graph = Graph([0, 10], [10, 20])
-        membership = _membership(graph, 2, [0, 1])
-        idx = membership.indices_of(np.array([0, 5, 20, 99]))
-        assert idx.tolist() == [0, -1, 2, -1]
-
-    def test_expand_flattens_csr_segments(self):
-        graph = Graph([0, 0, 1], [1, 2, 2])
-        membership = _membership(graph, 3, [0, 1, 2])
-        positions, counts = membership.expand(np.array([0, 2]))
-        assert counts.tolist() == [2, 2]  # vertex 0 in {0,1}, vertex 2 in {1,2}
-        assert membership.pair_partition[positions].tolist() == [0, 1, 1, 2]
 
     def test_vertices_of_partition_sorted_unique(self, small_social_graph):
         assignment = make_partitioner("CRVC").assign(small_social_graph, 6)

@@ -8,6 +8,7 @@ single-machine oracles.
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -78,8 +79,9 @@ class TestPartitioningProperties:
     @SETTINGS
     @given(pgraph=partitioned_graphs())
     def test_partitions_and_routing_consistent(self, pgraph):
-        total_edges = sum(p.num_edges for p in pgraph.partitions)
-        assert total_edges == pgraph.graph.num_edges
+        edge_bounds = pgraph.triplets().edge_bounds
+        assert edge_bounds[-1] == pgraph.graph.num_edges
+        assert (np.diff(edge_bounds) >= 0).all()
         for vertex, parts in pgraph.routing.replicas.items():
             assert pgraph.routing.sync_message_count(vertex) <= len(parts)
             for part in parts:

@@ -133,7 +133,6 @@ class TestSessionCaching:
         assert ready is plain
         assert ready._triplets is not None
         assert ready._routing is not None
-        assert ready._partitions is not None
 
     def test_clear_drops_cached_placements(self, session):
         session.partitioned("youtube", "2D", 4)
