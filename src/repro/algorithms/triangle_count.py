@@ -9,6 +9,12 @@ The computation follows GraphX's ``TriangleCount``:
 3. for every canonical edge intersect the two endpoint sets, crediting both
    endpoints, then halve the per-vertex counters.
 
+Only the accounting of these phases depends on the placement.  The
+canonical edges, the neighbour-set sizes and every intersection depend on
+the edges alone, so :meth:`Graph.triangles <repro.core.graph.Graph.triangles>`
+computes them once per graph (:class:`GraphTriangles`) and
+:func:`triangle_count` charges them to the partitions of each placement.
+
 Cost-model calibration
 ----------------------
 The paper finds that Triangle Count behaves very differently from the
@@ -28,17 +34,18 @@ encodes exactly that explanation:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
+from ..core.graph import Graph
 from ..engine.cluster import ClusterConfig, paper_cluster
 from ..engine.cost_model import CostModel, CostParameters
 from ..engine.partitioned_graph import PartitionedGraph
 from ..partitioning.membership import segment_arange
 from .result import AlgorithmResult
 
-__all__ = ["triangle_count", "total_triangles"]
+__all__ = ["GraphTriangles", "triangle_count", "total_triangles"]
 
 #: Compute units per neighbour-id inserted while building adjacency sets.
 _SET_BUILD_UNITS = 2.0
@@ -63,226 +70,155 @@ def _add_bulk_bytes(model: CostModel, report, remote_bytes: int) -> None:
     record.total_seconds += seconds
 
 
+class GraphTriangles(NamedTuple):
+    """The placement-independent part of the triangle count of one graph.
+
+    Canonical edges are numbered in the order of their code ``lo * n + hi``
+    over dense vertex indices (``lo < hi``).
+    """
+
+    #: Ids of the graph's non-loop edges, grouped by canonical edge.
+    edges_by_code: np.ndarray
+    #: Start of each canonical edge's group in ``edges_by_code``.
+    group_starts: np.ndarray
+    #: Neighbour-set size of every dense vertex in the canonical graph.
+    set_sizes: np.ndarray
+    #: Size of the smaller endpoint set each canonical edge probes.
+    probe_sizes: np.ndarray
+    #: Endpoint credits of phase 3: two per edge that closes a triangle.
+    counted_targets: int
+    #: Number of vertices on at least one triangle.
+    active_vertices: int
+    #: ``{vertex id: triangles through it}`` (results receive copies).
+    vertex_values: Dict[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached arrays (the values dict excluded)."""
+        arrays = (self.edges_by_code, self.group_starts, self.set_sizes, self.probe_sizes)
+        return sum(int(array.nbytes) for array in arrays)
+
+    @classmethod
+    def from_graph(cls, graph: Graph) -> "GraphTriangles":
+        """Canonicalise ``graph`` and intersect every canonical edge's sets.
+
+        The neighbour sets live in one sorted adjacency keyed by
+        ``vertex * n + neighbour``, so one global ``searchsorted`` answers
+        every membership probe.  Each edge probes its smaller endpoint set;
+        ties probe ``lo``.
+        """
+        vertex_ids = graph.vertex_ids
+        n = np.int64(max(vertex_ids.size, 1))
+        src = np.searchsorted(vertex_ids, graph.src)
+        dst = np.searchsorted(vertex_ids, graph.dst)
+        kept = np.flatnonzero(src != dst)
+        lo_all = np.minimum(src[kept], dst[kept])
+        hi_all = np.maximum(src[kept], dst[kept])
+        codes = lo_all * n + hi_all
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        group_starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        lo = lo_all[order[group_starts]]
+        hi = hi_all[order[group_starts]]
+        del lo_all, hi_all, codes
+
+        set_sizes = np.bincount(lo, minlength=vertex_ids.size) + np.bincount(
+            hi, minlength=vertex_ids.size
+        )
+        probe_lo = set_sizes[lo] <= set_sizes[hi]
+        probe = np.where(probe_lo, lo, hi)
+        other = np.where(probe_lo, hi, lo)
+        probe_sizes = set_sizes[probe]
+        keys = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+        indptr = np.zeros(set_sizes.size + 1, dtype=np.int64)
+        np.cumsum(set_sizes, out=indptr[1:])
+        edge_of = np.repeat(np.arange(lo.size, dtype=np.int64), probe_sizes)
+        queries = other[edge_of] * n + keys[segment_arange(indptr[probe], probe_sizes)] % n
+        hits = np.searchsorted(keys, queries)
+        found = keys[np.minimum(hits, keys.size - 1)] == queries
+        common = np.bincount(edge_of[found], minlength=lo.size)
+        del keys, queries, hits, found, edge_of
+
+        double_counts = (
+            np.bincount(lo, weights=common, minlength=vertex_ids.size)
+            + np.bincount(hi, weights=common, minlength=vertex_ids.size)
+        ).astype(np.int64)
+        return cls(
+            edges_by_code=kept[order],
+            group_starts=group_starts,
+            set_sizes=set_sizes,
+            probe_sizes=probe_sizes,
+            counted_targets=2 * int((common > 0).sum()),
+            active_vertices=int((double_counts > 0).sum()),
+            vertex_values=dict(zip(vertex_ids.tolist(), (double_counts // 2).tolist())),
+        )
+
+
 def triangle_count(
     pgraph: PartitionedGraph,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
 ) -> AlgorithmResult:
     """Count triangles through every vertex of the canonicalised graph.
 
     ``vertex_values`` of the returned result maps every vertex to the
     number of triangles it participates in; :func:`total_triangles` sums
-    them into the global count reported in Table 1.  ``vectorized``
-    selects the array implementation of the three phases (identical
-    per-vertex counts and superstep accounting); the scalar loops are kept
-    as the reference semantics.
+    them into the global count reported in Table 1.  The counts come from
+    the graph's cached :class:`GraphTriangles`; this placement's share is
+    the accounting: compute is charged to the partition of each canonical
+    edge's *first* occurrence in the partition-major scan order, and the
+    phase-2 reduction to the master of each cut vertex.
     """
-    if vectorized:
-        return _triangle_count_array(pgraph, cluster, cost_parameters)
-    return _triangle_count_scalar(pgraph, cluster, cost_parameters)
-
-
-def _triangle_count_scalar(
-    pgraph: PartitionedGraph,
-    cluster: Optional[ClusterConfig] = None,
-    cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
-    """The seed per-edge/per-set implementation (reference semantics)."""
     cluster = cluster or paper_cluster()
     model = CostModel(cluster, cost_parameters)
     report = model.new_report()
     report.load_seconds = model.load_seconds(pgraph.dataset_bytes)
 
-    routing = pgraph.routing
+    graph = pgraph.graph
+    shared = graph.triangles()
+    placement = pgraph.assignment.compiled()
+    membership = placement.membership
     num_partitions = pgraph.num_partitions
-    edge_lists = pgraph.triplets().edge_lists()
-
-    # ------------------------------------------------------------------
-    # Phase 1: canonicalise edges and collect neighbour-id sets at vertex
-    # masters (GraphX collectNeighborIds).  The shuffle moves every edge
-    # endpoint once, so its volume depends on the graph, not the
-    # partitioner.
-    # ------------------------------------------------------------------
-    partition_units = [0.0] * num_partitions
-    neighbour_sets: Dict[int, Set[int]] = {
-        int(v): set() for v in pgraph.graph.vertex_ids.tolist()
-    }
-    seen_canonical: Set = set()
-    edges_scanned = 0
-    canonical_edges = 0
-
-    for pid, edges in enumerate(edge_lists):
-        for src, dst in edges:
-            edges_scanned += 1
-            partition_units[pid] += 1.0
-            if src == dst:
-                continue
-            lo, hi = (src, dst) if src < dst else (dst, src)
-            key = (lo, hi)
-            if key in seen_canonical:
-                continue
-            seen_canonical.add(key)
-            canonical_edges += 1
-            neighbour_sets[lo].add(hi)
-            neighbour_sets[hi].add(lo)
-            partition_units[pid] += 2 * _SET_BUILD_UNITS
-
-    model.record_superstep(
-        report,
-        superstep=0,
-        partition_units=partition_units,
-        messages_remote=num_partitions,
-        messages_local=num_partitions,
-        active_vertices=len(neighbour_sets),
-        edges_scanned=edges_scanned,
-    )
-    _add_bulk_bytes(model, report, 2 * canonical_edges * _BYTES_PER_ID)
-
-    # ------------------------------------------------------------------
-    # Phase 2: one per-vertex state reduction per cut vertex, shipping its
-    # neighbour set to the partitions that mirror it.
-    # ------------------------------------------------------------------
-    partition_units = [0.0] * num_partitions
-    cut_vertices = 0
-    shipped_bytes = 0
-    for vertex, parts in routing.replicas.items():
-        if len(parts) <= 1:
-            continue
-        cut_vertices += 1
-        master = routing.master_of(vertex)
-        set_size = len(neighbour_sets.get(vertex, ()))
-        partition_units[master] += _CUT_REDUCTION_UNITS + set_size * _SET_BUILD_UNITS
-        shipped_bytes += _CUT_STATE_BYTES + set_size * _BYTES_PER_ID
-    model.record_superstep(
-        report,
-        superstep=1,
-        partition_units=partition_units,
-        messages_remote=cut_vertices,
-        messages_local=0,
-        active_vertices=cut_vertices,
-        edges_scanned=0,
-    )
-    _add_bulk_bytes(model, report, shipped_bytes)
-
-    # ------------------------------------------------------------------
-    # Phase 3: per-edge set intersections, then credit both endpoints.
-    # ------------------------------------------------------------------
-    partition_units = [0.0] * num_partitions
-    double_counts: Dict[int, int] = {v: 0 for v in neighbour_sets}
-    counted_targets = 0
-    edges_scanned = 0
-    counted: Set = set()
-
-    for pid, edges in enumerate(edge_lists):
-        for src, dst in edges:
-            if src == dst:
-                continue
-            lo, hi = (src, dst) if src < dst else (dst, src)
-            key = (lo, hi)
-            if key in counted:
-                continue
-            counted.add(key)
-            edges_scanned += 1
-            set_lo = neighbour_sets[lo]
-            set_hi = neighbour_sets[hi]
-            smaller, larger = (set_lo, set_hi) if len(set_lo) <= len(set_hi) else (set_hi, set_lo)
-            partition_units[pid] += len(smaller) * _INTERSECT_UNITS
-            common = len(smaller & larger)
-            if common:
-                double_counts[lo] += common
-                double_counts[hi] += common
-                counted_targets += 2
-
-    model.record_superstep(
-        report,
-        superstep=2,
-        partition_units=partition_units,
-        messages_remote=num_partitions,
-        messages_local=num_partitions,
-        active_vertices=sum(1 for c in double_counts.values() if c),
-        edges_scanned=edges_scanned,
-    )
-    _add_bulk_bytes(model, report, counted_targets * _BYTES_PER_ID)
-
-    per_vertex = {vertex: count // 2 for vertex, count in double_counts.items()}
-    return AlgorithmResult(
-        algorithm="TriangleCount",
-        vertex_values=per_vertex,
-        num_supersteps=report.num_supersteps,
-        report=report,
+    canonical_edges = int(shared.group_starts.size)
+    # The compiled placement orders edges by a stable sort of their
+    # partitions, so a canonical edge first appears in the partition-major
+    # scan in the lowest partition holding a copy of it.
+    first_pid = (
+        np.minimum.reduceat(
+            pgraph.assignment.partition_of[shared.edges_by_code], shared.group_starts
+        )
+        if canonical_edges
+        else np.empty(0, dtype=np.int64)
     )
 
-
-def _triangle_count_array(
-    pgraph: PartitionedGraph,
-    cluster: Optional[ClusterConfig] = None,
-    cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
-    """Array implementation of the three phases.
-
-    The canonical-edge deduplication, neighbour-set sizes and per-edge
-    intersections are computed with ``np.unique``/``bincount``/one global
-    ``searchsorted`` over a sorted adjacency instead of Python sets, while
-    charging compute to exactly the partitions the scalar scan charged
-    (the partition of each canonical edge's *first* occurrence in the
-    partition-major scan order).
-    """
-    cluster = cluster or paper_cluster()
-    model = CostModel(cluster, cost_parameters)
-    report = model.new_report()
-    report.load_seconds = model.load_seconds(pgraph.dataset_bytes)
-
-    trip = pgraph.triplets()
-    num_vertices = trip.num_vertices
-    num_partitions = trip.num_partitions
-    membership = pgraph.routing.membership
-
     # ------------------------------------------------------------------
-    # Phase 1: canonicalise edges and size the neighbour-id sets.
+    # Phase 1: canonicalise edges and collect the neighbour-id sets.
     # ------------------------------------------------------------------
-    partition_units = np.diff(trip.edge_bounds).astype(np.float64) * 1.0
-    keep = trip.src != trip.dst
-    lo_all = np.minimum(trip.src[keep], trip.dst[keep])
-    hi_all = np.maximum(trip.src[keep], trip.dst[keep])
-    codes = lo_all * np.int64(max(num_vertices, 1)) + hi_all
-    _, first_positions = np.unique(codes, return_index=True)
-    lo = lo_all[first_positions]
-    hi = hi_all[first_positions]
-    first_edges = np.flatnonzero(keep)[first_positions]
-    first_pid = np.searchsorted(trip.edge_bounds, first_edges, side="right") - 1
-    canonical_edges = int(lo.size)
+    partition_units = np.diff(placement.edge_bounds).astype(np.float64)
     partition_units += (
         np.bincount(first_pid, minlength=num_partitions) * (2 * _SET_BUILD_UNITS)
     )
-    #: |N(v)| in the canonical simple graph == the scalar neighbour-set sizes.
-    set_sizes = np.bincount(lo, minlength=num_vertices) + np.bincount(
-        hi, minlength=num_vertices
-    )
-
     model.record_superstep(
         report,
         superstep=0,
         partition_units=partition_units,
         messages_remote=num_partitions,
         messages_local=num_partitions,
-        active_vertices=num_vertices,
-        edges_scanned=trip.num_edges,
+        active_vertices=graph.num_vertices,
+        edges_scanned=graph.num_edges,
     )
     _add_bulk_bytes(model, report, 2 * canonical_edges * _BYTES_PER_ID)
 
     # ------------------------------------------------------------------
     # Phase 2: one per-vertex state reduction per cut vertex.
     # ------------------------------------------------------------------
-    partition_units = np.zeros(num_partitions, dtype=np.float64)
     cut = membership.counts > 1
     cut_vertices = int(cut.sum())
-    cut_masters = membership.masters[cut]
-    cut_set_sizes = set_sizes[
-        np.searchsorted(trip.vertex_ids, membership.vertices[cut])
+    cut_set_sizes = shared.set_sizes[
+        np.searchsorted(graph.vertex_ids, membership.vertices[cut])
     ]
-    partition_units += np.bincount(
-        cut_masters,
+    partition_units = np.bincount(
+        membership.masters[cut],
         weights=_CUT_REDUCTION_UNITS + cut_set_sizes * _SET_BUILD_UNITS,
         minlength=num_partitions,
     )
@@ -299,64 +235,25 @@ def _triangle_count_array(
     _add_bulk_bytes(model, report, shipped_bytes)
 
     # ------------------------------------------------------------------
-    # Phase 3: per-edge set intersections via one sorted-adjacency probe.
+    # Phase 3: per-edge set intersections, crediting both endpoints.
     # ------------------------------------------------------------------
-    partition_units = np.zeros(num_partitions, dtype=np.float64)
-    if canonical_edges:
-        # Sorted adjacency of the canonical simple graph, row-major keyed by
-        # vertex * n + neighbour so one global searchsorted answers every
-        # membership probe.
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        keys = np.sort(heads * np.int64(num_vertices) + tails)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(set_sizes, out=indptr[1:])
-        # Probe the smaller endpoint set of each edge (ties probe ``lo``,
-        # like the scalar ``len(set_lo) <= len(set_hi)``).
-        probe_lo = set_sizes[lo] <= set_sizes[hi]
-        probe = np.where(probe_lo, lo, hi)
-        other = np.where(probe_lo, hi, lo)
-        probe_sizes = set_sizes[probe]
-        partition_units += np.bincount(
-            first_pid, weights=probe_sizes * _INTERSECT_UNITS, minlength=num_partitions
-        )
-        total_probes = int(probe_sizes.sum())
-        if total_probes:
-            edge_of = np.repeat(np.arange(canonical_edges, dtype=np.int64), probe_sizes)
-            neighbour_keys = keys[segment_arange(indptr[probe], probe_sizes)]
-            queries = (
-                other[edge_of] * np.int64(num_vertices)
-                + neighbour_keys % np.int64(num_vertices)
-            )
-            hits = np.searchsorted(keys, queries)
-            found = keys[np.minimum(hits, keys.size - 1)] == queries
-            common = np.bincount(edge_of[found], minlength=canonical_edges)
-        else:
-            common = np.zeros(canonical_edges, dtype=np.int64)
-        double_counts = (
-            np.bincount(lo, weights=common, minlength=num_vertices)
-            + np.bincount(hi, weights=common, minlength=num_vertices)
-        ).astype(np.int64)
-        counted_targets = 2 * int((common > 0).sum())
-    else:
-        double_counts = np.zeros(num_vertices, dtype=np.int64)
-        counted_targets = 0
-
+    partition_units = np.bincount(
+        first_pid, weights=shared.probe_sizes * _INTERSECT_UNITS, minlength=num_partitions
+    )
     model.record_superstep(
         report,
         superstep=2,
         partition_units=partition_units,
         messages_remote=num_partitions,
         messages_local=num_partitions,
-        active_vertices=int((double_counts > 0).sum()),
+        active_vertices=shared.active_vertices,
         edges_scanned=canonical_edges,
     )
-    _add_bulk_bytes(model, report, counted_targets * _BYTES_PER_ID)
+    _add_bulk_bytes(model, report, shared.counted_targets * _BYTES_PER_ID)
 
-    per_vertex = dict(zip(trip.vertex_ids.tolist(), (double_counts // 2).tolist()))
     return AlgorithmResult(
         algorithm="TriangleCount",
-        vertex_values=per_vertex,
+        vertex_values=dict(shared.vertex_values),
         num_supersteps=report.num_supersteps,
         report=report,
     )

@@ -20,6 +20,13 @@ from ..errors import GraphValidationError
 __all__ = ["Edge", "Graph"]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A zero-copy view of ``array`` that refuses writes (``array`` keeps its flags)."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class Edge:
     """A single directed edge ``src -> dst``."""
@@ -74,16 +81,17 @@ class Graph:
         if src_arr.size and (src_arr.min() < 0 or dst_arr.min() < 0):
             raise GraphValidationError("vertex ids must be non-negative")
 
-        self._src = src_arr
-        self._dst = dst_arr
+        self._src = _read_only(src_arr)
+        self._dst = _read_only(dst_arr)
         self.name = name
         # Derived views are cached per instance: the edge arrays are
-        # immutable after construction, so recomputation can never change
-        # the answer.  Degree/adjacency accessors hand out copies so
-        # callers may mutate what they receive.
+        # read-only views (the caller's own arrays stay writable), so
+        # recomputation can never change the answer.  Degree/adjacency
+        # accessors hand out copies so callers may mutate what they receive.
         self._degree_cache: dict = {}
         self._adjacency_cache: dict = {}
         self._csr_cache = None
+        self._triangles_cache = None
 
         endpoint_ids = np.concatenate([src_arr, dst_arr]) if src_arr.size else np.empty(0, np.int64)
         if vertices is not None:
@@ -91,7 +99,7 @@ class Graph:
             if extra.size and extra.min() < 0:
                 raise GraphValidationError("vertex ids must be non-negative")
             endpoint_ids = np.concatenate([endpoint_ids, extra])
-        self._vertex_ids = np.unique(endpoint_ids)
+        self._vertex_ids = _read_only(np.unique(endpoint_ids))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -126,7 +134,7 @@ class Graph:
 
     @property
     def vertex_ids(self) -> np.ndarray:
-        """Sorted array of all vertex ids."""
+        """Sorted array of all vertex ids (read-only view)."""
         return self._vertex_ids
 
     @property
@@ -263,3 +271,18 @@ class Graph:
 
             self._csr_cache = CSRGraph.from_graph(self)
         return self._csr_cache
+
+    def triangles(self):
+        """Return the :class:`~repro.algorithms.triangle_count.GraphTriangles`
+        of this graph: its canonical edges, neighbour-set sizes and set
+        intersections, which depend on the edges alone.
+
+        Built once and cached on the instance (and freed with it), so the
+        triangle count of each placement only does the per-partition
+        accounting.
+        """
+        if self._triangles_cache is None:
+            from ..algorithms.triangle_count import GraphTriangles
+
+            self._triangles_cache = GraphTriangles.from_graph(self)
+        return self._triangles_cache

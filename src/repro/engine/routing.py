@@ -11,8 +11,8 @@ The table is array-native: it shares the CSR pair arrays of
 placement's one compile) and a vectorised master assignment, so
 constructing it costs one hash pass instead of the seed implementation's
 per-vertex dict build.  The ``replicas`` / ``masters`` dicts are expanded
-lazily, for the scalar reference Pregel loop and the scalar triangle
-count that read them.
+lazily, for the scalar reference Pregel loop and the scalar
+triangle-count oracle that read them.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class RoutingTable:
     def replicas(self) -> Dict[int, Tuple[int, ...]]:
         """``{vertex: sorted partitions holding a copy}`` for every graph vertex.
 
-        Read by the scalar triangle count; code that touches many vertices
+        Read by the scalar triangle-count oracle; code that touches many vertices
         should use :attr:`membership` or the bulk accessor
         :meth:`broadcast_plan` instead.
         """
@@ -106,7 +106,7 @@ class RoutingTable:
 
     @property
     def masters(self) -> Dict[int, int]:
-        """``{vertex: master partition}`` for every graph vertex (scalar loop, TR)."""
+        """``{vertex: master partition}`` for every graph vertex (scalar loop)."""
         if self._masters is None:
             masters_all = master_partition_array(self._all_vertex_ids, self.num_partitions)
             self._masters = dict(

@@ -19,7 +19,7 @@ vertex-major as :class:`VertexMembership`'s flat CSR arrays:
 Everything downstream reduces to ``bincount`` / boolean-mask / segment
 operations over these arrays.  :meth:`VertexMembership.to_dict` expands
 it into the seed's dict form for the routing table's ``replicas`` view
-(read by the scalar triangle count) and the equivalence tests.
+(read by the scalar reference paths) and the equivalence tests.
 """
 
 from __future__ import annotations

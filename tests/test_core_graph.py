@@ -73,6 +73,19 @@ class TestGraphAccessors:
     def test_edge_set(self, triangle_graph):
         assert triangle_graph.edge_set() == {(0, 1), (1, 2), (2, 0)}
 
+    def test_arrays_are_read_only_views(self):
+        src = np.array([0, 1, 2], dtype=np.int64)
+        dst = np.array([1, 2, 0], dtype=np.int64)
+        graph = Graph(src, dst)
+        for array in (graph.src, graph.dst, graph.vertex_ids):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # Zero-copy, and the caller's arrays keep their own flags.
+        assert np.shares_memory(graph.src, src)
+        src[0] = 5
+        dst[0] = 5
+        assert graph.src[0] == 5
+
 
 class TestDegrees:
     def test_out_and_in_degrees(self, triangle_graph):

@@ -30,6 +30,7 @@ from repro.engine.pregel import pregel
 from repro.ooc import GraphChunkSource, ingest_source
 from repro.partitioning.registry import available_partitioners
 from repro.session.store import ArtifactStore
+from triangle_oracles import triangle_count_scalar
 
 ALL_PARTITIONERS = available_partitioners()
 
@@ -49,13 +50,14 @@ def _landmarks_of(graph, count=3):
 
 
 def _runners(pgraph):
-    """One ``vectorized=...`` callable per algorithm, on a fixed setup."""
+    """One ``vectorized=...`` callable per algorithm, on a fixed setup
+    (TR's scalar loop is the test oracle in ``triangle_oracles``)."""
     landmarks = _landmarks_of(pgraph.graph)
     return {
         "PR": lambda v: pagerank(pgraph, num_iterations=5, vectorized=v),
         "CC": lambda v: connected_components(pgraph, vectorized=v),
         "SSSP": lambda v: shortest_paths(pgraph, landmarks, vectorized=v),
-        "TR": lambda v: triangle_count(pgraph, vectorized=v),
+        "TR": lambda v: triangle_count(pgraph) if v else triangle_count_scalar(pgraph),
         "DEG": lambda v: degree_count(pgraph, direction="both", vectorized=v),
     }
 

@@ -1,6 +1,7 @@
 """Tests for the persistent on-disk artifact store and resumable sweeps."""
 
 import dataclasses
+import io
 import json
 import os
 
@@ -11,7 +12,7 @@ from repro.analysis.serialization import record_to_dict
 from repro.errors import AnalysisError
 from repro.partitioning.registry import available_partitioners, make_partitioner
 from repro.session import ArtifactStore, Session, StoreInfo
-from repro.session.store import STORE_FORMAT_VERSION, as_store
+from repro.session.store import STORE_FORMAT_VERSION, _canonical_key, as_store
 
 DATASET = "youtube"
 SCALE = 0.08
@@ -59,6 +60,39 @@ class TestPlacementRoundTrip:
         assert partition_of.dtype == np.int64
         assert np.array_equal(partition_of, assignment.partition_of)
         assert strategy_name == assignment.strategy_name
+
+    @pytest.mark.parametrize("num_partitions", [1, 2, 256, 257, 70_000])
+    def test_narrow_ids_round_trip_as_int64(self, store, num_partitions):
+        partition_of = np.arange(1000, dtype=np.int64) % num_partitions
+        partition_of[-1] = num_partitions - 1
+        key = ArtifactStore.placement_key(DATASET, "RVC", num_partitions, SCALE, SEED)
+        store.save_placement(key, partition_of, "RVC")
+        with np.load(store._path("placements", key, ".npz")) as payload:
+            assert payload["partition_of"].dtype == np.min_scalar_type(num_partitions - 1)
+        loaded, _ = store.load_placement(key)
+        assert loaded.dtype == np.int64
+        assert np.array_equal(loaded, partition_of)
+
+    def test_int64_artifact_still_loads(self, store):
+        # Placements written before the narrow dtype stored int64 ids.
+        key = ArtifactStore.placement_key(DATASET, "2D", 4, SCALE, SEED)
+        partition_of = np.arange(10, dtype=np.int64) % 4
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
+            partition_of=partition_of,
+            key=np.frombuffer(_canonical_key(key).encode("utf-8"), dtype=np.uint8),
+            strategy_name=np.frombuffer(b"2D", dtype=np.uint8),
+        )
+        path = store._path("placements", key, ".npz")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(buffer.getvalue())
+        loaded = store.load_placement(key)
+        assert loaded is not None
+        assert np.array_equal(loaded[0], partition_of)
+        assert loaded[1] == "2D"
+        assert store.stats("placements").hits == 1
 
     def test_missing_placement_is_a_counted_miss(self, store):
         key = ArtifactStore.placement_key(DATASET, "2D", 4, SCALE, SEED)
