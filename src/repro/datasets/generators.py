@@ -19,8 +19,13 @@ All generators are pure functions of their parameters and the seed.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Callable, Dict, List
+
+import numpy as np
 
 from ..core.graph import Graph
 from ..errors import DatasetError
@@ -84,24 +89,18 @@ def _powerlaw_weights(n: int, exponent: float, superstar_count: int, superstar_b
     return weights
 
 
-def _weighted_sampler(weights: List[float], rng: random.Random):
-    """Return a function sampling an index proportionally to ``weights``."""
-    cumulative = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cumulative.append(total)
+def _weighted_sampler(weights: List[float], random: Callable[[], float]) -> Callable[[], int]:
+    """Return a function sampling an index proportionally to ``weights``.
+
+    Each call draws ``random()`` once and returns the lowest index whose
+    running sum reaches ``random() * total``, clamped to the last index.
+    """
+    cumulative = list(accumulate(weights))
+    total = cumulative[-1]
+    last = len(cumulative) - 1
 
     def sample() -> int:
-        target = rng.random() * total
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(cumulative, random() * total, 0, last)
 
     return sample
 
@@ -162,8 +161,8 @@ def social_graph(
         raise DatasetError("social_graph needs at least 2 vertices")
     if num_edges < 1:
         raise DatasetError("social_graph needs at least 1 edge")
-    if exponent <= 1.0:
-        raise DatasetError("exponent must be > 1")
+    if not (math.isfinite(exponent) and exponent > 1.0):
+        raise DatasetError(f"exponent must be finite and > 1, got {exponent}")
     for fraction, label in (
         (reciprocity, "reciprocity"),
         (triadic_closure, "triadic_closure"),
@@ -176,6 +175,8 @@ def social_graph(
         raise DatasetError("zero_in_fraction + zero_out_fraction must be < 0.9")
     if num_components < 1:
         raise DatasetError("num_components must be >= 1")
+    if num_vertices * num_vertices >= 2**63:
+        raise DatasetError("social_graph needs num_vertices**2 < 2**63 (arcs are int64 codes)")
 
     rng = random.Random(seed)
     if undirected:
@@ -215,21 +216,34 @@ def social_graph(
     # Receivers must not be zero-in vertices; emitters must not be zero-out.
     receiver_weights = [0.0 if i in zero_in_set else w for i, w in enumerate(weights)]
     emitter_weights = [0.0 if i in zero_out_set else w for i, w in enumerate(weights)]
-    sample_receiver = _weighted_sampler(receiver_weights, rng)
-    sample_emitter = _weighted_sampler(emitter_weights, rng)
+    sample_receiver = _weighted_sampler(receiver_weights, rng.random)
+    sample_emitter = _weighted_sampler(emitter_weights, rng.random)
 
+    # An arc u -> v is stored as the code u * n + v; since v < n, sorting
+    # the codes orders the arcs exactly as sorting (u, v) pairs would.
+    n = num_vertices
     arcs = set()
+    add_code = arcs.add
     out_neighbours: Dict[int, List[int]] = {}
 
     def add_arc(u: int, v: int) -> bool:
-        if u == v or (u, v) in arcs:
+        code = u * n + v
+        if u == v or code in arcs:
             return False
         if u in zero_out_set or v in zero_in_set:
             return False
-        arcs.add((u, v))
-        out_neighbours.setdefault(u, []).append(v)
+        add_code(code)
+        neighbours = out_neighbours.get(u)
+        if neighbours is None:
+            out_neighbours[u] = [v]
+        else:
+            neighbours.append(v)
         return True
 
+    # The loop stays sequential and keeps its draw order: triadic closure
+    # reads the out-neighbour lists the loop itself builds.
+    draw = rng.random
+    choose = rng.choice
     max_attempts = num_edges * 20
     attempts = 0
     while len(arcs) < num_edges and attempts < max_attempts:
@@ -238,12 +252,14 @@ def social_graph(
         v = sample_receiver()
         if not add_arc(u, v):
             continue
-        if rng.random() < reciprocity:
+        if draw() < reciprocity:
             add_arc(v, u)
-        if rng.random() < triadic_closure and out_neighbours.get(v):
-            w = rng.choice(out_neighbours[v])
-            if add_arc(u, w) and rng.random() < reciprocity:
-                add_arc(w, u)
+        if draw() < triadic_closure:
+            neighbours = out_neighbours.get(v)
+            if neighbours:
+                w = choose(neighbours)
+                if add_arc(u, w) and draw() < reciprocity:
+                    add_arc(w, u)
 
     # Stitch the main component together so that it is weakly connected.
     if connect:
@@ -266,19 +282,20 @@ def social_graph(
     for satellite in range(satellite_count):
         base = main_vertices + satellite * satellite_size
         for offset in range(satellite_size - 1):
-            arcs.add((base + offset, base + offset + 1))
-            if rng.random() < reciprocity:
-                arcs.add((base + offset + 1, base + offset))
+            tail = base + offset
+            add_code(tail * n + tail + 1)
+            if draw() < reciprocity:
+                add_code((tail + 1) * n + tail)
 
     # Optionally hide id locality behind a random permutation.
     permutation = list(range(num_vertices))
     if shuffle_ids:
         rng.shuffle(permutation)
 
-    ordered_arcs = sorted(arcs)
-    src = [permutation[u] for u, _ in ordered_arcs]
-    dst = [permutation[v] for _, v in ordered_arcs]
-    return Graph(src, dst, name=name)
+    codes = np.fromiter(arcs, np.int64, len(arcs))
+    codes.sort()
+    ids = np.asarray(permutation, dtype=np.int64)
+    return Graph(ids[codes // n], ids[codes % n], name=name)
 
 
 def ring_of_cliques(num_cliques: int, clique_size: int, seed: int = 0, name: str = "cliques") -> Graph:

@@ -1,10 +1,61 @@
 """Unit tests for the synthetic graph generators."""
 
+import math
+from itertools import accumulate
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import properties as props
-from repro.datasets.generators import ring_of_cliques, road_network, social_graph
+from repro.datasets.generators import _weighted_sampler, ring_of_cliques, road_network, social_graph
 from repro.errors import DatasetError
+
+
+def _hand_sampler(weights, random):
+    """The sampler's original hand-written binary search, kept as its oracle."""
+    cumulative = []
+    total = 0.0
+    for w in weights:
+        total += w
+        cumulative.append(total)
+
+    def sample():
+        target = random() * total
+        lo, hi = 0, len(cumulative) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cumulative[mid] < target:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    return sample
+
+
+@st.composite
+def _dyadic_sampler_cases(draw):
+    """Integer weights with zeros, zero plateaus and trailing zeros.
+
+    A pad weight lifts the total to a power of two, so ``draw * total`` is
+    exact and a draw of ``running_sum / total`` lands on that running sum.
+    """
+    head = draw(st.lists(st.integers(0, 4), max_size=30))
+    total = 1 << max(sum(head) - 1, 0).bit_length()
+    trailing = draw(st.integers(0, 3))
+    weights = [float(w) for w in head + [total - sum(head)] + [0] * trailing]
+    on_a_sum = st.sampled_from(list(accumulate(weights))).map(lambda s: s / total)
+    anywhere = st.floats(0.0, 1.0, exclude_max=True)
+    draws = draw(st.lists(st.one_of(on_a_sum, anywhere), min_size=1, max_size=20))
+    return weights, draws
+
+
+def _assert_sampler_matches_oracle(weights, draws):
+    sample = _weighted_sampler(weights, iter(draws).__next__)
+    oracle = _hand_sampler(weights, iter(draws).__next__)
+    for _ in draws:
+        assert sample() == oracle()
 
 
 class TestRoadNetwork:
@@ -129,14 +180,36 @@ class TestSocialGraph:
             {"num_vertices": 1, "num_edges": 5},
             {"num_vertices": 10, "num_edges": 0},
             {"num_vertices": 10, "num_edges": 5, "exponent": 1.0},
+            {"num_vertices": 10, "num_edges": 5, "exponent": math.nan},
+            {"num_vertices": 10, "num_edges": 5, "exponent": math.inf},
             {"num_vertices": 10, "num_edges": 5, "reciprocity": 1.2},
             {"num_vertices": 10, "num_edges": 5, "zero_in_fraction": 0.6, "zero_out_fraction": 0.5},
             {"num_vertices": 10, "num_edges": 5, "num_components": 0},
+            {"num_vertices": 2**32, "num_edges": 5},
         ],
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(DatasetError):
             social_graph(seed=0, **kwargs)
+
+
+class TestWeightedSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(_dyadic_sampler_cases())
+    @example(([5.0], [0.0, 0.5, 1.0]))  # a single weight
+    @example(([0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 0.0], [0.0, 0.5, 0.75, 1.0]))  # plateaus, trailing zeros
+    def test_bisect_matches_hand_binary_search(self, case):
+        _assert_sampler_matches_oracle(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=40).filter(
+            lambda weights: sum(weights) > 0
+        ),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_bisect_matches_hand_binary_search_on_float_weights(self, weights, draws):
+        _assert_sampler_matches_oracle(weights, draws)
 
 
 class TestRingOfCliques:
