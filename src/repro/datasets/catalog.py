@@ -10,6 +10,7 @@ benchmark harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -43,8 +44,8 @@ class DatasetSpec:
 
     def build(self, scale: float = 1.0, seed: int = 0) -> Graph:
         """Generate the analogue at the requested scale and seed."""
-        if scale <= 0:
-            raise DatasetError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise DatasetError(f"scale must be a positive finite number, got {scale}")
         graph = self.builder(scale, seed)
         graph.name = self.name
         return graph

@@ -243,6 +243,14 @@ class TestCommands:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1  # a single line on stderr
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_scale_is_a_usage_error(self, scale, capsys):
+        exit_code = main(["--scale", scale, "characterize"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("repro: error: scale")
+        assert captured.err.count("\n") == 1
+
     def test_metrics_unknown_dataset_reports_error(self, capsys):
         exit_code = main(["--scale", "0.05", "metrics", "--datasets", "nosuch"])
         captured = capsys.readouterr()

@@ -40,9 +40,10 @@ class TestCatalog:
         with pytest.raises(DatasetError):
             load_dataset("facebook")
 
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(DatasetError):
-            load_dataset("orkut", scale=0.0)
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_scale_rejected(self, scale):
+        with pytest.raises(DatasetError, match="scale"):
+            load_dataset("orkut", scale=scale)
 
     def test_load_is_deterministic(self):
         first = load_dataset("pokec", scale=SCALE, seed=SEED)
