@@ -73,16 +73,22 @@ def _seed_tree(root: Path) -> None:
             target.write_text(source)
 
 
+@pytest.fixture(scope="module")
+def repo_analysis():
+    """One whole-repo analysis, shared by the tests that only read it."""
+    return check_paths(_repo_targets())
+
+
 class TestRepoAtHead:
-    def test_repo_is_clean(self):
-        findings, files_checked = check_paths(_repo_targets())
+    def test_repo_is_clean(self, repo_analysis):
+        findings, files_checked = repo_analysis
         assert files_checked > 100
         assert findings == [], "\n".join(str(f) for f in findings)
 
-    def test_shipped_baseline_is_exact(self):
+    def test_shipped_baseline_is_exact(self, repo_analysis):
         # The baseline must mirror the tree exactly: no un-baselined
         # findings and no stale grandfathered entries.
-        findings, _ = check_paths(_repo_targets())
+        findings, _ = repo_analysis
         shipped = load_baseline(SHIPPED_BASELINE)
         assert shipped.entries == baseline_from_findings(findings).entries
 
