@@ -14,7 +14,9 @@ preserve the structural properties the paper's analysis relies on:
   forest-fire crawling), triadic closure for triangle density, optional
   "superstar" hubs and randomised vertex ids (no id locality).
 
-All generators are pure functions of their parameters and the seed.
+All generators are pure functions of their parameters and the seed.  The
+order of their RNG draws is part of the output format: the bytes they
+produce are pinned by ``tests/test_datasets_pins.py``.
 """
 
 from __future__ import annotations
@@ -89,18 +91,18 @@ def _powerlaw_weights(n: int, exponent: float, superstar_count: int, superstar_b
     return weights
 
 
-def _weighted_sampler(weights: List[float], random: Callable[[], float]) -> Callable[[], int]:
+def _weighted_sampler(weights: List[float], draw: Callable[[], float]) -> Callable[[], int]:
     """Return a function sampling an index proportionally to ``weights``.
 
-    Each call draws ``random()`` once and returns the lowest index whose
-    running sum reaches ``random() * total``, clamped to the last index.
+    Each call takes one ``draw()`` in [0, 1) and returns the lowest index
+    whose running sum reaches ``draw() * total``, clamped to the last index.
     """
     cumulative = list(accumulate(weights))
     total = cumulative[-1]
     last = len(cumulative) - 1
 
     def sample() -> int:
-        return bisect_left(cumulative, random() * total, 0, last)
+        return bisect_left(cumulative, draw() * total, 0, last)
 
     return sample
 
@@ -216,8 +218,9 @@ def social_graph(
     # Receivers must not be zero-in vertices; emitters must not be zero-out.
     receiver_weights = [0.0 if i in zero_in_set else w for i, w in enumerate(weights)]
     emitter_weights = [0.0 if i in zero_out_set else w for i, w in enumerate(weights)]
-    sample_receiver = _weighted_sampler(receiver_weights, rng.random)
-    sample_emitter = _weighted_sampler(emitter_weights, rng.random)
+    draw = rng.random
+    sample_receiver = _weighted_sampler(receiver_weights, draw)
+    sample_emitter = _weighted_sampler(emitter_weights, draw)
 
     # An arc u -> v is stored as the code u * n + v; since v < n, sorting
     # the codes orders the arcs exactly as sorting (u, v) pairs would.
@@ -242,7 +245,6 @@ def social_graph(
 
     # The loop stays sequential and keeps its draw order: triadic closure
     # reads the out-neighbour lists the loop itself builds.
-    draw = rng.random
     choose = rng.choice
     max_attempts = num_edges * 20
     attempts = 0
@@ -273,7 +275,7 @@ def social_graph(
                     added = add_arc(anchor, member)
                 elif member not in zero_out_set and anchor not in zero_in_set:
                     added = add_arc(member, anchor)
-                if added and rng.random() < reciprocity:
+                if added and draw() < reciprocity:
                     add_arc(member, anchor)
                     add_arc(anchor, member)
             anchor = member

@@ -12,7 +12,7 @@ from repro.datasets.generators import _weighted_sampler, ring_of_cliques, road_n
 from repro.errors import DatasetError
 
 
-def _hand_sampler(weights, random):
+def _hand_sampler(weights, draw):
     """The sampler's original hand-written binary search, kept as its oracle."""
     cumulative = []
     total = 0.0
@@ -21,7 +21,7 @@ def _hand_sampler(weights, random):
         cumulative.append(total)
 
     def sample():
-        target = random() * total
+        target = draw() * total
         lo, hi = 0, len(cumulative) - 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -38,8 +38,8 @@ def _hand_sampler(weights, random):
 def _dyadic_sampler_cases(draw):
     """Integer weights with zeros, zero plateaus and trailing zeros.
 
-    A pad weight lifts the total to a power of two, so ``draw * total`` is
-    exact and a draw of ``running_sum / total`` lands on that running sum.
+    A pad weight lifts the total to a power of two, so ``r * total`` is
+    exact and the draw ``r = running_sum / total`` lands on that running sum.
     """
     head = draw(st.lists(st.integers(0, 4), max_size=30))
     total = 1 << max(sum(head) - 1, 0).bit_length()
