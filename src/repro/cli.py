@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument(
         "--kind",
-        choices=["placements", "landmarks", "records", "shards", "checks"],
+        choices=["placements", "landmarks", "records", "shards"],
         default=None,
         help="restrict 'clear' to one artifact kind (default: all)",
     )
@@ -531,19 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the JSON findings document to this file "
         "(CI artifact), independent of --format",
-    )
-    check_parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="fan per-file analysis across N worker processes "
-        "(default: 1, serial)",
-    )
-    check_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="artifact store for per-file results keyed by file content and "
-        "rule-set fingerprint; warm runs re-analyze only changed files",
     )
     check_parser.add_argument(
         "--statistics",
@@ -868,7 +855,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"  landmarks:  {info.landmarks}")
         print(f"  records:    {info.records}")
         print(f"  shards:     {info.shards}")
-        print(f"  checks:     {info.checks}")
         print(f"  total:      {info.total_artifacts} artifacts, {info.total_bytes:,} bytes")
         return 0
     removed = store.clear(kind=args.kind)

@@ -2,25 +2,17 @@
 
 The devtools package encodes the engine's hard-won invariants — typed
 ``Optional`` defaults, unbuffered ``ufunc.at`` folds, ShmRegistry-mediated
-shared-memory lifecycle, non-blocking serve handlers, canonical-name
-lookups, and since PR 10 whole-program properties too — as enforceable
-rules.  The analysis runs in two passes:
-
-* **pass 1** (:mod:`repro.devtools.index` + the file-scope rules): one
-  parse per file produces a :class:`~repro.devtools.index.ModuleInfo`
-  record and the per-file findings.  This unit is pure in the file's
-  content, so ``repro check --jobs N`` fans it across worker processes
-  and ``--cache-dir`` caches it content-addressed per file;
-* **pass 2** (:mod:`repro.devtools.engine` + the project-scope rules):
-  the records assemble into a :class:`~repro.devtools.index.ProjectIndex`
-  that cross-file rules (import cycles, export drift, dead private code,
-  registry coherence) consume.  File-scope rules needing control-flow
-  precision build per-function CFGs (:mod:`repro.devtools.cfg`) and run
-  gen-kill dataflow (:mod:`repro.devtools.dataflow`).
+shared-memory lifecycle, non-blocking serve handlers, bounded memory on
+the out-of-core path, released resource handles and honest ``__all__``
+lists — as enforceable rules.  :mod:`repro.devtools.engine` checks one
+file at a time in a single serial pass: parse once, run every rule whose
+path scope covers the file, drop ``noqa``-suppressed findings.  Rules
+needing control-flow precision build per-function CFGs
+(:mod:`repro.devtools.cfg`) and run gen-kill dataflow
+(:mod:`repro.devtools.dataflow`).
 
 :mod:`repro.devtools.rules` holds one module per rule, each registering
-itself via the :func:`~repro.devtools.engine.rule` or
-:func:`~repro.devtools.engine.project_rule` decorator.
+itself via the :func:`~repro.devtools.engine.rule` decorator.
 
 Findings can be suppressed inline with ``# repro: noqa[REP###]`` (or a
 bare ``# repro: noqa`` for every rule) and grandfathered through a JSON
@@ -34,32 +26,22 @@ from .engine import (
     RuleMeta,
     all_rules,
     analyze,
-    check_paths,
-    check_project_sources,
     check_source,
     load_baseline,
-    project_rule,
     rule,
     select_rules,
     write_baseline,
 )
-from .index import ModuleInfo, ProjectIndex, build_module_info
 from .runner import run_check
 
 __all__ = [
     "CheckReport",
     "Finding",
-    "ModuleInfo",
-    "ProjectIndex",
     "RuleMeta",
     "all_rules",
     "analyze",
-    "build_module_info",
-    "check_paths",
-    "check_project_sources",
     "check_source",
     "load_baseline",
-    "project_rule",
     "rule",
     "run_check",
     "select_rules",

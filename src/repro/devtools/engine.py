@@ -1,28 +1,13 @@
 """Core of the ``repro check`` static analyser.
 
-Two passes over the project:
-
-* **Pass 1** parses every file exactly once, builds its
-  :class:`~repro.devtools.index.ModuleInfo` record, and runs the
-  *file-scope* rules on the shared tree.  This per-file unit is pure —
-  it depends only on the file's bytes and the rule set — so it fans out
-  across ``--jobs`` worker processes and is cached content-addressed in
-  an :class:`~repro.session.store.ArtifactStore` keyed by (path, file
-  SHA-256, rule-set fingerprint, engine version): warm runs re-parse
-  only changed files.
-* **Pass 2** assembles the per-file records into a
-  :class:`~repro.devtools.index.ProjectIndex` and runs the
-  *project-scope* rules (import cycles, export drift, dead private code,
-  registry coherence) over it in the parent process.
-
-Rules register with the :func:`rule` (file-scope :class:`ast.NodeVisitor`)
-or :func:`project_rule` (index consumer) decorator — see
-:mod:`repro.devtools.rules` — and scope themselves to path fragments so
-one repo-wide walk applies each invariant exactly where it holds.
-File-scope rules may request the per-function CFG/dataflow layer
-(:mod:`~repro.devtools.cfg`, :mod:`~repro.devtools.dataflow`) simply by
-importing it, or the whole-program index with ``needs_index=True`` (such
-rules run in pass 2 and are never cached per-file).
+One serial pass over the project: each file is read and parsed once,
+every selected rule whose path scope covers the file visits the shared
+tree, and inline suppressions drop what they cover.  Rules register with
+the :func:`rule` class decorator (see :mod:`repro.devtools.rules`) and
+scope themselves to path fragments, so one repo-wide walk applies each
+invariant exactly where it holds.  Rules needing control-flow precision
+build per-function CFGs (:mod:`~repro.devtools.cfg`) and run dataflow
+over them (:mod:`~repro.devtools.dataflow`).
 
 Suppression layers, innermost first:
 
@@ -38,28 +23,34 @@ Suppression layers, innermost first:
 from __future__ import annotations
 
 import ast
-import hashlib
+import io
 import json
 import re
 import time
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import StaticCheckError
-from .index import ModuleInfo, ProjectIndex, build_module_info, noqa_lines
 
 __all__ = [
-    "CHECK_ENGINE_VERSION",
     "CheckReport",
     "Finding",
     "RuleMeta",
     "all_rules",
     "analyze",
-    "check_paths",
-    "check_file",
     "check_source",
-    "check_project_sources",
     "display_path",
     "parse_source",
     "iter_python_files",
@@ -67,24 +58,23 @@ __all__ = [
     "write_baseline",
     "apply_baseline",
     "baseline_from_findings",
-    "ruleset_fingerprint",
+    "noqa_lines",
     "rule",
-    "project_rule",
     "select_rules",
     "Baseline",
     "Reporter",
-    "ProjectReporter",
     "SEVERITIES",
 ]
-
-#: Bump when analysis semantics change: invalidates every cached per-file
-#: result without touching the store format version.
-CHECK_ENGINE_VERSION = 2
 
 #: Severity ladder; both levels fail the gate, the label is informational.
 SEVERITIES = ("error", "warning")
 
 _RULE_ID_RE = re.compile(r"^REP\d{3}$")
+
+_NOQA_RE = re.compile(
+    r"#\s*repro:\s*noqa(?:\[(?P<ids>REP\d{3}(?:\s*,\s*REP\d{3})*)\])?",
+    re.IGNORECASE,
+)
 
 #: Directories never descended into by the file walker.
 _SKIP_DIRS = {"__pycache__", ".git", ".hg", "node_modules", "build", "dist", ".venv"}
@@ -117,32 +107,13 @@ class Finding:
             "snippet": self.snippet,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            severity=str(data["severity"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            snippet=str(data["snippet"]),
-        )
-
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.severity}] {self.message}"
 
 
 @dataclass(frozen=True)
 class RuleMeta:
-    """A registered rule: identity, scope predicate and factory.
-
-    ``scope`` is ``"file"`` (an :class:`ast.NodeVisitor` factory taking a
-    :class:`Reporter`) or ``"project"`` (a factory taking a
-    :class:`ProjectReporter`, whose instance's ``run(index)`` walks the
-    :class:`~repro.devtools.index.ProjectIndex`).  File rules with
-    ``needs_index`` run in pass 2 with ``(reporter, index)``.
-    """
+    """A registered rule: identity, path scope and visitor factory."""
 
     rule_id: str
     severity: str
@@ -150,8 +121,6 @@ class RuleMeta:
     rationale: str
     factory: Callable
     applies: Callable[[str], bool]
-    scope: str = "file"
-    needs_index: bool = False
 
 
 class Reporter:
@@ -180,46 +149,7 @@ class Reporter:
         )
 
 
-class ProjectReporter:
-    """Reporting handle for project-scope rules.
-
-    Project findings carry a *symbolic* snippet (the symbol, cycle or
-    registry name) instead of a source line: the index does not retain
-    source text, and a stable symbol makes a better baseline fingerprint
-    than a line that drifts with formatting anyway.
-    """
-
-    def __init__(self, meta: RuleMeta) -> None:
-        self._meta = meta
-        self.findings: List[Finding] = []
-
-    def report(
-        self, path: str, line: int, message: str, *, symbol: str, col: int = 0
-    ) -> None:
-        self.findings.append(
-            Finding(
-                rule=self._meta.rule_id,
-                severity=self._meta.severity,
-                path=path,
-                line=line,
-                col=col,
-                message=message,
-                snippet=symbol,
-            )
-        )
-
-
 _REGISTRY: Dict[str, RuleMeta] = {}
-
-
-def _register(meta: RuleMeta) -> None:
-    if not _RULE_ID_RE.match(meta.rule_id):
-        raise ValueError(f"rule id must look like REP123, got {meta.rule_id!r}")
-    if meta.severity not in SEVERITIES:
-        raise ValueError(f"severity must be one of {SEVERITIES}, got {meta.severity!r}")
-    if meta.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {meta.rule_id}")
-    _REGISTRY[meta.rule_id] = meta
 
 
 def rule(
@@ -229,59 +159,28 @@ def rule(
     description: str,
     rationale: str = "",
     applies: Optional[Callable[[str], bool]] = None,
-    needs_index: bool = False,
 ) -> Callable[[type], type]:
     """Class decorator registering an :class:`ast.NodeVisitor` as a rule.
 
-    The decorated class must accept a single :class:`Reporter` argument
-    (plus the :class:`ProjectIndex` when ``needs_index`` is set).
+    The decorated class must accept a single :class:`Reporter` argument.
     ``applies`` receives the file's POSIX-normalised path and gates the
     rule per file (default: every file).
     """
+    if not _RULE_ID_RE.match(rule_id):
+        raise ValueError(f"rule id must look like REP123, got {rule_id!r}")
+    if severity not in SEVERITIES:
+        raise ValueError(f"severity must be one of {SEVERITIES}, got {severity!r}")
 
     def decorate(cls: type) -> type:
-        _register(
-            RuleMeta(
-                rule_id=rule_id,
-                severity=severity,
-                description=description,
-                rationale=rationale,
-                factory=cls,
-                applies=applies or (lambda path: True),
-                scope="file",
-                needs_index=needs_index,
-            )
-        )
-        return cls
-
-    return decorate
-
-
-def project_rule(
-    rule_id: str,
-    *,
-    severity: str,
-    description: str,
-    rationale: str = "",
-) -> Callable[[type], type]:
-    """Class decorator registering a whole-program rule.
-
-    The decorated class accepts a :class:`ProjectReporter` and exposes
-    ``run(index: ProjectIndex)``; it sees the entire project at once and
-    runs exactly once per check.
-    """
-
-    def decorate(cls: type) -> type:
-        _register(
-            RuleMeta(
-                rule_id=rule_id,
-                severity=severity,
-                description=description,
-                rationale=rationale,
-                factory=cls,
-                applies=lambda path: True,
-                scope="project",
-            )
+        if rule_id in _REGISTRY:
+            raise ValueError(f"duplicate rule id {rule_id}")
+        _REGISTRY[rule_id] = RuleMeta(
+            rule_id=rule_id,
+            severity=severity,
+            description=description,
+            rationale=rationale,
+            factory=cls,
+            applies=applies or (lambda path: True),
         )
         return cls
 
@@ -311,26 +210,6 @@ def select_rules(rule_ids: Optional[Sequence[str]]) -> Dict[str, RuleMeta]:
     return dict(sorted(selected.items()))
 
 
-def _split_rules(
-    registry: Dict[str, RuleMeta],
-) -> Tuple[Dict[str, RuleMeta], Dict[str, RuleMeta], Dict[str, RuleMeta]]:
-    """(cacheable file rules, index-requiring file rules, project rules)."""
-    file_rules = {
-        rid: meta
-        for rid, meta in registry.items()
-        if meta.scope == "file" and not meta.needs_index
-    }
-    indexed_rules = {
-        rid: meta
-        for rid, meta in registry.items()
-        if meta.scope == "file" and meta.needs_index
-    }
-    project_rules = {
-        rid: meta for rid, meta in registry.items() if meta.scope == "project"
-    }
-    return file_rules, indexed_rules, project_rules
-
-
 # ----------------------------------------------------------------------
 # Per-source checking
 # ----------------------------------------------------------------------
@@ -342,38 +221,67 @@ def parse_source(source: str, path: str) -> ast.Module:
         raise StaticCheckError(f"{path}: cannot parse: {error}") from error
 
 
-def _apply_noqa(
-    findings: Iterable[Finding],
-    suppressed: Dict[int, Optional[frozenset]],
-) -> List[Finding]:
-    kept = []
-    for finding in findings:
-        ids = suppressed.get(finding.line, False)
-        if ids is False:
-            kept.append(finding)
-        elif ids is not None and finding.rule not in ids:
-            kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept
+def noqa_lines(source: str) -> Dict[int, Optional[FrozenSet[str]]]:
+    """Map 1-based line numbers to suppressed rule ids (``None`` = all).
+
+    Only real ``COMMENT`` tokens count: a ``# repro: noqa`` *inside a
+    string literal* (rule fixtures, docstrings quoting the syntax) is
+    data, not a suppression.  Sources that fail to tokenize fall back to
+    a plain line scan — they cannot contain string-literal decoys the
+    tokenizer would have distinguished anyway.
+    """
+    suppressed: Dict[int, Optional[FrozenSet[str]]] = {}
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        for number, text in enumerate(source.splitlines(), start=1):
+            _record_noqa(suppressed, number, text)
+        return suppressed
+    for token in tokens:
+        if token.type == tokenize.COMMENT:
+            _record_noqa(suppressed, token.start[0], token.string)
+    return suppressed
 
 
-def _run_file_rules(
-    tree: ast.Module,
-    path: str,
-    lines: Sequence[str],
-    rules: Dict[str, RuleMeta],
-    index: Optional[ProjectIndex] = None,
+def _record_noqa(
+    suppressed: Dict[int, Optional[FrozenSet[str]]], number: int, text: str
+) -> None:
+    match = _NOQA_RE.search(text)
+    if not match:
+        return
+    ids = match.group("ids")
+    if ids is None:
+        suppressed[number] = None
+    else:
+        suppressed[number] = frozenset(part.strip().upper() for part in ids.split(","))
+
+
+def _suppressed(
+    finding: Finding, suppressed: Dict[int, Optional[FrozenSet[str]]]
+) -> bool:
+    if finding.line not in suppressed:
+        return False
+    ids = suppressed[finding.line]
+    return ids is None or finding.rule in ids
+
+
+def _check_tree(
+    tree: ast.Module, source: str, path: str, rules: Dict[str, RuleMeta]
 ) -> List[Finding]:
+    """Run every applicable rule over one parsed file, then apply noqa."""
+    lines = source.splitlines()
     findings: List[Finding] = []
     for meta in rules.values():
-        if not meta.applies(path):
-            continue
-        reporter = Reporter(meta, path, lines)
-        if meta.needs_index:
-            meta.factory(reporter, index).visit(tree)
-        else:
+        if meta.applies(path):
+            reporter = Reporter(meta, path, lines)
             meta.factory(reporter).visit(tree)
-        findings.extend(reporter.findings)
+            findings.extend(reporter.findings)
+    if findings:
+        # Tokenizing is the costly part of noqa; most files have nothing
+        # to suppress.
+        suppressed = noqa_lines(source)
+        findings = [f for f in findings if not _suppressed(f, suppressed)]
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
@@ -382,52 +290,14 @@ def check_source(
     path: str = "<string>",
     rules: Optional[Dict[str, RuleMeta]] = None,
 ) -> List[Finding]:
-    """Check one source string with the *file-scope* rules.
+    """Check one source string.
 
     Fixture tests pass virtual paths (``src/repro/engine/x.py``) to
-    exercise path-scoped rules without touching the filesystem.  Project
-    rules need a whole tree: see :func:`check_project_sources`.
+    exercise path-scoped rules without touching the filesystem.
     """
-    normalized = Path(path).as_posix()
-    registry = rules if rules is not None else all_rules()
-    file_rules, _, _ = _split_rules(registry)
     tree = parse_source(source, path)
-    findings = _run_file_rules(tree, normalized, source.splitlines(), file_rules)
-    return _apply_noqa(findings, noqa_lines(source))
-
-
-def check_project_sources(
-    sources: Dict[str, str],
-    rules: Optional[Dict[str, RuleMeta]] = None,
-) -> List[Finding]:
-    """Run the *project-scope* rules over an in-memory fixture tree."""
     registry = rules if rules is not None else all_rules()
-    _, _, project_rules_ = _split_rules(registry)
-    index = ProjectIndex.from_sources(
-        {Path(path).as_posix(): source for path, source in sources.items()}
-    )
-    return _run_project_rules(index, project_rules_)
-
-
-def _run_project_rules(
-    index: ProjectIndex, rules: Dict[str, RuleMeta]
-) -> List[Finding]:
-    findings: List[Finding] = []
-    for meta in rules.values():
-        reporter = ProjectReporter(meta)
-        meta.factory(reporter).run(index)
-        for finding in reporter.findings:
-            info = index.modules.get(finding.path)
-            suppressed = info.noqa if info is not None else {}
-            findings.extend(_apply_noqa([finding], suppressed))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def check_file(path: Path, rules: Optional[Dict[str, RuleMeta]] = None) -> List[Finding]:
-    """Check one file on disk with the file-scope rules."""
-    source = _read_source(path)
-    return check_source(source, path=str(path), rules=rules)
+    return _check_tree(tree, source, Path(path).as_posix(), registry)
 
 
 def _read_source(path: Path) -> str:
@@ -495,228 +365,59 @@ def iter_python_files(
 
 
 # ----------------------------------------------------------------------
-# Whole-program analysis (pass 1 + pass 2)
+# Whole-tree analysis
 # ----------------------------------------------------------------------
 @dataclass
 class CheckReport:
-    """Everything one ``analyze`` run produced, with its accounting."""
+    """Everything one :func:`analyze` run produced, with its accounting."""
 
     findings: List[Finding]
-    files_checked: int
-    files_cached: int
-    files_analyzed: int
+    #: Display paths of every file checked, in walk order.
+    paths: Tuple[str, ...]
     parse_seconds: float
     analysis_seconds: float
     rule_ids: Tuple[str, ...]
-    jobs: int
-    index: ProjectIndex
 
-
-def ruleset_fingerprint(rule_ids: Sequence[str]) -> str:
-    """Content fingerprint of the selected rules *and* the analyser itself.
-
-    Hashes the devtools package sources, so any change to a rule, the
-    engine, the CFG/dataflow layer or the index invalidates every cached
-    per-file result without a manual version bump.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"engine:{CHECK_ENGINE_VERSION}".encode("utf-8"))
-    for rule_id in sorted(rule_ids):
-        digest.update(rule_id.encode("utf-8"))
-    package_root = Path(__file__).resolve().parent
-    for source_file in sorted(package_root.rglob("*.py")):
-        if "__pycache__" in source_file.parts:
-            continue
-        digest.update(source_file.name.encode("utf-8"))
-        try:
-            digest.update(source_file.read_bytes())
-        except OSError:
-            pass
-    return digest.hexdigest()
-
-
-def _analyze_one(
-    path: str, source: str, rule_ids: Sequence[str]
-) -> Tuple[str, ModuleInfo, List[Finding], float, float]:
-    """Pass-1 unit of work: parse once, index, run the file-scope rules.
-
-    Top-level so it pickles into ``--jobs`` worker processes; the rule
-    registry re-materialises from ids inside each worker.
-    """
-    registry = all_rules()
-    rules = {rid: registry[rid] for rid in rule_ids}
-    started = time.perf_counter()
-    tree = parse_source(source, path)
-    info = build_module_info(tree, source, path)
-    parsed = time.perf_counter()
-    findings = _apply_noqa(
-        _run_file_rules(tree, path, source.splitlines(), rules), info.noqa
-    )
-    done = time.perf_counter()
-    return path, info, findings, parsed - started, done - parsed
-
-
-def _analyze_one_payload(args: Tuple[str, str, Tuple[str, ...]]):
-    return _analyze_one(*args)
+    @property
+    def files_checked(self) -> int:
+        return len(self.paths)
 
 
 def analyze(
     paths: Sequence[Path],
     rules: Optional[Dict[str, RuleMeta]] = None,
     *,
-    jobs: int = 1,
-    store=None,
     root: Optional[Path] = None,
 ) -> CheckReport:
-    """Run the full two-pass analysis over every python file in ``paths``.
+    """Check every python file under ``paths``, one file at a time.
 
-    ``jobs > 1`` fans pass 1 across a ``ProcessPoolExecutor``; ``store``
-    (an :class:`~repro.session.store.ArtifactStore` or None) caches
-    per-file pass-1 results content-addressed by file SHA-256, rule-set
-    fingerprint and engine version.
+    Findings carry paths relative to ``root`` (default: the current
+    directory) and come back sorted by location.
     """
     registry = rules if rules is not None else all_rules()
-    file_rules, indexed_rules, project_rules_ = _split_rules(registry)
     base = (root or Path.cwd()).resolve()
-    fingerprint = ruleset_fingerprint(tuple(registry))
-
-    files = list(iter_python_files(paths, root=base))
-    display = {file_path: display_path(file_path, base) for file_path in files}
-
     findings: List[Finding] = []
-    infos: Dict[str, ModuleInfo] = {}
-    files_cached = 0
+    shown_paths: List[str] = []
     parse_seconds = 0.0
     analysis_seconds = 0.0
-    pending: List[Tuple[Path, str, str]] = []  # (path, display, source)
-
-    for file_path in files:
-        shown = display[file_path]
-        if store is not None:
-            source = _read_source(file_path)
-            sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            key = store.check_key(shown, sha, fingerprint, CHECK_ENGINE_VERSION)
-            cached = store.load_check(key)
-            if cached is not None:
-                try:
-                    info = ModuleInfo.from_dict(cached["module_info"])
-                    cached_findings = [
-                        Finding.from_dict(entry) for entry in cached["findings"]
-                    ]
-                except (KeyError, TypeError, ValueError):
-                    pass  # malformed payload: fall through to re-analysis
-                else:
-                    infos[shown] = info
-                    findings.extend(cached_findings)
-                    files_cached += 1
-                    continue
-            pending.append((file_path, shown, source))
-        else:
-            pending.append((file_path, shown, _read_source(file_path)))
-
-    file_rule_ids = tuple(file_rules)
-    work = [(shown, source, file_rule_ids) for _, shown, source in pending]
-    if jobs > 1 and len(work) > 1:
-        results = _map_parallel(work, jobs)
-    else:
-        results = [_analyze_one_payload(item) for item in work]
-
-    for (file_path, shown, source), (
-        _,
-        info,
-        file_findings,
-        parse_dt,
-        rules_dt,
-    ) in zip(pending, results):
-        infos[shown] = info
-        findings.extend(file_findings)
-        parse_seconds += parse_dt
-        analysis_seconds += rules_dt
-        if store is not None:
-            sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            key = store.check_key(shown, sha, fingerprint, CHECK_ENGINE_VERSION)
-            store.save_check(
-                key,
-                {
-                    "module_info": info.as_dict(),
-                    "findings": [finding.as_dict() for finding in file_findings],
-                },
-            )
-
-    # Pass 2: assemble the index, run project rules and any file rules
-    # that asked for the index (re-parsed here; never cached per-file).
-    pass2_started = time.perf_counter()
-    index = ProjectIndex(infos)
-    findings.extend(_run_project_rules(index, project_rules_))
-    if indexed_rules:
-        for file_path in files:
-            shown = display[file_path]
-            applicable = {
-                rid: meta
-                for rid, meta in indexed_rules.items()
-                if meta.applies(shown)
-            }
-            if not applicable:
-                continue
-            source = _read_source(file_path)
-            tree = parse_source(source, shown)
-            info = infos.get(shown)
-            suppressed = info.noqa if info is not None else noqa_lines(source)
-            findings.extend(
-                _apply_noqa(
-                    _run_file_rules(
-                        tree, shown, source.splitlines(), applicable, index=index
-                    ),
-                    suppressed,
-                )
-            )
-    analysis_seconds += time.perf_counter() - pass2_started
-
+    for file_path in iter_python_files(paths, root=base):
+        shown = display_path(file_path, base)
+        shown_paths.append(shown)
+        source = _read_source(file_path)
+        started = time.perf_counter()
+        tree = parse_source(source, shown)
+        parsed = time.perf_counter()
+        findings.extend(_check_tree(tree, source, shown, registry))
+        parse_seconds += parsed - started
+        analysis_seconds += time.perf_counter() - parsed
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return CheckReport(
         findings=findings,
-        files_checked=len(files),
-        files_cached=files_cached,
-        files_analyzed=len(pending),
+        paths=tuple(shown_paths),
         parse_seconds=parse_seconds,
         analysis_seconds=analysis_seconds,
         rule_ids=tuple(registry),
-        jobs=jobs,
-        index=index,
     )
-
-
-def _map_parallel(work: List[Tuple[str, str, Tuple[str, ...]]], jobs: int):
-    """Fan pass-1 units across a process pool, preserving input order.
-
-    Uses the fork context where available so workers inherit the parsed
-    rule registry (and the imported numpy stack the registry-aware rules
-    pull in) instead of re-importing it per worker.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        context = multiprocessing.get_context()
-    chunksize = max(1, len(work) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        return list(pool.map(_analyze_one_payload, work, chunksize=chunksize))
-
-
-def check_paths(
-    paths: Sequence[Path],
-    rules: Optional[Dict[str, RuleMeta]] = None,
-) -> Tuple[List[Finding], int]:
-    """Check every python file under ``paths`` (serial, no cache).
-
-    Returns ``(findings, files_checked)``; findings are sorted by
-    location for stable text/JSON output.  Thin compatibility wrapper
-    over :func:`analyze`.
-    """
-    report = analyze(paths, rules=rules)
-    return report.findings, report.files_checked
 
 
 # ----------------------------------------------------------------------
@@ -767,13 +468,41 @@ def write_baseline(findings: Sequence[Finding], path: Path) -> Baseline:
     return baseline
 
 
+def _was_checked(
+    fingerprint: str,
+    rule_ids: Optional[Collection[str]],
+    paths: Optional[Collection[str]],
+) -> bool:
+    """Whether a run restricted to ``rule_ids`` and ``paths`` (None: no
+    restriction) could have matched the baseline entry ``fingerprint``."""
+    rule_id, _, rest = fingerprint.partition(":")
+    if rule_ids is not None and rule_id not in rule_ids:
+        return False
+    if paths is None:
+        return True
+    # ``rest`` is ``path:snippet`` and either part may hold a colon, so
+    # try every split point.
+    end = rest.find(":")
+    while end != -1:
+        if rest[:end] in paths:
+            return True
+        end = rest.find(":", end + 1)
+    return False
+
+
 def apply_baseline(
-    findings: Sequence[Finding], baseline: Baseline
+    findings: Sequence[Finding],
+    baseline: Baseline,
+    *,
+    rule_ids: Optional[Collection[str]] = None,
+    paths: Optional[Collection[str]] = None,
 ) -> Tuple[List[Finding], int, List[str]]:
     """Split findings into (new, baselined-count, stale-fingerprints).
 
     Stale fingerprints — baseline entries no findings matched — signal a
-    fixed violation whose grandfather entry should be dropped.
+    fixed violation whose grandfather entry should be dropped.  A run
+    restricted to some ``rule_ids`` or ``paths`` only judges the entries
+    it could have matched; the rest are neither stale nor fixed.
     """
     budget = dict(baseline.entries)
     new: List[Finding] = []
@@ -785,5 +514,10 @@ def apply_baseline(
             baselined += 1
         else:
             new.append(finding)
-    stale = sorted(key for key, remaining in budget.items() if remaining > 0)
+    checked_paths = None if paths is None else frozenset(paths)
+    stale = sorted(
+        key
+        for key, remaining in budget.items()
+        if remaining > 0 and _was_checked(key, rule_ids, checked_paths)
+    )
     return new, baselined, stale

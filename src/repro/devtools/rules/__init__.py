@@ -12,15 +12,7 @@ from . import (  # noqa: F401
     rep002_fold_order,
     rep003_shm_lifecycle,
     rep004_blocking_async,
-    rep006_canonical_names,
-    rep007_swallowed_errors,
-    rep008_unseeded_random,
     rep009_whole_graph_materialization,
     rep010_resource_lifecycle,
-    rep011_import_cycles,
     rep012_export_drift,
-    rep013_dead_private,
-    rep014_registry_coherence,
 )
-
-from .common import in_library, in_tests, under  # noqa: F401

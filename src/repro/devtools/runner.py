@@ -17,6 +17,7 @@ from ..metrics.report import format_table
 from .engine import (
     CheckReport,
     Finding,
+    all_rules,
     analyze,
     apply_baseline,
     load_baseline,
@@ -44,13 +45,10 @@ def default_check_paths(root: Optional[Path] = None) -> List[Path]:
 
 def list_rules_rows() -> List[Dict[str, object]]:
     """``--list-rules`` table rows, one per registered rule."""
-    from .engine import all_rules
-
     return [
         {
             "rule": meta.rule_id,
             "severity": meta.severity,
-            "scope": meta.scope,
             "description": meta.description,
         }
         for meta in all_rules().values()
@@ -83,9 +81,6 @@ def _json_document(
     document: Dict[str, object] = {
         "version": 1,
         "files_checked": report.files_checked,
-        "files_cached": report.files_cached,
-        "files_analyzed": report.files_analyzed,
-        "jobs": report.jobs,
         "rules": list(report.rule_ids),
         "findings": [finding.as_dict() for finding in new],
         "baselined": baselined,
@@ -124,13 +119,7 @@ def run_check(args) -> int:
 
     selected = select_rules(args.rule)
     paths = [Path(p) for p in args.paths] if args.paths else default_check_paths()
-    store = None
-    if getattr(args, "cache_dir", None):
-        from ..session.store import ArtifactStore
-
-        store = ArtifactStore(args.cache_dir)
-    jobs = int(getattr(args, "jobs", 1) or 1)
-    report = analyze(paths, rules=selected, jobs=jobs, store=store)
+    report = analyze(paths, rules=selected)
     findings = report.findings
 
     baseline_path = Path(args.baseline) if args.baseline else None
@@ -149,7 +138,9 @@ def run_check(args) -> int:
     new = list(findings)
     if baseline_path is not None:
         baseline = load_baseline(baseline_path)
-        new, baselined, stale = apply_baseline(findings, baseline)
+        new, baselined, stale = apply_baseline(
+            findings, baseline, rule_ids=report.rule_ids, paths=report.paths
+        )
 
     exit_code = 1 if new else 0
     statistics = _statistics(report, findings) if getattr(args, "statistics", False) else None
@@ -166,15 +157,10 @@ def run_check(args) -> int:
     else:
         for finding in new:
             print(str(finding))
-        summary = (
+        print(
             f"repro check: {len(new)} new finding(s), {baselined} baselined, "
             f"{report.files_checked} file(s), {len(report.rule_ids)} rule(s)"
         )
-        if report.files_cached:
-            summary += (
-                f", {report.files_cached} cached / {report.files_analyzed} analyzed"
-            )
-        print(summary)
         if statistics is not None:
             _print_statistics(statistics)
         for fingerprint in stale:

@@ -21,10 +21,6 @@ expensive artefact kinds across processes:
   ``.npy``).  The manifest is written *last*, so a crashed ingest never
   publishes a shard; hit/miss is decided by the shard loader after it has
   verified every sidecar (see :meth:`ArtifactStore.count_shard`).
-* **checks** — per-file ``repro check`` results (module index record plus
-  findings) keyed by (display path, file SHA-256, rule-set fingerprint,
-  engine version), which is what makes warm ``--cache-dir`` runs
-  re-analyze only changed files.
 
 Design rules, in order of importance:
 
@@ -71,7 +67,7 @@ __all__ = ["STORE_FORMAT_VERSION", "DiskStats", "StoreInfo", "ArtifactStore", "a
 STORE_FORMAT_VERSION = 1
 
 #: Sub-directory per artifact kind.
-_KINDS = ("placements", "landmarks", "records", "shards", "checks")
+_KINDS = ("placements", "landmarks", "records", "shards")
 
 
 def _canonical_key(key: Dict[str, object]) -> str:
@@ -111,12 +107,10 @@ class StoreInfo:
     #: Shard manifests (one per ingested shard artifact; the sidecar
     #: ``.npy``/``.vtx.npz`` files count toward ``total_bytes`` only).
     shards: int = 0
-    #: Cached per-file static-analysis results (``repro check --cache-dir``).
-    checks: int = 0
 
     @property
     def total_artifacts(self) -> int:
-        return self.placements + self.landmarks + self.records + self.shards + self.checks
+        return self.placements + self.landmarks + self.records + self.shards
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -125,7 +119,6 @@ class StoreInfo:
             "landmarks": self.landmarks,
             "records": self.records,
             "shards": self.shards,
-            "checks": self.checks,
             "total_artifacts": self.total_artifacts,
             "total_bytes": self.total_bytes,
         }
@@ -353,57 +346,6 @@ class ArtifactStore:
         return record
 
     # ------------------------------------------------------------------
-    # Static-analysis results (repro check --cache-dir)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def check_key(
-        path: str,
-        file_sha256: str,
-        ruleset_fingerprint: str,
-        engine_version: int,
-    ) -> Dict[str, object]:
-        """The canonical per-file static-check key payload.
-
-        Keyed by file *content* (SHA-256), the rule-set fingerprint (which
-        hashes the analyser's own sources) and the engine version, so an
-        edit to the file, to any rule, or to the analysis semantics is a
-        miss and forces re-analysis.
-        """
-        return {
-            "kind": "check",
-            "version": STORE_FORMAT_VERSION,
-            "path": str(path),
-            "file_sha256": str(file_sha256),
-            "ruleset": str(ruleset_fingerprint),
-            "engine_version": int(engine_version),
-        }
-
-    def save_check(self, key: Dict[str, object], result: Dict[str, object]) -> None:
-        """Persist one file's analysis result (module record + findings)."""
-        payload = {"key": key, "result": result}
-        _write_artifact(
-            self._path("checks", key, ".json"),
-            json.dumps(payload).encode("utf-8"),
-        )
-
-    def load_check(self, key: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """The stored analysis result for ``key``, or None (a counted miss)."""
-        path = self._path("checks", key, ".json")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload["key"] != key:
-                raise AnalysisError("artifact key mismatch")
-            result = payload["result"]
-            if not isinstance(result, dict):
-                raise AnalysisError("malformed check result")
-        except Exception:
-            self._count("checks", hit=False)
-            return None
-        self._count("checks", hit=True)
-        return result
-
-    # ------------------------------------------------------------------
     # Out-of-core partition shards
     # ------------------------------------------------------------------
     @staticmethod
@@ -592,7 +534,6 @@ class ArtifactStore:
             landmarks=counts["landmarks"],
             records=counts["records"],
             shards=counts["shards"],
-            checks=counts["checks"],
             total_bytes=total_bytes,
         )
 

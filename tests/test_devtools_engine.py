@@ -10,29 +10,27 @@ from repro.devtools.engine import (
     all_rules,
     analyze,
     apply_baseline,
-    check_paths,
     iter_python_files,
+    noqa_lines,
     select_rules,
 )
 from repro.errors import ReproError, StaticCheckError
 
 VIOLATION = "def f(x: int = None):\n    return x\n"
 
+#: Ids that once named a rule.  They stay reserved and are never reused.
+RETIRED_RULES = ("REP005", "REP006", "REP007", "REP008", "REP011", "REP013", "REP014")
+
 
 class TestRegistry:
-    def test_all_thirteen_rules_register(self):
+    def test_the_seven_surviving_rules_register(self):
         registry = all_rules()
-        expected = [f"REP{i:03d}" for i in range(1, 15) if i != 5]  # id 5 is retired
-        assert sorted(registry) == expected
+        assert list(registry) == [
+            "REP001", "REP002", "REP003", "REP004", "REP009", "REP010", "REP012"
+        ]
         for meta in registry.values():
             assert meta.description
             assert meta.severity in ("error", "warning")
-            assert meta.scope in ("file", "project")
-
-    def test_project_rules_have_project_scope(self):
-        registry = all_rules()
-        project_scoped = {rid for rid, meta in registry.items() if meta.scope == "project"}
-        assert project_scoped == {"REP011", "REP012", "REP013", "REP014"}
 
     def test_select_rules_is_case_insensitive(self):
         assert list(select_rules(["rep001", "REP004"])) == ["REP001", "REP004"]
@@ -41,10 +39,10 @@ class TestRegistry:
         with pytest.raises(StaticCheckError, match="REP999"):
             select_rules(["REP999"])
 
-    def test_retired_rule_is_not_selectable(self):
-        # REP005 policed the deleted dict shims; its id stays reserved.
-        with pytest.raises(StaticCheckError, match="REP005"):
-            select_rules(["REP005"])
+    @pytest.mark.parametrize("rule_id", RETIRED_RULES)
+    def test_retired_rule_is_not_selectable(self, rule_id):
+        with pytest.raises(StaticCheckError, match=rule_id):
+            select_rules([rule_id])
 
     def test_static_check_error_is_a_repro_error(self):
         assert issubclass(StaticCheckError, ReproError)
@@ -99,6 +97,16 @@ class TestNoqa:
             "    return x\n"
         )
         assert check_source(source) == []
+
+
+class TestNoqaLines:
+    def test_comment_tokens_only(self):
+        source = 'x = "# repro: noqa"  # repro: noqa[REP001]\n'
+        assert noqa_lines(source) == {1: frozenset({"REP001"})}
+
+    def test_unparseable_source_falls_back_to_line_scan(self):
+        source = "def broken(:\n    x = 1  # repro: noqa\n"
+        assert noqa_lines(source) == {2: None}
 
 
 class TestFindings:
@@ -176,14 +184,15 @@ class TestWalker:
         with pytest.raises(StaticCheckError, match="no such file"):
             list(iter_python_files([tmp_path / "nope"]))
 
-    def test_check_paths_counts_files(self, tmp_path):
+    def test_analyze_counts_files(self, tmp_path):
         target = tmp_path / "src" / "repro" / "pkg"
         target.mkdir(parents=True)
         (target / "clean.py").write_text("x = 1\n")
         (target / "dirty.py").write_text(VIOLATION)
-        findings, files_checked = check_paths([tmp_path])
-        assert files_checked == 2
-        assert [f.rule for f in findings] == ["REP001"]
+        report = analyze([tmp_path], root=tmp_path)
+        assert report.files_checked == 2
+        assert report.paths == ("src/repro/pkg/clean.py", "src/repro/pkg/dirty.py")
+        assert [f.rule for f in report.findings] == ["REP001"]
 
     def test_explicit_file_argument_respects_skip_dirs(self, tmp_path):
         hidden = tmp_path / "__pycache__" / "a.py"
@@ -198,9 +207,9 @@ class TestWalker:
         dirty.write_text(VIOLATION)
         files = list(iter_python_files([tmp_path, dirty], root=tmp_path))
         assert files == [dirty.resolve()]
-        findings, files_checked = check_paths([tmp_path, dirty])
-        assert files_checked == 1
-        assert len(findings) == 1
+        report = analyze([tmp_path, dirty])
+        assert report.files_checked == 1
+        assert len(report.findings) == 1
 
     def test_same_file_via_absolute_and_relative_paths_reports_once(
         self, tmp_path, monkeypatch

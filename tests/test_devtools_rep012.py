@@ -1,10 +1,15 @@
 """REP012 fixtures: __all__ export drift."""
 
-from repro.devtools import check_project_sources
+from repro.devtools import check_source
 
 
 def _rep012(sources):
-    return [f for f in check_project_sources(sources) if f.rule == "REP012"]
+    return [
+        finding
+        for path, source in sources.items()
+        for finding in check_source(source, path=path)
+        if finding.rule == "REP012"
+    ]
 
 
 class TestRep012Positives:
@@ -65,3 +70,61 @@ class TestRep012Negatives:
 
     def test_tests_are_exempt(self):
         assert _rep012({"tests/test_mod.py": '__all__ = ["gone"]\n'}) == []
+
+
+class TestRep012ModuleLevelBlocks:
+    """Names bound inside top-level compound statements are module-level."""
+
+    def test_type_checking_imports_count_as_defined(self):
+        assert _rep012(
+            {
+                "src/repro/mod.py": (
+                    "from typing import TYPE_CHECKING\n\n"
+                    "if TYPE_CHECKING:\n    from repro.core.graph import Graph\n\n"
+                    '__all__ = ["Graph"]\n'
+                )
+            }
+        ) == []
+
+    def test_try_bound_names_count_as_defined(self):
+        assert _rep012(
+            {
+                "src/repro/mod.py": (
+                    "try:\n    import numba\nexcept ImportError:\n    numba = None\n\n"
+                    '__all__ = ["numba"]\n'
+                )
+            }
+        ) == []
+
+    def test_public_name_bound_under_try_must_be_exported(self):
+        findings = _rep012(
+            {
+                "src/repro/mod.py": (
+                    "try:\n    FAST = True\nexcept ImportError:\n    FAST = False\n\n"
+                    "__all__ = []\n"
+                )
+            }
+        )
+        assert len(findings) == 1
+        assert "FAST" in findings[0].message
+        assert findings[0].line == 2  # anchored at the first binding
+
+
+class TestRep012AllSpellings:
+    def test_annotated_all_is_checked(self):
+        findings = _rep012(
+            {"src/repro/mod.py": '__all__: list = ["a"]\na = 1\nb = 2\n'}
+        )
+        assert len(findings) == 1
+        assert "'b'" in findings[0].message
+        assert findings[0].line == 3
+
+    def test_dynamic_all_skips_even_an_undefined_literal_name(self):
+        assert _rep012(
+            {"src/repro/mod.py": '__all__ = ["gone"]\n__all__ += extra.__all__\n'}
+        ) == []
+
+    def test_augmented_all_alone_is_not_checked(self):
+        assert _rep012(
+            {"src/repro/mod.py": "__all__ += []\npublic = 1\n"}
+        ) == []

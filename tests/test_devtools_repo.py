@@ -7,57 +7,32 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.devtools import check_paths, load_baseline
+from repro.devtools import analyze, load_baseline
 from repro.devtools.engine import baseline_from_findings
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_BASELINE = ROOT / "check-baseline.json"
 
-#: One violation per rule.  Each value is a tuple of (path, source)
-#: pairs because the project rules (REP011+) need more than one file to
-#: misbehave; the *first* pair is always the file the finding lands in.
+#: One violation per rule: rule id -> (path, source) of the file it fires in.
 SEEDED_VIOLATIONS = {
-    "REP001": (("src/repro/analysis/bad_defaults.py", "def f(x: int = None):\n    return x\n"),),
-    "REP002": (("src/repro/engine/bad_fold.py", "outbox[indices] += messages\n"),),
-    "REP003": (("src/repro/session/bad_shm.py", "shm = SharedMemory(create=True, size=64)\n"),),
+    "REP001": ("src/repro/analysis/bad_defaults.py", "def f(x: int = None):\n    return x\n"),
+    "REP002": ("src/repro/engine/bad_fold.py", "outbox[indices] += messages\n"),
+    "REP003": ("src/repro/session/bad_shm.py", "shm = SharedMemory(create=True, size=64)\n"),
     "REP004": (
-        (
-            "src/repro/serve/bad_async.py",
-            "async def handler(request):\n    time.sleep(0.1)\n",
-        ),
+        "src/repro/serve/bad_async.py",
+        "async def handler(request):\n    time.sleep(0.1)\n",
     ),
-    "REP006": (("src/repro/analysis/bad_names.py", 'ok = name == "pr"\n'),),
-    "REP007": (
-        (
-            "src/repro/engine/bad_except.py",
-            "try:\n    route(target)\nexcept KeyError:\n    pass\n",
-        ),
-    ),
-    "REP008": (("src/repro/datasets/bad_random.py", "rng = np.random.default_rng()\n"),),
-    "REP009": (
-        (
-            "src/repro/ooc/bad_materialize.py",
-            "pairs = list(graph.edge_pairs())\n",
-        ),
-    ),
+    "REP009": ("src/repro/ooc/bad_materialize.py", "pairs = list(graph.edge_pairs())\n"),
     "REP010": (
-        (
-            "src/repro/engine/bad_handle.py",
-            "def f(path, cond):\n"
-            "    handle = open(path)\n"
-            "    if cond:\n"
-            "        return None\n"
-            "    handle.close()\n"
-            "    return 1\n",
-        ),
+        "src/repro/engine/bad_handle.py",
+        "def f(path, cond):\n"
+        "    handle = open(path)\n"
+        "    if cond:\n"
+        "        return None\n"
+        "    handle.close()\n"
+        "    return 1\n",
     ),
-    "REP011": (
-        ("src/repro/cycle_a.py", "from repro.cycle_b import beta\nalpha = 1\n"),
-        ("src/repro/cycle_b.py", "from repro.cycle_a import alpha\nbeta = 2\n"),
-    ),
-    "REP012": (("src/repro/analysis/bad_exports.py", '__all__ = ["missing"]\n'),),
-    "REP013": (("src/repro/metrics/bad_dead.py", "def _stranded():\n    return 1\n"),),
-    "REP014": (("src/repro/partitioning/registry.py", '_FACTORIES = {"XYZ": None}\n'),),
+    "REP012": ("src/repro/analysis/bad_exports.py", '__all__ = ["missing"]\n'),
 }
 
 
@@ -66,37 +41,37 @@ def _repo_targets():
 
 
 def _seed_tree(root: Path) -> None:
-    for pairs in SEEDED_VIOLATIONS.values():
-        for rel_path, source in pairs:
-            target = root / rel_path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(source)
+    for rel_path, source in SEEDED_VIOLATIONS.values():
+        target = root / rel_path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+
+
+def _write_seeded_baseline(root: Path, capsys) -> Path:
+    _seed_tree(root)
+    baseline = root / "baseline.json"
+    assert main(["check", str(root), "--baseline", str(baseline), "--write-baseline"]) == 0
+    capsys.readouterr()
+    return baseline
 
 
 @pytest.fixture(scope="module")
 def repo_analysis():
     """One whole-repo analysis, shared by the tests that only read it."""
-    return check_paths(_repo_targets())
+    return analyze(_repo_targets(), root=ROOT)
 
 
 class TestRepoAtHead:
     def test_repo_is_clean(self, repo_analysis):
-        findings, files_checked = repo_analysis
-        assert files_checked > 100
+        assert repo_analysis.files_checked > 100
+        findings = repo_analysis.findings
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_shipped_baseline_is_exact(self, repo_analysis):
         # The baseline must mirror the tree exactly: no un-baselined
         # findings and no stale grandfathered entries.
-        findings, _ = repo_analysis
         shipped = load_baseline(SHIPPED_BASELINE)
-        assert shipped.entries == baseline_from_findings(findings).entries
-
-    def test_cli_exits_zero_at_head(self, capsys):
-        paths = [str(p) for p in _repo_targets()]
-        code = main(["check", *paths, "--baseline", str(SHIPPED_BASELINE)])
-        assert code == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert shipped.entries == baseline_from_findings(repo_analysis.findings).entries
 
 
 class TestSeededViolationTree:
@@ -128,36 +103,67 @@ class TestSeededViolationTree:
         assert {f["rule"] for f in document["findings"]} == {"REP001", "REP004"}
 
     def test_write_baseline_then_check_passes(self, tmp_path, capsys):
-        _seed_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["check", str(tmp_path), "--baseline", str(baseline), "--write-baseline"]) == 0
-        capsys.readouterr()
+        baseline = _write_seeded_baseline(tmp_path, capsys)
         code = main(["check", str(tmp_path), "--baseline", str(baseline)])
         out = capsys.readouterr().out
         assert code == 0
         assert f"{len(SEEDED_VIOLATIONS)} baselined" in out
 
     def test_fixing_a_baselined_violation_reports_stale_entry(self, tmp_path, capsys):
-        _seed_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main(["check", str(tmp_path), "--baseline", str(baseline), "--write-baseline"])
-        (tmp_path / SEEDED_VIOLATIONS["REP008"][0][0]).write_text("rng = np.random.default_rng(seed)\n")
-        capsys.readouterr()
+        baseline = _write_seeded_baseline(tmp_path, capsys)
+        (tmp_path / SEEDED_VIOLATIONS["REP001"][0]).write_text(
+            "def f(x: Optional[int] = None):\n    return x\n"
+        )
         code = main(
             ["check", str(tmp_path), "--baseline", str(baseline), "--format", "json"]
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert len(document["stale_baseline"]) == 1
-        assert document["stale_baseline"][0].startswith("REP008:")
+        assert document["stale_baseline"][0].startswith("REP001:")
+
+    def test_rule_selection_leaves_other_rules_entries_alone(self, tmp_path, capsys):
+        baseline = _write_seeded_baseline(tmp_path, capsys)
+        code = main(
+            ["check", str(tmp_path), "--baseline", str(baseline), "--rule", "REP001"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "1 baselined" in captured.out
+        assert "stale baseline entry" not in captured.err
+
+    def test_path_subset_leaves_other_files_entries_alone(self, tmp_path, capsys):
+        baseline = _write_seeded_baseline(tmp_path, capsys)
+        subset = tmp_path / "src" / "repro" / "analysis"
+        code = main(["check", str(subset), "--baseline", str(baseline)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "2 baselined" in captured.out  # REP001 and REP012 live there
+        assert "stale baseline entry" not in captured.err
+
+    def test_restricted_run_still_reports_its_own_stale_entries(self, tmp_path, capsys):
+        baseline = _write_seeded_baseline(tmp_path, capsys)
+        (tmp_path / SEEDED_VIOLATIONS["REP001"][0]).write_text("x = 1\n")
+        subset = tmp_path / "src" / "repro" / "analysis"
+        code = main(
+            [
+                "check", str(subset), "--baseline", str(baseline),
+                "--rule", "REP001", "--format", "json",
+            ]
+        )
+        assert code == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [entry.split(":")[0] for entry in document["stale_baseline"]] == ["REP001"]
 
 
 class TestCliSurface:
     def test_list_rules_prints_the_table(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
+        surviving = {1, 2, 3, 4, 9, 10, 12}  # the other ids are retired, never reused
         for index in range(1, 15):
-            assert (f"REP{index:03d}" in out) == (index != 5)  # id 5 is retired, never reused
+            assert (f"REP{index:03d}" in out) == (index in surviving)
+        assert "scope" not in out
 
     def test_unknown_rule_id_is_a_usage_error(self, capsys):
         assert main(["check", "--rule", "REP999"]) == 2
