@@ -10,6 +10,7 @@ from repro.devtools.engine import (
     all_rules,
     analyze,
     apply_baseline,
+    baseline_from_findings,
     iter_python_files,
     noqa_lines,
     select_rules,
@@ -108,6 +109,22 @@ class TestNoqaLines:
         source = "def broken(:\n    x = 1  # repro: noqa\n"
         assert noqa_lines(source) == {2: None}
 
+    def test_ids_are_case_insensitive_and_space_tolerant(self):
+        source = "x = 1  # REPRO:NOQA[rep001 ,  Rep010]\n"
+        assert noqa_lines(source) == {1: frozenset({"REP001", "REP010"})}
+
+    def test_each_marker_is_keyed_by_its_own_line(self):
+        source = "a = 1  # repro: noqa\nb = 2\nc = 3  # repro: noqa[REP004]\n"
+        assert noqa_lines(source) == {1: None, 3: frozenset({"REP004"})}
+
+    def test_plain_comments_and_other_linters_markers_suppress_nothing(self):
+        source = "a = 1  # noqa: F401\nb = 2  # repro: keep\n"
+        assert noqa_lines(source) == {}
+
+    def test_marker_inside_a_multiline_string_is_data(self):
+        source = 'DOC = """\n# repro: noqa[REP001]\n"""\n'
+        assert noqa_lines(source) == {}
+
 
 class TestFindings:
     def test_finding_carries_location_and_snippet(self):
@@ -157,6 +174,22 @@ class TestBaseline:
         new, baselined, stale = apply_baseline([], load_baseline(baseline_path))
         assert new == [] and baselined == 0
         assert len(stale) == 1 and stale[0].startswith("REP001:")
+
+    def test_duplicate_findings_spend_the_entry_count(self):
+        twice = VIOLATION + "\n\n" + VIOLATION.replace("f(", "g(")
+        findings = check_source(twice, path="src/repro/pkg/mod.py")
+        baseline = baseline_from_findings(findings[:1])
+        new, baselined, stale = apply_baseline(findings + findings[:1], baseline)
+        assert baselined == 1 and stale == []
+        assert new == findings[1:] + findings[:1]
+
+    def test_restricted_run_matches_a_path_holding_a_colon(self):
+        (finding,) = check_source(VIOLATION, path="src/repro/odd:name.py")
+        baseline = baseline_from_findings([finding])
+        _, _, stale = apply_baseline([], baseline, paths=["src/repro/odd:name.py"])
+        assert stale == [finding.fingerprint()]
+        _, _, stale = apply_baseline([], baseline, paths=["src/repro/odd.py"])
+        assert stale == []
 
     def test_malformed_baseline_raises(self, tmp_path):
         bad = tmp_path / "baseline.json"

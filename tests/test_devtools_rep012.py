@@ -128,3 +128,35 @@ class TestRep012AllSpellings:
         assert _rep012(
             {"src/repro/mod.py": "__all__ += []\npublic = 1\n"}
         ) == []
+
+
+class TestRep012TopLevelScan:
+    """Only statements the module runs at import time bind its names."""
+
+    def test_function_scope_imports_do_not_define_an_export(self):
+        findings = _rep012(
+            {
+                "src/repro/mod.py": (
+                    '__all__ = ["run", "json"]\n\n\n'
+                    "def run():\n    import json\n    return json\n"
+                )
+            }
+        )
+        assert len(findings) == 1
+        assert "'json'" in findings[0].message and findings[0].line == 1
+
+    def test_relative_imports_bind_their_alias(self):
+        assert _rep012(
+            {
+                "src/repro/pkg/mod.py": (
+                    "from . import sibling\nfrom ..core import graph as g\n\n"
+                    '__all__ = ["sibling", "g"]\n'
+                )
+            }
+        ) == []
+
+    def test_tuple_assignment_binds_every_name(self):
+        findings = _rep012(
+            {"src/repro/mod.py": '__all__ = ["a"]\na, (b, _c) = 1, (2, 3)\n'}
+        )
+        assert ["'b'" in f.message for f in findings] == [True]

@@ -1,5 +1,7 @@
 """Repo-wide gate: HEAD is clean, the shipped baseline is exact, and a
-tree seeded with one violation per rule fails through the real CLI."""
+tree seeded with one violation per rule fails through the real CLI.
+Each surviving rule's seeded violation also goes through noqa, rule
+selection, path scope, the baseline and the documentation one by one."""
 
 import json
 from pathlib import Path
@@ -7,11 +9,18 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.devtools import analyze, load_baseline
-from repro.devtools.engine import baseline_from_findings
+from repro.devtools import analyze, check_source, load_baseline
+from repro.devtools.engine import (
+    all_rules,
+    apply_baseline,
+    baseline_from_findings,
+    select_rules,
+)
+from repro.devtools.runner import list_rules_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_BASELINE = ROOT / "check-baseline.json"
+CONTRIBUTING = ROOT / "CONTRIBUTING.md"
 
 #: One violation per rule: rule id -> (path, source) of the file it fires in.
 SEEDED_VIOLATIONS = {
@@ -34,6 +43,19 @@ SEEDED_VIOLATIONS = {
     ),
     "REP012": ("src/repro/analysis/bad_exports.py", '__all__ = ["missing"]\n'),
 }
+
+
+#: Rules that only check some files; REP001 applies everywhere.
+SCOPED_RULES = [rule_id for rule_id in SEEDED_VIOLATIONS if rule_id != "REP001"]
+
+
+def _seeded_findings(rule_id, source=None):
+    rel_path, seeded = SEEDED_VIOLATIONS[rule_id]
+    return check_source(seeded if source is None else source, path=rel_path)
+
+
+def _other_rule(rule_id):
+    return next(other for other in SEEDED_VIOLATIONS if other != rule_id)
 
 
 def _repo_targets():
@@ -186,3 +208,86 @@ class TestCliSurface:
         _seed_tree(tmp_path)
         assert main(["check", str(tmp_path), "--write-baseline"]) == 2
         assert "--baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule_id", list(SEEDED_VIOLATIONS))
+class TestEachSurvivingRule:
+    def test_seeded_source_fires_only_its_rule_once(self, rule_id):
+        assert [f.rule for f in _seeded_findings(rule_id)] == [rule_id]
+
+    def test_noqa_for_the_rule_on_the_finding_line_silences_it(self, rule_id):
+        (finding,) = _seeded_findings(rule_id)
+        lines = SEEDED_VIOLATIONS[rule_id][1].splitlines()
+        lines[finding.line - 1] += f"  # repro: noqa[{rule_id}]"
+        assert _seeded_findings(rule_id, "\n".join(lines) + "\n") == []
+
+    def test_noqa_for_another_rule_leaves_it(self, rule_id):
+        (finding,) = _seeded_findings(rule_id)
+        lines = SEEDED_VIOLATIONS[rule_id][1].splitlines()
+        lines[finding.line - 1] += f"  # repro: noqa[{_other_rule(rule_id)}]"
+        assert [f.rule for f in _seeded_findings(rule_id, "\n".join(lines) + "\n")] == [rule_id]
+
+    def test_selecting_another_rule_hides_it(self, rule_id):
+        rel_path, source = SEEDED_VIOLATIONS[rule_id]
+        others = [other for other in SEEDED_VIOLATIONS if other != rule_id]
+        assert check_source(source, path=rel_path, rules=select_rules(others)) == []
+        selected = check_source(source, path=rel_path, rules=select_rules([rule_id]))
+        assert [f.rule for f in selected] == [rule_id]
+
+    def test_fingerprint_survives_a_line_shift(self, rule_id):
+        (before,) = _seeded_findings(rule_id)
+        shifted = "# header\n\n" + SEEDED_VIOLATIONS[rule_id][1]
+        (after,) = _seeded_findings(rule_id, shifted)
+        assert after.line == before.line + 2
+        assert after.fingerprint() == before.fingerprint()
+        assert after.fingerprint().startswith(f"{rule_id}:{SEEDED_VIOLATIONS[rule_id][0]}:")
+
+    def test_baseline_grandfathers_it_and_flags_it_stale_once_fixed(self, rule_id):
+        findings = _seeded_findings(rule_id)
+        baseline = baseline_from_findings(findings)
+        assert apply_baseline(findings, baseline) == ([], 1, [])
+        assert apply_baseline([], baseline) == ([], 0, [findings[0].fingerprint()])
+
+    def test_a_run_that_could_not_see_it_keeps_its_entry(self, rule_id):
+        rel_path = SEEDED_VIOLATIONS[rule_id][0]
+        baseline = baseline_from_findings(_seeded_findings(rule_id))
+        other_rule = _other_rule(rule_id)
+        assert apply_baseline([], baseline, rule_ids=[other_rule]) == ([], 0, [])
+        assert apply_baseline([], baseline, paths=["src/repro/elsewhere.py"]) == ([], 0, [])
+        _, _, stale = apply_baseline([], baseline, rule_ids=[rule_id], paths=[rel_path])
+        assert len(stale) == 1
+
+    def test_statistics_count_it_once(self, rule_id, tmp_path, capsys):
+        rel_path, source = SEEDED_VIOLATIONS[rule_id]
+        target = tmp_path / rel_path
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+        code = main(["check", str(tmp_path), "--statistics", "--format", "json"])
+        assert code == 1
+        per_rule = json.loads(capsys.readouterr().out)["statistics"]["per_rule"]
+        assert per_rule[rule_id] == {"findings": 1, "files": 1}
+        assert all(
+            counts == {"findings": 0, "files": 0}
+            for other, counts in per_rule.items()
+            if other != rule_id
+        )
+
+    def test_is_listed_and_documented(self, rule_id):
+        meta = all_rules()[rule_id]
+        assert meta.description and meta.rationale
+        (row,) = [row for row in list_rules_rows() if row["rule"] == rule_id]
+        assert row == {"rule": rule_id, "severity": meta.severity, "description": meta.description}
+        headings = [
+            line for line in CONTRIBUTING.read_text(encoding="utf-8").splitlines()
+            if line.startswith("### ") and rule_id in line
+        ]
+        assert len(headings) == 1 and "retired" not in headings[0]
+        assert f"({meta.severity})" in headings[0]
+
+
+@pytest.mark.parametrize("rule_id", SCOPED_RULES)
+def test_scoped_rule_skips_files_outside_its_scope(rule_id):
+    source = SEEDED_VIOLATIONS[rule_id][1]
+    for rel_path in ("examples/demo.py", "tests/test_demo.py", "benchmarks/bench_demo.py"):
+        assert not all_rules()[rule_id].applies(rel_path)
+        assert check_source(source, path=rel_path) == []

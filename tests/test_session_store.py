@@ -336,6 +336,14 @@ class TestStoreMaintenance:
         with pytest.raises(AnalysisError):
             store.clear(kind="everything")
 
+    def test_removed_checks_kind_is_unknown(self, store):
+        # The static checker no longer caches per-file results here.
+        with pytest.raises(AnalysisError, match="checks"):
+            store.stats("checks")
+        with pytest.raises(AnalysisError, match="checks"):
+            store.clear(kind="checks")
+        assert "checks" not in store.info().as_dict()
+
     def test_clear_sweeps_orphaned_temp_files(self, store):
         # A writer killed between create and rename leaves a .part orphan;
         # it must not count as an artifact, but clear() must reclaim it.
