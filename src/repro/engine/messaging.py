@@ -57,6 +57,7 @@ __all__ = [
     "ArrayMessageKernel",
     "TripletArrays",
     "active_edge_mask",
+    "message_slots",
     "triplet_scan",
 ]
 
@@ -257,6 +258,28 @@ def active_edge_mask(
     )
 
 
+def message_slots(kernel, endpoint_slot, layout, edges, dst_idx, target_idx, slot_vertex):
+    """The replica slot of each message of triplets ``edges``: the
+    destination's if ``target_idx`` is the triplet's ``dst_idx``, else the
+    source's (neither is an :class:`EngineError`).  Triplet ``e``'s source
+    slot is ``endpoint_slot[e * step]``, its destination's ``dst_offset``
+    later; ``(step, dst_offset) = layout`` is ``(2, 1)`` for
+    :class:`TripletArrays`, ``(1, E)`` for a shard's ``(2, E)`` edges."""
+    step, dst_offset = layout
+    endpoint = edges * step
+    endpoint += (target_idx == dst_idx) * dst_offset
+    slot = endpoint_slot[endpoint].astype(np.intp)
+    stray = np.flatnonzero(slot_vertex[slot] != target_idx)
+    if stray.size:
+        raise EngineError(
+            f"{type(kernel).__name__}.send_message_array addressed {stray.size} "
+            "messages to vertices that are not an endpoint of their triplet (first: "
+            f"vertex index {int(target_idx[stray[0]])} from triplet {int(edges[stray[0]])}); "
+            "use the scalar loop for arbitrary targets"
+        )
+    return slot
+
+
 def triplet_scan(
     trip: TripletArrays,
     kernel: ArrayMessageKernel,
@@ -290,17 +313,9 @@ def triplet_scan(
     def plan_slots(edges, dst_idx, target_idx):
         """Group the messages of triplets ``edges`` by outbox slot and by
         target without sorting: ascending slot order is partition-major."""
-        endpoint = edges * 2
-        endpoint += target_idx == dst_idx
-        slot = trip.endpoint_slot[endpoint].astype(np.intp)
-        if not np.array_equal(trip.slot_vertex[slot], target_idx):
-            stray = np.flatnonzero(trip.slot_vertex[slot] != target_idx)
-            raise EngineError(
-                f"{type(kernel).__name__}.send_message_array addressed {stray.size} "
-                "messages to vertices that are not an endpoint of their triplet (first: "
-                f"vertex index {int(target_idx[stray[0]])} from triplet {int(edges[stray[0]])}); "
-                "use the scalar loop for arbitrary targets"
-            )
+        slot = message_slots(
+            kernel, trip.endpoint_slot, (2, 1), edges, dst_idx, target_idx, trip.slot_vertex
+        )
         slot_mark[slot] = True
         slots = np.flatnonzero(slot_mark)
         slot_mark[slots] = False

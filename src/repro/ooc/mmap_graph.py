@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import mmap
 import zipfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -104,8 +104,8 @@ class _ShardVertexTable:
 class ShardEdgePartition:
     """One partition's edges, memory-mapped from its shard sidecar.
 
-    ``local_triplets()`` returns the on-disk ``(2, edges)`` array's rows as
-    read-only views straight out of ``np.load(mmap_mode="r")`` — the pages
+    ``local_triplets()`` returns the on-disk ``(2, edges)`` array as a
+    read-only view straight out of ``np.load(mmap_mode="r")`` — the pages
     are faulted in as the engine scans them and dropped again by
     :meth:`release`, so resident memory never exceeds the pages of the
     partition currently being processed.
@@ -132,18 +132,18 @@ class ShardEdgePartition:
     def num_vertices(self) -> int:
         return int(self.vertex_ids.size)
 
-    def local_triplets(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The partition's edges as indices into its ``vertex_ids`` mirror list.
+    def local_triplets(self) -> np.ndarray:
+        """The partition's ``(2, edges)`` sources and destinations as indices
+        into its ``vertex_ids`` mirror list (so, its replica slots).
 
         Served from the memory-mapped sidecar: read-only, stable across
         calls until :meth:`release`.
         """
         if self._num_edges == 0 or self.path is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return np.empty((2, 0), dtype=np.int64)
         if self._mapped is None:
             self._mapped = np.load(self.path, mmap_mode="r")
-        return self._mapped[0], self._mapped[1]
+        return self._mapped
 
     def release(self) -> None:
         """Drop the mapping (and ask the kernel to evict its pages)."""
@@ -194,6 +194,7 @@ class ShardedGraph:
         self.strategy_name = strategy_name
         self.chunk_edges = int(chunk_edges)
         self._routing: Optional[RoutingTable] = None
+        self._mirror_maps: Optional[List[np.ndarray]] = None
         self._triplets: Optional[TripletArrays] = None
 
     @property
@@ -206,6 +207,18 @@ class ShardedGraph:
                 all_vertex_ids=self.graph.vertex_ids,
             )
         return self._routing
+
+    def mirror_maps(self) -> List[np.ndarray]:
+        """Every partition's replica slot -> dense vertex index map: one
+        ``searchsorted`` over all R membership pairs, in the narrowest
+        integer dtype, cached."""
+        if self._mirror_maps is None:
+            ids = self.graph.vertex_ids
+            dense = np.searchsorted(ids, np.concatenate([p.vertex_ids for p in self.partitions]))
+            dense = dense.astype(np.min_scalar_type(max(ids.size - 1, 0)))
+            bounds = np.cumsum([p.num_vertices for p in self.partitions])
+            self._mirror_maps = np.split(dense, bounds[:-1])
+        return self._mirror_maps
 
     def triplets(self) -> TripletArrays:
         """Dense triplet arrays — materialises every partition in RAM.
@@ -226,11 +239,8 @@ class ShardedGraph:
             )
         return self._triplets
 
-    def stream_scan(self, master_of, kernel, executor_of, active_direction, always_active):
-        """The scan strategy ``pregel`` drives while :attr:`stream_supersteps` is set."""
-        return stream_scan(
-            self, master_of, kernel, executor_of, active_direction, always_active
-        )
+    #: The scan strategy ``pregel`` drives while :attr:`stream_supersteps` is set.
+    stream_scan = stream_scan
 
     @property
     def dataset_bytes(self) -> int:

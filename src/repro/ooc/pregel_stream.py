@@ -3,24 +3,23 @@
 :func:`repro.engine.pregel.pregel` owns the superstep loop (its module
 docstring has the one-driver / three-scans split and the bit-identity
 argument); for a :class:`~repro.ooc.mmap_graph.ShardedGraph` it drives the
-scan built here, which holds only one bounded edge chunk in RAM at a time:
-it walks the shard partitions in ascending id, streams each partition's
-mmapped triplets in ``chunk_edges`` slices and folds the messages into a
-per-partition dense accumulator.
-
-That accumulator *is* the partition's outbox — element ``t`` is slot
-``(partition, t)`` — so the fold orders the argument needs are kept.  The
-one requirement is that the kernel's ``send_message_array`` is elementwise
-(a subsequence of edges yields the subsequence of messages), which holds
-for every shipped kernel — it is the same property the shm-pool scan
-relies on.
+scan built here, which walks the shard partitions in ascending id and
+streams each one's mmapped triplets in ``chunk_edges`` slices.  A shard
+stores endpoints as the partition's replica slots, so pass 1 folds each
+message into its slot in emission order and pass 2 merges the touched
+slots, ascending, into the superstep's accumulator: the in-process fold
+orders, given an elementwise ``send_message_array`` (a subsequence of
+edges yields the subsequence of messages; every shipped kernel is one).
+Memory beyond one chunk: the graph's R mirror-map entries, one pass-1
+scratch per run sized to the largest partition's mirror count, and one
+V-sized accumulator per superstep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.messaging import ArrayMessageKernel, active_edge_mask
+from ..engine.messaging import ArrayMessageKernel, active_edge_mask, message_slots
 from .chunks import DEFAULT_CHUNK_EDGES
 
 __all__ = ["stream_scan"]
@@ -38,76 +37,67 @@ def stream_scan(
 
     Same contract as :func:`repro.engine.messaging.triplet_scan`.
     """
-    vertex_ids = pgraph.graph.vertex_ids
-    num_vertices = int(vertex_ids.size)
+    num_vertices = int(pgraph.graph.num_vertices)
     num_partitions = int(pgraph.num_partitions)
     chunk_edges = max(1, int(getattr(pgraph, "chunk_edges", DEFAULT_CHUNK_EDGES)))
+    mirror_maps = pgraph.mirror_maps()
+    # This run's pass-1 scratch, reset after each partition (runs on one
+    # graph may overlap in threads, so it is not shared).
+    width = max((m.size for m in mirror_maps), default=0)
+    outbox = kernel.identity_array(width)
+    touched = np.zeros(width, dtype=bool)
 
     def scan(active, state):
-        merged_dense = kernel.identity_array(num_vertices)
+        merged = kernel.identity_array(num_vertices)
         received = np.zeros(num_vertices, dtype=bool)
         scanned_counts = np.zeros(num_partitions, dtype=np.int64)
         slot_counts = np.zeros(num_partitions, dtype=np.int64)
-        shuffle_remote = 0
-        shuffle_local = 0
+        shuffle_remote = shuffle_local = 0
 
-        for partition in pgraph.partitions:
-            if partition.num_edges == 0:
+        for partition, mirror_map in zip(pgraph.partitions, mirror_maps):
+            num_edges, pid = partition.num_edges, partition.partition_id
+            if num_edges == 0:
                 continue
-            pid = partition.partition_id
-            mirror_to_global = np.searchsorted(vertex_ids, partition.vertex_ids)
-            local_src, local_dst = partition.local_triplets()
-            acc = kernel.identity_array(num_vertices)
-            received_p = np.zeros(num_vertices, dtype=bool)
-
-            for start in range(0, partition.num_edges, chunk_edges):
-                stop = min(start + chunk_edges, partition.num_edges)
-                src_idx = mirror_to_global[local_src[start:stop]]
-                dst_idx = mirror_to_global[local_dst[start:stop]]
+            slot_vertex = mirror_map.astype(np.intp)
+            local = partition.local_triplets()
+            for start in range(0, num_edges, chunk_edges):
+                src_idx = slot_vertex[local[0, start:start + chunk_edges]]
+                dst_idx = slot_vertex[local[1, start:start + chunk_edges]]
                 if not always_active:
-                    mask = active_edge_mask(
-                        active, src_idx, dst_idx, active_direction
+                    picked = np.flatnonzero(
+                        active_edge_mask(active, src_idx, dst_idx, active_direction)
                     )
-                    src_idx = src_idx[mask]
-                    dst_idx = dst_idx[mask]
-                count = int(src_idx.size)
-                scanned_counts[pid] += count
-                if count == 0:
+                    src_idx, dst_idx = src_idx[picked], dst_idx[picked]
+                scanned_counts[pid] += src_idx.size
+                if src_idx.size == 0:
                     continue
-                _positions, target_idx, messages = kernel.send_message_array(
+                positions, target_idx, messages = kernel.send_message_array(
                     src_idx, dst_idx, state
                 )
-                if target_idx.size:
-                    # Emission-order left fold: per slot this is the exact
-                    # operation sequence of the in-process outbox pass.
-                    kernel.merge_ufunc.at(acc, target_idx, messages)
-                    received_p[target_idx] = True
-
-            p_targets = np.flatnonzero(received_p)
-            if p_targets.size:
-                slot_counts[pid] = p_targets.size
-                masters_p = master_of[p_targets]
-                shipped = masters_p != pid
-                if shipped.any():
-                    remote = int(
-                        (executor_of[pid] != executor_of[masters_p[shipped]]).sum()
-                    )
-                    shuffle_remote += remote
-                    shuffle_local += int(shipped.sum()) - remote
-                # Ascending-partition merge into the global accumulator:
-                # pass 2 of the in-process fold (slots are partition-major).
-                kernel.merge_ufunc.at(merged_dense, p_targets, acc[p_targets])
-                received |= received_p
+                edges = positions if always_active else picked[positions]
+                slot = message_slots(
+                    kernel, local.reshape(-1), (1, num_edges), edges + start,
+                    dst_idx[positions], target_idx, slot_vertex,
+                )
+                kernel.merge_ufunc.at(outbox, slot, messages)
+                touched[slot] = True
             partition.release()
 
+            slots = np.flatnonzero(touched[:slot_vertex.size])
+            slot_counts[pid] = slots.size
+            targets = slot_vertex[slots]
+            masters = master_of[targets]
+            shipped = masters != pid
+            remote = int(np.count_nonzero(executor_of[masters[shipped]] != executor_of[pid]))
+            shuffle_remote += remote
+            shuffle_local += int(np.count_nonzero(shipped)) - remote
+            # Ascending slots are ascending targets; partitions merge in id order.
+            kernel.merge_ufunc.at(merged, targets, outbox[slots])
+            received[targets] = True
+            outbox[slots] = kernel.merge_identity
+            touched[slots] = False
+
         targets = np.flatnonzero(received)
-        return (
-            targets,
-            merged_dense[targets],
-            scanned_counts,
-            slot_counts,
-            shuffle_remote,
-            shuffle_local,
-        )
+        return targets, merged[targets], scanned_counts, slot_counts, shuffle_remote, shuffle_local
 
     return scan

@@ -33,8 +33,10 @@ from repro.engine.pregel import (
     pregel,
 )
 from repro.errors import EngineError
+from repro.ooc import GraphChunkSource, ingest_source
 from repro.partitioning.membership import segment_arange
 from repro.partitioning.registry import available_partitioners
+from repro.session.store import ArtifactStore
 
 SETTINGS = settings(
     max_examples=60,
@@ -222,8 +224,20 @@ class _StrayKernel(ConnectedComponentsKernel):
         return positions, (dst_idx + 1) % state.size, state[src_idx]
 
 
-def test_messaging_a_non_endpoint_is_a_named_error(small_social_graph):
-    pgraph = PartitionedGraph.partition(small_social_graph, "2D", 4)
+@pytest.mark.parametrize("scan", ["in-process", "stream"])
+def test_messaging_a_non_endpoint_is_a_named_error(scan, small_social_graph, tmp_path):
+    # Both scans pick the endpoint through ``messaging.message_slots``.
+    if scan == "stream":
+        pgraph, _ = ingest_source(
+            ArtifactStore(tmp_path / "store"),
+            GraphChunkSource(small_social_graph, chunk_edges=64),
+            "2D",
+            4,
+            chunk_edges=64,
+        )
+        assert pgraph.stream_supersteps
+    else:
+        pgraph = PartitionedGraph.partition(small_social_graph, "2D", 4)
     values = {int(v): int(v) for v in small_social_graph.vertex_ids.tolist()}
     with pytest.raises(EngineError, match="not an endpoint of their triplet"):
         pregel(
