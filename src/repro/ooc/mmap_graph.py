@@ -210,14 +210,13 @@ class ShardedGraph:
 
     def mirror_maps(self) -> List[np.ndarray]:
         """Every partition's replica slot -> dense vertex index map: one
-        ``searchsorted`` over all R membership pairs, in the narrowest
+        ``searchsorted`` over the R membership pairs, in the narrowest
         integer dtype, cached."""
         if self._mirror_maps is None:
             ids = self.graph.vertex_ids
-            dense = np.searchsorted(ids, np.concatenate([p.vertex_ids for p in self.partitions]))
-            dense = dense.astype(np.min_scalar_type(max(ids.size - 1, 0)))
-            bounds = np.cumsum([p.num_vertices for p in self.partitions])
-            self._mirror_maps = np.split(dense, bounds[:-1])
+            mirrors, bounds = self.membership.partition_major()
+            dense = np.searchsorted(ids, mirrors).astype(np.min_scalar_type(max(ids.size - 1, 0)))
+            self._mirror_maps = np.split(dense, bounds[1:-1])
         return self._mirror_maps
 
     def triplets(self) -> TripletArrays:

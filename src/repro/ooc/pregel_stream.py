@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.messaging import ArrayMessageKernel, active_edge_mask, message_slots
-from .chunks import DEFAULT_CHUNK_EDGES
 
 __all__ = ["stream_scan"]
 
@@ -39,7 +38,7 @@ def stream_scan(
     """
     num_vertices = int(pgraph.graph.num_vertices)
     num_partitions = int(pgraph.num_partitions)
-    chunk_edges = max(1, int(getattr(pgraph, "chunk_edges", DEFAULT_CHUNK_EDGES)))
+    chunk_edges = max(1, int(pgraph.chunk_edges))
     mirror_maps = pgraph.mirror_maps()
     # This run's pass-1 scratch, reset after each partition (runs on one
     # graph may overlap in threads, so it is not shared).
@@ -56,8 +55,6 @@ def stream_scan(
 
         for partition, mirror_map in zip(pgraph.partitions, mirror_maps):
             num_edges, pid = partition.num_edges, partition.partition_id
-            if num_edges == 0:
-                continue
             slot_vertex = mirror_map.astype(np.intp)
             local = partition.local_triplets()
             for start in range(0, num_edges, chunk_edges):
@@ -69,8 +66,6 @@ def stream_scan(
                     )
                     src_idx, dst_idx = src_idx[picked], dst_idx[picked]
                 scanned_counts[pid] += src_idx.size
-                if src_idx.size == 0:
-                    continue
                 positions, target_idx, messages = kernel.send_message_array(
                     src_idx, dst_idx, state
                 )

@@ -24,7 +24,7 @@ it into the seed's dict form for the routing table's ``replicas`` view
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -157,8 +157,9 @@ class VertexMembership:
         """Number of distinct vertices mirrored into each partition."""
         return np.bincount(self.pair_partition, minlength=self.num_partitions).astype(np.int64)
 
-    def vertices_of_partition(self, partition_id: int) -> np.ndarray:
-        """Sorted distinct vertices mirrored into ``partition_id``."""
+    def partition_major(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(vertices, bounds)``: every pair's vertex, partition-major and
+        ascending within a partition, which owns ``bounds[p]:bounds[p+1]``."""
         if self._by_partition is None:
             order = np.argsort(self.pair_partition, kind="stable")
             grouped = self.pair_vertex[order]
@@ -166,7 +167,11 @@ class VertexMembership:
                 self.pair_partition[order], np.arange(self.num_partitions + 1)
             )
             self._by_partition = (grouped, bounds)
-        grouped, bounds = self._by_partition
+        return self._by_partition
+
+    def vertices_of_partition(self, partition_id: int) -> np.ndarray:
+        """Sorted distinct vertices mirrored into ``partition_id``."""
+        grouped, bounds = self.partition_major()
         return grouped[bounds[partition_id]:bounds[partition_id + 1]]
 
     # ------------------------------------------------------------------
