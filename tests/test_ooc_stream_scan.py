@@ -11,7 +11,6 @@ to convergence, two runs' scans stepped alternately).
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import (
     choose_landmarks,
@@ -108,7 +107,7 @@ def test_a_zero_edge_partition_is_skipped_cleanly(tmp_path):
     loaded = [p.partition_id for p in sharded.partitions if p.num_edges]
     assert any(min(loaded) < pid < max(loaded) for pid in empty)
     pgraph = PartitionedGraph.partition(graph, "2D", 9)
-    for name, run in _algorithms(graph).items():
+    for run in _algorithms(graph).values():
         _assert_identical(run(sharded), run(pgraph))
 
 
@@ -116,7 +115,7 @@ def test_one_edge_chunks_match_in_memory(tmp_path, small_social_graph):
     sharded = _shard(tmp_path, small_social_graph, "CRVC", 7)
     sharded.chunk_edges = 1
     pgraph = PartitionedGraph.partition(small_social_graph, "CRVC", 7)
-    for name, run in _algorithms(small_social_graph).items():
+    for run in _algorithms(small_social_graph).values():
         _assert_identical(run(sharded), run(pgraph))
 
 
