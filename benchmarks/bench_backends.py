@@ -8,8 +8,7 @@ backend; this benchmark quantifies what the ``vectorized`` backend buys
 for real workloads: the acceptance bar is a >= 10x PageRank speedup on
 the largest catalog dataset.  (Since the simulator's own supersteps went
 array-native the margin is ~20x rather than the ~100x it enjoyed over
-the scalar loop; ``bench_pregel_vectorized.py`` tracks the scalar-vs-
-array gap inside the simulator itself.)
+the scalar loop.)
 """
 
 from __future__ import annotations

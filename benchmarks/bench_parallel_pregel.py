@@ -3,7 +3,7 @@
 Times the reference simulator's Pregel algorithms (PR, CC, SSSP) under
 the serial array-native superstep path and under the shared-memory
 parallel executor at 2 and 4 workers, and reports the speedups as a JSON
-document in the style of ``bench_pregel_vectorized.py``.  Every timed
+document in the style of ``bench_backends.py``.  Every timed
 pair is also checked for *identical* results: bit-identical vertex
 values and identical ``SuperstepRecord`` counters — a speedup only
 counts if the parallel path is indistinguishable from serial semantics.

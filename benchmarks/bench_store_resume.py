@@ -10,7 +10,7 @@ must be identical to the cold run's — a speedup only counts if resuming
 is indistinguishable from re-running — and the session's disk counters
 must prove zero partition builds.
 
-Like ``bench_pregel_vectorized.py`` this is a plain script so CI can
+Like ``bench_parallel_pregel.py`` this is a plain script so CI can
 exercise it cheaply::
 
     PYTHONPATH=src python benchmarks/bench_store_resume.py --quick

@@ -2,7 +2,7 @@
 
 from .connected_components import connected_components
 from .degrees import degree_count
-from .pagerank import pagerank, reference_pagerank
+from .pagerank import pagerank
 from .registry import (
     ALGORITHM_NAMES,
     algorithm_metric_of_interest,
@@ -31,7 +31,6 @@ __all__ = [
     "degree_count",
     "multi_source_distances",
     "pagerank",
-    "reference_pagerank",
     "run_algorithm",
     "shortest_paths",
     "total_triangles",

@@ -10,7 +10,6 @@ that makes fine-grained partitioning pay off in the paper's Figure 4.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -63,7 +62,6 @@ def connected_components(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
     parallel_workers: Optional[int] = None,
 ) -> AlgorithmResult:
     """Label every vertex with the smallest vertex id of its weak component.
@@ -76,37 +74,16 @@ def connected_components(
     iterations = max_iterations if max_iterations is not None else pgraph.graph.num_vertices + 1
 
     initial_values: Dict[int, int] = {int(v): int(v) for v in pgraph.graph.vertex_ids.tolist()}
-
-    def vertex_program(vertex, value, message):
-        if message is None or math.isinf(message):
-            return value
-        return min(value, int(message))
-
-    def send_message(src, src_value, dst, dst_value):
-        messages = []
-        if src_value < dst_value:
-            messages.append((dst, src_value))
-        elif dst_value < src_value:
-            messages.append((src, dst_value))
-        return messages
-
-    def merge_message(a, b):
-        return a if a < b else b
-
     result = pregel(
         pgraph,
         initial_values=initial_values,
-        initial_message=math.inf,
-        vertex_program=vertex_program,
-        send_message=send_message,
-        merge_message=merge_message,
         max_iterations=iterations,
         active_direction="either",
         cluster=cluster,
         cost_parameters=cost_parameters,
         edge_compute_units=_EDGE_UNITS,
         vertex_compute_units=_VERTEX_UNITS,
-        message_kernel=ConnectedComponentsKernel() if vectorized else None,
+        message_kernel=ConnectedComponentsKernel(),
         parallel_workers=parallel_workers,
     )
 

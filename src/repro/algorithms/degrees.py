@@ -60,7 +60,6 @@ def degree_count(
     direction: str = "out",
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
 ) -> AlgorithmResult:
     """Compute per-vertex in-, out- or total degree on the engine.
 
@@ -70,24 +69,14 @@ def degree_count(
     if direction not in ("out", "in", "both"):
         raise EngineError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
 
-    def send_message(src, src_value, dst, dst_value):
-        messages = []
-        if direction in ("out", "both"):
-            messages.append((src, 1))
-        if direction in ("in", "both"):
-            messages.append((dst, 1))
-        return messages
-
     values = {int(v): 0 for v in pgraph.graph.vertex_ids.tolist()}
     merged, report = aggregate_messages(
         pgraph,
         vertex_values=values,
-        send_message=send_message,
-        merge_message=lambda a, b: a + b,
         cluster=cluster,
         cost_parameters=cost_parameters,
         edge_compute_units=0.5,
-        message_kernel=DegreeKernel(direction) if vectorized else None,
+        message_kernel=DegreeKernel(direction),
     )
     values.update(merged)
     return AlgorithmResult(

@@ -23,7 +23,7 @@ from ..engine.pregel import pregel
 from ..errors import EngineError
 from .result import AlgorithmResult
 
-__all__ = ["pagerank", "reference_pagerank", "PageRankKernel"]
+__all__ = ["pagerank", "PageRankKernel"]
 
 #: Compute units charged per edge triplet (rank contribution is one multiply/add).
 _EDGE_UNITS = 1.0
@@ -84,17 +84,14 @@ def pagerank(
     reset_prob: float = 0.15,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
     parallel_workers: Optional[int] = None,
 ) -> AlgorithmResult:
     """Run static PageRank for ``num_iterations`` supersteps.
 
     Returns an :class:`AlgorithmResult` whose ``vertex_values`` map each
-    vertex to its (unnormalised) rank.  ``vectorized`` selects the engine's
-    array-native superstep path (bit-identical results; the scalar loop is
-    kept as the reference semantics), and ``parallel_workers >= 2`` fans the
-    vectorized supersteps out across a shared-memory process pool — again
-    bit-identical (see :mod:`repro.engine.parallel`).
+    vertex to its (unnormalised) rank.  ``parallel_workers >= 2`` fans the
+    supersteps out across a shared-memory process pool, bit-identically
+    (see :mod:`repro.engine.parallel`).
     """
     if num_iterations < 1:
         raise EngineError("num_iterations must be >= 1")
@@ -105,31 +102,9 @@ def pagerank(
     initial_values: Dict[int, Tuple[float, int]] = {
         v: (1.0, out_degrees[v]) for v in out_degrees
     }
-
-    damping = 1.0 - reset_prob
-
-    def vertex_program(vertex, value, message):
-        rank, degree = value
-        if message is None:
-            return value  # superstep 0: keep the initial rank
-        return (reset_prob + damping * message, degree)
-
-    def send_message(src, src_value, dst, dst_value):
-        rank, degree = src_value
-        if degree == 0:
-            return ()
-        return ((dst, rank / degree),)
-
-    def merge_message(a, b):
-        return a + b
-
     result = pregel(
         pgraph,
         initial_values=initial_values,
-        initial_message=None,
-        vertex_program=vertex_program,
-        send_message=send_message,
-        merge_message=merge_message,
         max_iterations=num_iterations,
         active_direction="either",
         cluster=cluster,
@@ -137,8 +112,7 @@ def pagerank(
         edge_compute_units=_EDGE_UNITS,
         vertex_compute_units=_VERTEX_UNITS,
         always_active=True,
-        default_message=0.0,
-        message_kernel=PageRankKernel(reset_prob) if vectorized else None,
+        message_kernel=PageRankKernel(reset_prob),
         parallel_workers=parallel_workers,
     )
 
@@ -149,26 +123,3 @@ def pagerank(
         num_supersteps=result.num_supersteps,
         report=result.report,
     )
-
-
-def reference_pagerank(
-    graph,
-    num_iterations: int = 10,
-    reset_prob: float = 0.15,
-) -> Dict[int, float]:
-    """Single-machine reference implementation used by the test suite.
-
-    Computes the same unnormalised update rule as :func:`pagerank` directly
-    on the edge list, with no partitioning or engine involved.
-    """
-    out_degrees = graph.out_degrees()
-    ranks = {v: 1.0 for v in out_degrees}
-    damping = 1.0 - reset_prob
-    for _ in range(num_iterations):
-        contributions = {v: 0.0 for v in ranks}
-        for src, dst in graph.edge_pairs():
-            degree = out_degrees[src]
-            if degree:
-                contributions[dst] += ranks[src] / degree
-        ranks = {v: reset_prob + damping * contributions[v] for v in ranks}
-    return ranks

@@ -53,19 +53,6 @@ _EDGE_UNITS = 1.0
 _VERTEX_UNITS = 0.5
 
 
-def _merge_maps(left: Dict[int, int], right: Dict[int, int]) -> Dict[int, int]:
-    """Key-wise minimum of two landmark->distance maps."""
-    merged = dict(left)
-    for landmark, distance in right.items():
-        if landmark not in merged or distance < merged[landmark]:
-            merged[landmark] = distance
-    return merged
-
-
-def _increment(distances: Dict[int, int]) -> Dict[int, int]:
-    return {landmark: distance + 1 for landmark, distance in distances.items()}
-
-
 class ShortestPathsKernel(ArrayMessageKernel):
     """Vectorised landmark maps: one float row per vertex (``inf`` marks an
     absent landmark entry), candidate rows ``dst + 1`` sent backwards along
@@ -129,61 +116,22 @@ def shortest_paths(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
     parallel_workers: Optional[int] = None,
 ) -> AlgorithmResult:
     """Compute hop distances from every vertex to each landmark it can reach."""
     landmark_list = [int(v) for v in landmarks]
     if not landmark_list:
         raise EngineError("at least one landmark vertex is required")
-    known = set(pgraph.graph.vertex_ids.tolist())
-    unknown = [v for v in landmark_list if v not in known]
-    if unknown:
-        raise EngineError(f"landmarks not present in the graph: {unknown}")
-
-    iterations = max_iterations if max_iterations is not None else pgraph.graph.num_vertices + 1
-    landmark_set = set(landmark_list)
-
-    initial_values: Dict[int, Dict[int, int]] = {
-        int(v): ({int(v): 0} if int(v) in landmark_set else {})
-        for v in pgraph.graph.vertex_ids.tolist()
-    }
-
-    def vertex_program(vertex, value, message):
-        if not message:
-            return value
-        return _merge_maps(value, message)
-
-    def send_message(src, src_value, dst, dst_value):
-        if not dst_value:
-            return ()
-        candidate = _increment(dst_value)
-        if _merge_maps(candidate, src_value) != src_value:
-            return ((src, candidate),)
-        return ()
-
-    result = pregel(
+    return _landmark_sweep(
         pgraph,
-        initial_values=initial_values,
-        initial_message={},
-        vertex_program=vertex_program,
-        send_message=send_message,
-        merge_message=_merge_maps,
-        max_iterations=iterations,
-        active_direction="either",
-        cluster=cluster,
-        cost_parameters=cost_parameters,
-        edge_compute_units=_EDGE_UNITS,
-        vertex_compute_units=_VERTEX_UNITS,
-        message_kernel=ShortestPathsKernel(landmark_list) if vectorized else None,
-        parallel_workers=parallel_workers,
-    )
-
-    return AlgorithmResult(
-        algorithm="ShortestPaths",
-        vertex_values=dict(result.vertex_values),
-        num_supersteps=result.num_supersteps,
-        report=result.report,
+        "ShortestPaths",
+        "landmarks",
+        landmark_list,
+        ShortestPathsKernel(landmark_list),
+        max_iterations,
+        cluster,
+        cost_parameters,
+        parallel_workers,
     )
 
 
@@ -193,7 +141,6 @@ def multi_source_distances(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
     parallel_workers: Optional[int] = None,
 ) -> AlgorithmResult:
     """Hop distances *from* every source vertex, all in one Pregel run.
@@ -208,57 +155,60 @@ def multi_source_distances(
 
     Duplicate sources are collapsed (first occurrence wins the ordering).
     """
-    seen: Dict[int, None] = {}
-    for v in sources:
-        seen.setdefault(int(v), None)
-    source_list = list(seen)
+    source_list = list(dict.fromkeys(int(v) for v in sources))
     if not source_list:
         raise EngineError("at least one source vertex is required")
+    return _landmark_sweep(
+        pgraph,
+        "MultiSourceSSSP",
+        "sources",
+        source_list,
+        MultiSourceShortestPathsKernel(source_list),
+        max_iterations,
+        cluster,
+        cost_parameters,
+        parallel_workers,
+    )
+
+
+def _landmark_sweep(
+    pgraph: PartitionedGraph,
+    algorithm: str,
+    role: str,
+    seeds: List[int],
+    kernel: ShortestPathsKernel,
+    max_iterations: Optional[int],
+    cluster: Optional[ClusterConfig],
+    cost_parameters: Optional[CostParameters],
+    parallel_workers: Optional[int],
+) -> AlgorithmResult:
+    """One Pregel run of a landmark-map ``kernel``: each of ``seeds``
+    starts at distance 0 from itself, every other map starts empty."""
     known = set(pgraph.graph.vertex_ids.tolist())
-    unknown = [v for v in source_list if v not in known]
+    unknown = [v for v in seeds if v not in known]
     if unknown:
-        raise EngineError(f"sources not present in the graph: {unknown}")
+        raise EngineError(f"{role} not present in the graph: {unknown}")
 
     iterations = max_iterations if max_iterations is not None else pgraph.graph.num_vertices + 1
-    source_set = set(source_list)
-
+    seed_set = set(seeds)
     initial_values: Dict[int, Dict[int, int]] = {
-        int(v): ({int(v): 0} if int(v) in source_set else {})
-        for v in pgraph.graph.vertex_ids.tolist()
+        v: ({v: 0} if v in seed_set else {}) for v in pgraph.graph.vertex_ids.tolist()
     }
-
-    def vertex_program(vertex, value, message):
-        if not message:
-            return value
-        return _merge_maps(value, message)
-
-    def send_message(src, src_value, dst, dst_value):
-        if not src_value:
-            return ()
-        candidate = _increment(src_value)
-        if _merge_maps(candidate, dst_value) != dst_value:
-            return ((dst, candidate),)
-        return ()
-
     result = pregel(
         pgraph,
         initial_values=initial_values,
-        initial_message={},
-        vertex_program=vertex_program,
-        send_message=send_message,
-        merge_message=_merge_maps,
         max_iterations=iterations,
         active_direction="either",
         cluster=cluster,
         cost_parameters=cost_parameters,
         edge_compute_units=_EDGE_UNITS,
         vertex_compute_units=_VERTEX_UNITS,
-        message_kernel=MultiSourceShortestPathsKernel(source_list) if vectorized else None,
+        message_kernel=kernel,
         parallel_workers=parallel_workers,
     )
 
     return AlgorithmResult(
-        algorithm="MultiSourceSSSP",
+        algorithm=algorithm,
         vertex_values=dict(result.vertex_values),
         num_supersteps=result.num_supersteps,
         report=result.report,
@@ -327,7 +277,6 @@ def build_landmark_matrix(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-    vectorized: bool = True,
 ) -> LandmarkMatrix:
     """Precompute the :class:`LandmarkMatrix` for ``landmarks``.
 
@@ -344,7 +293,6 @@ def build_landmark_matrix(
         max_iterations=max_iterations,
         cluster=cluster,
         cost_parameters=cost_parameters,
-        vectorized=vectorized,
     ).vertex_values
     from_values = multi_source_distances(
         pgraph,
@@ -352,7 +300,6 @@ def build_landmark_matrix(
         max_iterations=max_iterations,
         cluster=cluster,
         cost_parameters=cost_parameters,
-        vectorized=vectorized,
     ).vertex_values
     return LandmarkMatrix(
         landmarks=landmark_list,

@@ -692,10 +692,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{sum(executions):.3f}s wall-clock (no simulated cluster timing)."
         )
         return 0
-    correlations = correlation_table(records)
-    print("Correlation of metrics with simulated time:")
-    for metric, value in correlations.items():
-        print(f"  {metric:>12}: {value:+.2f}")
+    if len(records) < 2:
+        print(f"No correlation of metrics with simulated time: {len(records)} run (needs 2+).")
+    else:
+        print("Correlation of metrics with simulated time:")
+        for metric, value in correlation_table(records).items():
+            print(f"  {metric:>12}: {value:+.2f}")
     best = best_partitioner_per_dataset(records)
     print("Best partitioner per dataset:")
     for dataset, partitioner in best.items():

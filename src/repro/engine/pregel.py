@@ -19,8 +19,9 @@ metrics.
 One driver, three scans
 -----------------------
 The loop is written twice: the scalar dict loop inside :func:`pregel`
-(arbitrary Python payloads; the reference the equivalence tests compare
-against) and :func:`_run_supersteps`, the only kernelised loop.  The
+(arbitrary Python payloads, for custom computations; the test suite's
+oracles in ``tests/pregel_oracles.py`` run the shipped algorithms through
+it) and :func:`_run_supersteps`, the only kernelised loop.  The
 driver owns superstep 0, the active set, the vertex program, the replica
 broadcast and every ``record_superstep`` call, so a change to superstep
 behaviour or accounting is made there, once.  How a superstep's edges are
@@ -104,6 +105,14 @@ def _check_direction(active_direction: str) -> None:
         )
 
 
+def _require_callbacks(*callbacks: Optional[Callable]) -> None:
+    if any(callback is None for callback in callbacks):
+        raise EngineError(
+            "the scalar loop needs every message callback; pass them all "
+            "or a message_kernel"
+        )
+
+
 def _scalar_edge_lists(pgraph: PartitionedGraph) -> List[List[Tuple[int, int]]]:
     """Each partition's edges as Python tuples, for the scalar loops; an
     out-of-core graph is refused rather than materialised in memory."""
@@ -115,8 +124,17 @@ def _scalar_edge_lists(pgraph: PartitionedGraph) -> List[List[Tuple[int, int]]]:
     return pgraph.triplets().edge_lists()
 
 
+def _scalar_masters(pgraph: PartitionedGraph) -> Dict[int, int]:
+    """``{vertex: master partition}`` for the scalar loops' per-vertex
+    lookups (the payloads are arbitrary Python objects, so those loops
+    are inherently scalar)."""
+    vertex_ids = pgraph.graph.vertex_ids
+    masters = master_partition_array(vertex_ids, pgraph.num_partitions)
+    return dict(zip(vertex_ids.tolist(), masters.tolist()))
+
+
 def _route_and_merge(
-    pgraph: PartitionedGraph,
+    masters: Dict[int, int],
     cluster: ClusterConfig,
     outboxes: List[Dict[int, Any]],
     merge_message: MergeMessage,
@@ -126,10 +144,6 @@ def _route_and_merge(
 
     Returns ``(merged_messages, remote_count, local_count)``.
     """
-    # One dict materialisation per PartitionedGraph (cached on the routing
-    # table); the per-message loop below is inherently scalar because the
-    # message payloads are arbitrary Python objects.
-    masters = pgraph.routing.masters
     merged: Dict[int, Any] = {}
     remote = 0
     local = 0
@@ -200,10 +214,10 @@ def _broadcast_updates(
 def pregel(
     pgraph: PartitionedGraph,
     initial_values: Dict[int, Any],
-    initial_message: Any,
-    vertex_program: VertexProgram,
-    send_message: SendMessage,
-    merge_message: MergeMessage,
+    initial_message: Any = None,
+    vertex_program: Optional[VertexProgram] = None,
+    send_message: Optional[SendMessage] = None,
+    merge_message: Optional[MergeMessage] = None,
     max_iterations: int = 20,
     active_direction: str = "either",
     cluster: Optional[ClusterConfig] = None,
@@ -232,6 +246,10 @@ def pregel(
         called once per scanned edge triplet.
     merge_message:
         Commutative, associative combiner for messages to the same vertex.
+
+        The three callbacks are the scalar loop's; they are required unless
+        a ``message_kernel`` is given, which replaces all three (and
+        ``initial_message`` / ``default_message``).
     max_iterations:
         Maximum number of message-exchange supersteps.
     active_direction:
@@ -258,7 +276,7 @@ def pregel(
         Optional :class:`~repro.engine.messaging.ArrayMessageKernel`.  When
         given, the kernelised driver runs instead of the scalar loop,
         producing bit-identical vertex values and identical superstep
-        counters; the scalar loop remains the path for arbitrary Python
+        counters; the scalar loop is the path for arbitrary Python
         payloads.
     parallel_workers:
         With a ``message_kernel`` and ``parallel_workers >= 2``, each scan
@@ -333,6 +351,7 @@ def pregel(
                 always_active=always_active,
             )
 
+    _require_callbacks(vertex_program, send_message, merge_message)
     edge_lists = _scalar_edge_lists(pgraph)
     values: Dict[int, Any] = dict(initial_values)
     num_partitions = pgraph.num_partitions
@@ -342,10 +361,10 @@ def pregel(
     # message, then materialise the replicated vertex view.
     # ------------------------------------------------------------------
     partition_units = [0.0] * num_partitions
-    routing = pgraph.routing
+    masters = _scalar_masters(pgraph)
     for vertex in values:
         values[vertex] = vertex_program(vertex, values[vertex], initial_message)
-        master = routing.masters.get(vertex)
+        master = masters.get(vertex)
         if master is not None:
             partition_units[master] += vertex_compute_units
     sync_remote, sync_local = _broadcast_updates(pgraph, cluster, values.keys(), partition_units)
@@ -395,7 +414,7 @@ def pregel(
             partition_units[partition_id] += units
 
         merged, shuffle_remote, shuffle_local = _route_and_merge(
-            pgraph, cluster, outboxes, merge_message, partition_units
+            masters, cluster, outboxes, merge_message, partition_units
         )
 
         if not merged and not always_active:
@@ -417,14 +436,14 @@ def pregel(
             for vertex in updated:
                 message = merged.get(vertex, default_message)
                 values[vertex] = vertex_program(vertex, values[vertex], message)
-                master = routing.masters.get(vertex)
+                master = masters.get(vertex)
                 if master is not None:
                     partition_units[master] += vertex_compute_units
         else:
             updated = list(merged.keys())
             for vertex in updated:
                 values[vertex] = vertex_program(vertex, values[vertex], merged[vertex])
-                master = routing.masters.get(vertex)
+                master = masters.get(vertex)
                 if master is not None:
                     partition_units[master] += vertex_compute_units
 
@@ -560,8 +579,8 @@ def _run_supersteps(
 def aggregate_messages(
     pgraph: PartitionedGraph,
     vertex_values: Dict[int, Any],
-    send_message: SendMessage,
-    merge_message: MergeMessage,
+    send_message: Optional[SendMessage] = None,
+    merge_message: Optional[MergeMessage] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
     report: Optional[SimulationReport] = None,
@@ -574,7 +593,8 @@ def aggregate_messages(
     neighbourhood collection for triangle counting).  When ``report`` is
     given, the superstep is appended to it; otherwise a fresh report is
     created.  ``message_kernel`` selects the array-native scan, with the
-    same observable results as the scalar loop.
+    same observable results as the scalar loop; without one,
+    ``send_message`` and ``merge_message`` are required.
     """
     cluster = cluster or paper_cluster()
     model = CostModel(cluster, cost_parameters)
@@ -608,6 +628,7 @@ def aggregate_messages(
         )
         return message_kernel.decode_messages(vertex_ids[target_idx], merged), report
 
+    _require_callbacks(send_message, merge_message)
     edge_lists = _scalar_edge_lists(pgraph)
     num_partitions = pgraph.num_partitions
     partition_units = [0.0] * num_partitions
@@ -628,7 +649,7 @@ def aggregate_messages(
                     outbox[target] = message
 
     merged, remote, local = _route_and_merge(
-        pgraph, cluster, outboxes, merge_message, partition_units
+        _scalar_masters(pgraph), cluster, outboxes, merge_message, partition_units
     )
     model.record_superstep(
         report,

@@ -4,8 +4,6 @@ from .partition_metrics import (
     METRIC_NAMES,
     PartitioningMetrics,
     compute_metrics,
-    compute_metrics_reference,
-    master_partition,
     master_partition_array,
 )
 from .report import format_metrics_table, format_table, metrics_table_rows
@@ -14,8 +12,6 @@ __all__ = [
     "METRIC_NAMES",
     "PartitioningMetrics",
     "compute_metrics",
-    "compute_metrics_reference",
-    "master_partition",
     "master_partition_array",
     "format_metrics_table",
     "format_table",

@@ -21,7 +21,7 @@ largest-partition ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -31,26 +31,12 @@ from ..partitioning.membership import master_partition_array
 __all__ = [
     "PartitioningMetrics",
     "compute_metrics",
-    "compute_metrics_reference",
-    "master_partition",
     "master_partition_array",
     "METRIC_NAMES",
 ]
 
 #: The metric columns reported in Tables 2-3, in paper order.
 METRIC_NAMES = ["balance", "non_cut", "cut", "comm_cost", "part_stdev"]
-
-
-def master_partition(vertex_id: int, num_partitions: int) -> int:
-    """Partition that owns the master copy of ``vertex_id``.
-
-    GraphX hash-partitions the vertex RDD independently of the edge
-    placement; we mirror that with a salted 64-bit mix so masters are
-    uncorrelated with any edge partitioner's placement.  This is the
-    scalar form of
-    :func:`~repro.partitioning.membership.master_partition_array`.
-    """
-    return int(master_partition_array(np.uint64(vertex_id), num_partitions))
 
 
 @dataclass(frozen=True)
@@ -100,8 +86,8 @@ def compute_metrics(assignment: EdgePartitionAssignment) -> PartitioningMetrics:
     All replication accounting runs on the flat arrays of
     :meth:`~repro.partitioning.base.EdgePartitionAssignment.membership`
     (``bincount`` + boolean masks); no per-vertex Python loop is involved.
-    The result is identical to :func:`compute_metrics_reference`, the seed
-    dict implementation kept for the equivalence tests.
+    ``tests/pregel_oracles.py`` keeps the seed per-vertex dict walk it is
+    held equal to.
     """
     num_partitions = assignment.num_partitions
     graph = assignment.graph
@@ -126,87 +112,6 @@ def compute_metrics(assignment: EdgePartitionAssignment) -> PartitioningMetrics:
         (membership.pair_partition == np.repeat(membership.masters, counts)).sum()
     )
     vertices_to_other = total_replicas - vertices_to_same
-
-    placed_vertices = non_cut + cut
-    replication_factor = (total_replicas / placed_vertices) if placed_vertices else 0.0
-    max_partition_vertices = int(vertices_per_partition.max()) if num_partitions else 0
-    largest_edge_fraction = (max_edges / num_edges) if num_edges else 0.0
-    largest_vertex_fraction = (
-        max_partition_vertices / placed_vertices if placed_vertices else 0.0
-    )
-
-    return PartitioningMetrics(
-        strategy=assignment.strategy_name,
-        num_partitions=num_partitions,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        balance=float(balance),
-        non_cut=non_cut,
-        cut=cut,
-        comm_cost=comm_cost,
-        part_stdev=part_stdev,
-        total_replicas=total_replicas,
-        replication_factor=float(replication_factor),
-        vertices_to_same=vertices_to_same,
-        vertices_to_other=vertices_to_other,
-        max_partition_edges=max_edges,
-        mean_partition_edges=float(mean_edges),
-        max_partition_vertices=max_partition_vertices,
-        largest_edge_fraction=float(largest_edge_fraction),
-        largest_vertex_fraction=float(largest_vertex_fraction),
-    )
-
-
-def compute_metrics_reference(
-    assignment: EdgePartitionAssignment,
-    vertex_partitions: Optional[Dict[int, frozenset]] = None,
-) -> PartitioningMetrics:
-    """Seed per-vertex-loop implementation of :func:`compute_metrics`.
-
-    Kept as the ground truth the equivalence tests compare against and as
-    the "dict path" timed by ``benchmarks/bench_partitioning_pipeline.py``.
-    Walks a :meth:`vertex_partitions_reference` dict, exactly as the seed
-    code did; pass ``vertex_partitions`` to share one dict build across the
-    metric and routing computations, as the seed's caching effectively did.
-    """
-    num_partitions = assignment.num_partitions
-    graph = assignment.graph
-
-    edges_per_partition = assignment.edges_per_partition()
-    num_edges = int(edges_per_partition.sum())
-    mean_edges = num_edges / num_partitions if num_partitions else 0.0
-    max_edges = int(edges_per_partition.max()) if edges_per_partition.size else 0
-    balance = (max_edges / mean_edges) if mean_edges > 0 else 1.0
-    part_stdev = float(np.std(edges_per_partition)) if edges_per_partition.size else 0.0
-
-    if vertex_partitions is None:
-        vertex_partitions = assignment.vertex_partitions_reference()
-
-    non_cut = 0
-    cut = 0
-    comm_cost = 0
-    total_replicas = 0
-    vertices_to_same = 0
-    vertices_to_other = 0
-    vertices_per_partition = np.zeros(num_partitions, dtype=np.int64)
-
-    for vertex, parts in vertex_partitions.items():
-        count = len(parts)
-        if count == 0:
-            continue  # isolated vertex: never materialised in any partition
-        total_replicas += count
-        if count == 1:
-            non_cut += 1
-        else:
-            cut += 1
-            comm_cost += count
-        master = master_partition(vertex, num_partitions)
-        for part in parts:
-            vertices_per_partition[part] += 1
-            if part == master:
-                vertices_to_same += 1
-            else:
-                vertices_to_other += 1
 
     placed_vertices = non_cut + cut
     replication_factor = (total_replicas / placed_vertices) if placed_vertices else 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -131,24 +131,6 @@ class EdgePartitionAssignment:
         """The array-native vertex replication relation the metrics,
         routing tables and engine consume (part of :meth:`compiled`)."""
         return self.compiled().membership
-
-    def vertex_partitions_reference(self) -> Dict[int, frozenset]:
-        """Map every vertex to the partitions holding a copy of it, the seed way.
-
-        A vertex is present in a partition whenever at least one of its
-        edges is assigned there; isolated vertices map to an empty set.
-        This per-edge dict walk is the oracle :meth:`membership` is checked
-        against (uncached), by the equivalence tests and the
-        ``bench_partitioning_pipeline`` seed-vs-array comparison.
-        """
-        membership: Dict[int, set] = {int(v): set() for v in self.graph.vertex_ids.tolist()}
-        src = self.graph.src.tolist()
-        dst = self.graph.dst.tolist()
-        parts = self.partition_of.tolist()
-        for s, d, p in zip(src, dst, parts):
-            membership[s].add(p)
-            membership[d].add(p)
-        return {v: frozenset(ps) for v, ps in membership.items()}
 
 
 class PartitionStrategy(abc.ABC):

@@ -17,14 +17,12 @@ vertex-major as :class:`VertexMembership`'s flat CSR arrays:
   partitions holding a copy of ``vertices[i]``.
 
 Everything downstream reduces to ``bincount`` / boolean-mask / segment
-operations over these arrays.  :meth:`VertexMembership.to_dict` expands
-it into the seed's dict form for the routing table's ``replicas`` view
-(read by the scalar reference paths) and the equivalence tests.
+operations over these arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,8 +48,9 @@ MASTER_SALT = 0x9E3779B97F4A7C15
 def master_partition_array(vertex_ids: np.ndarray, num_partitions: int) -> np.ndarray:
     """Master partition of every vertex in ``vertex_ids`` (vectorised).
 
-    Elementwise identical to
-    :func:`repro.metrics.partition_metrics.master_partition`.
+    GraphX hash-partitions the vertex RDD independently of the edge
+    placement; a salted 64-bit mix mirrors that, so masters are
+    uncorrelated with any edge partitioner's placement.
     """
     salted = np.asarray(vertex_ids, dtype=np.uint64) ^ np.uint64(MASTER_SALT)
     return (mix64(salted) % np.uint64(num_partitions)).astype(np.int64)
@@ -146,13 +145,6 @@ class VertexMembership:
         return self._masters
 
     # ------------------------------------------------------------------
-    def partitions_of(self, vertex: int) -> np.ndarray:
-        """Sorted partitions holding a copy of ``vertex`` (empty if unplaced)."""
-        idx = int(np.searchsorted(self.vertices, vertex))
-        if idx >= self.vertices.size or self.vertices[idx] != vertex:
-            return np.empty(0, dtype=np.int64)
-        return self.pair_partition[self.offsets[idx]:self.offsets[idx + 1]]
-
     def vertices_per_partition(self) -> np.ndarray:
         """Number of distinct vertices mirrored into each partition."""
         return np.bincount(self.pair_partition, minlength=self.num_partitions).astype(np.int64)
@@ -173,25 +165,6 @@ class VertexMembership:
         """Sorted distinct vertices mirrored into ``partition_id``."""
         grouped, bounds = self.partition_major()
         return grouped[bounds[partition_id]:bounds[partition_id + 1]]
-
-    # ------------------------------------------------------------------
-    def to_dict(self, all_vertex_ids: np.ndarray, factory: type = frozenset) -> Dict[int, frozenset]:
-        """Expand to the seed ``{vertex: frozenset(partitions)}`` mapping.
-
-        ``all_vertex_ids`` supplies the key set (isolated vertices map to an
-        empty collection, exactly as the seed implementation produced).
-        ``factory`` wraps each vertex's partition-id slice — the slices are
-        already sorted ascending, so ``factory=tuple`` yields the routing
-        table's sorted replica tuples without re-sorting.
-        """
-        parts = self.pair_partition.tolist()
-        offsets = self.offsets.tolist()
-        placed = {
-            int(v): factory(parts[offsets[i]:offsets[i + 1]])
-            for i, v in enumerate(self.vertices.tolist())
-        }
-        empty = factory(())
-        return {int(v): placed.get(int(v), empty) for v in np.asarray(all_vertex_ids).tolist()}
 
 
 class CompiledPlacement(NamedTuple):

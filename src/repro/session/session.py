@@ -22,6 +22,7 @@ other.  :attr:`Session.stats` exposes hit/miss accounting for tests and
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, TypeVar, Union
@@ -211,8 +212,8 @@ class Session:
         graphs: Optional[Dict[str, Graph]] = None,
         store: Union[ArtifactStore, PathLike, None] = None,
     ) -> None:
-        if scale <= 0:
-            raise AnalysisError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise AnalysisError(f"scale must be a positive finite number, got {scale}")
         self.scale = float(scale)
         self.seed = int(seed)
         self.cluster = cluster

@@ -18,6 +18,7 @@ from repro.algorithms.shortest_paths import (
 from repro.core.graph import Graph
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.errors import EngineError
+from pregel_oracles import multi_source_distances_scalar
 
 
 def _nx_distances_from(graph, source):
@@ -60,8 +61,8 @@ class TestMultiSourceCorrectness:
     def test_scalar_and_vectorized_paths_identical(self, small_social_graph):
         pgraph = PartitionedGraph.partition(small_social_graph, "DC", 8)
         sources = choose_landmarks(small_social_graph, count=3, seed=2)
-        scalar = multi_source_distances(pgraph, sources, vectorized=False)
-        array = multi_source_distances(pgraph, sources, vectorized=True)
+        scalar = multi_source_distances_scalar(pgraph, sources)
+        array = multi_source_distances(pgraph, sources)
         assert scalar.vertex_values == array.vertex_values
         assert scalar.report.supersteps == array.report.supersteps
 

@@ -3,9 +3,10 @@
 import networkx as nx
 import pytest
 
-from repro.algorithms.pagerank import pagerank, reference_pagerank
+from repro.algorithms.pagerank import pagerank
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.errors import EngineError
+from pregel_oracles import reference_pagerank
 
 
 class TestPageRankCorrectness:

@@ -16,12 +16,19 @@ from repro.core.graph import Graph
 from repro.engine.cluster import paper_cluster
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.engine.routing import RoutingTable
-from repro.metrics.partition_metrics import compute_metrics, compute_metrics_reference
+from repro.metrics.partition_metrics import compute_metrics
 from repro.partitioning.base import PartitionStrategy
 from repro.partitioning.degrees import DegreeLookup
 from repro.partitioning.greedy import DegreeBasedHashing
 from repro.partitioning.hybrid import HybridCut
 from repro.partitioning.registry import available_partitioners, make_partitioner
+from pregel_oracles import (
+    compute_metrics_reference,
+    membership_dict,
+    routing_from_vertex_partitions,
+    routing_views,
+    vertex_partitions_reference,
+)
 
 ALL_PARTITIONERS = available_partitioners()
 
@@ -47,23 +54,25 @@ class TestMetricsAndRoutingEquivalence:
 
     def test_routing_identical_on_social_graph(self, name, num_partitions, small_social_graph):
         assignment = make_partitioner(name).assign(small_social_graph, num_partitions)
+        vertex_ids = small_social_graph.vertex_ids
         array_table = RoutingTable.from_assignment(assignment)
-        seed_table = RoutingTable.from_vertex_partitions(
-            num_partitions, assignment.vertex_partitions_reference()
+        array_views = routing_views(array_table, vertex_ids)
+        seed_table = routing_from_vertex_partitions(
+            num_partitions, vertex_partitions_reference(assignment)
         )
-        assert array_table.replicas == seed_table.replicas
-        assert array_table.masters == seed_table.masters
-        for vertex in small_social_graph.vertex_ids.tolist():
-            assert array_table.master_of(vertex) == seed_table.masters[vertex]
-            assert array_table.replica_partitions(vertex) == seed_table.replicas[vertex]
-            assert array_table.sync_message_count(vertex) == sum(
-                1 for p in seed_table.replicas[vertex] if p != seed_table.masters[vertex]
-            )
+        assert array_views.replicas == seed_table.replicas
+        assert array_views.masters == seed_table.masters
+        # The broadcast the engine reads: per vertex, its replicas other
+        # than the master's, which is the seed's per-vertex sync count.
+        offsets, _, _ = array_table.broadcast_plan(paper_cluster().executor_map(num_partitions))
+        assert np.diff(offsets).tolist() == [
+            seed_table.sync_message_count(vertex) for vertex in vertex_ids.tolist()
+        ]
 
     def test_membership_matches_reference(self, name, num_partitions, small_social_graph):
         assignment = make_partitioner(name).assign(small_social_graph, num_partitions)
-        expanded = assignment.membership().to_dict(small_social_graph.vertex_ids)
-        assert expanded == assignment.vertex_partitions_reference()
+        expanded = membership_dict(assignment.membership(), small_social_graph.vertex_ids)
+        assert expanded == vertex_partitions_reference(assignment)
 
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)
@@ -72,14 +81,12 @@ def test_metrics_equivalent_on_edge_case_graphs(name, label):
     graph = _edge_case_graphs()[label]
     assignment = make_partitioner(name).assign(graph, 5)
     assert compute_metrics(assignment) == compute_metrics_reference(assignment)
-    expanded = assignment.membership().to_dict(graph.vertex_ids)
-    assert expanded == assignment.vertex_partitions_reference()
-    array_table = RoutingTable.from_assignment(assignment)
-    seed_table = RoutingTable.from_vertex_partitions(
-        5, assignment.vertex_partitions_reference()
-    )
-    assert array_table.replicas == seed_table.replicas
-    assert array_table.masters == seed_table.masters
+    expanded = membership_dict(assignment.membership(), graph.vertex_ids)
+    assert expanded == vertex_partitions_reference(assignment)
+    array_views = routing_views(RoutingTable.from_assignment(assignment), graph.vertex_ids)
+    seed_table = routing_from_vertex_partitions(5, vertex_partitions_reference(assignment))
+    assert array_views.replicas == seed_table.replicas
+    assert array_views.masters == seed_table.masters
 
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)
@@ -106,11 +113,12 @@ def test_sync_message_counts_matches_scalar(name, small_social_graph):
     routing = RoutingTable.from_assignment(
         make_partitioner(name).assign(small_social_graph, 8)
     )
+    views = routing_views(routing, small_social_graph.vertex_ids)
     offsets, _, _ = routing.broadcast_plan(paper_cluster().executor_map(8))
     placed = np.searchsorted(small_social_graph.vertex_ids, routing.membership.vertices)
     counts = np.diff(offsets)[placed]
     for index, vertex in enumerate(routing.membership.vertices.tolist()):
-        assert counts[index] == routing.sync_message_count(vertex)
+        assert counts[index] == views.sync_message_count(vertex)
     # Summed over all placed vertices this is the engine-side broadcast
     # volume, which can never exceed the total replica count.
     assert counts.sum() <= routing.membership.num_pairs

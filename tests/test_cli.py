@@ -292,6 +292,35 @@ class TestCommands:
         assert "Correlation of metrics" in output
         assert "Best partitioner per dataset" in output
 
+    def test_run_single_cell_notes_no_correlation(self, capsys):
+        # One record cannot be correlated: a one-line note replaces the
+        # correlation block, and the command still succeeds.
+        exit_code = main(
+            [
+                "run",
+                "--datasets", "youtube",
+                "--partitioners", "RVC",
+                "--partitions", "4",
+                "--scale", "0.05",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert captured.err == ""
+        assert "No correlation of metrics with simulated time: 1 run" in captured.out
+        assert "Correlation of metrics" not in captured.out
+        assert "Best partitioner per dataset" in captured.out
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_sweep_dry_run_rejects_non_finite_scale(self, scale, capsys):
+        exit_code = main(
+            ["sweep", f"--scale={scale}", "--dry-run", "--datasets", "youtube", "--partitions", "4"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("repro: error: scale")
+        assert captured.out == ""
+
     def test_metrics_lowercase_partitioners(self, capsys):
         exit_code = main(
             [

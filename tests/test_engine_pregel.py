@@ -131,6 +131,17 @@ class TestPregelValidation:
             )
 
 
+    def test_missing_callbacks_without_kernel_rejected(self):
+        # The callbacks are optional only because a kernel replaces them;
+        # the scalar loop names the omission instead of calling None.
+        pgraph = _pgraph(_chain_graph(3), num_partitions=2)
+        values = {int(v): 0 for v in pgraph.graph.vertex_ids.tolist()}
+        with pytest.raises(EngineError, match="message_kernel"):
+            pregel(pgraph, initial_values=values, vertex_program=lambda v, val, msg: val)
+        with pytest.raises(EngineError, match="message_kernel"):
+            aggregate_messages(pgraph, vertex_values=values, send_message=lambda *a: ())
+
+
 class TestPregelAccounting:
     def test_report_contains_supersteps_and_messages(self, partitioned_social):
         result = _min_propagation(partitioned_social, max_iterations=5)

@@ -7,7 +7,7 @@ from repro.core.graph import Graph
 from repro.metrics.partition_metrics import (
     METRIC_NAMES,
     compute_metrics,
-    master_partition,
+    master_partition_array,
 )
 from repro.partitioning.base import EdgePartitionAssignment
 from repro.partitioning.registry import make_partitioner, paper_partitioners
@@ -105,12 +105,11 @@ class TestInvariants:
 
 class TestMasterPartition:
     def test_in_range_and_deterministic(self):
-        for vertex in range(100):
-            master = master_partition(vertex, 16)
-            assert 0 <= master < 16
-            assert master == master_partition(vertex, 16)
+        masters = master_partition_array(np.arange(100), 16)
+        assert ((0 <= masters) & (masters < 16)).all()
+        assert np.array_equal(masters, master_partition_array(np.arange(100), 16))
 
     def test_distribution_roughly_uniform(self):
-        counts = np.bincount([master_partition(v, 8) for v in range(4000)], minlength=8)
+        counts = np.bincount(master_partition_array(np.arange(4000), 8), minlength=8)
         assert counts.min() > 0.7 * 4000 / 8
         assert counts.max() < 1.3 * 4000 / 8

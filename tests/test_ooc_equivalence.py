@@ -20,6 +20,7 @@ from repro.algorithms import (
 )
 from repro.core.graph import Graph
 from repro.engine.partitioned_graph import PartitionedGraph
+from repro.engine.pregel import aggregate_messages
 from repro.errors import EngineError, PartitioningError
 from repro.ooc import GraphChunkSource, ingest_source, load_sharded_graph
 from repro.partitioning.registry import make_partitioner
@@ -178,7 +179,12 @@ class TestAlgorithmBitIdentity:
         assert _records(actual.report) == _records(expected.report)
         assert sharded._triplets is None  # nothing materialised in RAM
         with pytest.raises(EngineError, match="out-of-core graphs require an array message kernel"):
-            degree_count(sharded, direction, vectorized=False)
+            aggregate_messages(
+                sharded,
+                vertex_values={},
+                send_message=lambda src, _s, dst, _d: [(dst, 1)],
+                merge_message=lambda a, b: a + b,
+            )
 
     def test_membership_and_partitions_match(self, tmp_path, small_social_graph):
         pgraph = PartitionedGraph.partition(small_social_graph, "HDRF", 6)

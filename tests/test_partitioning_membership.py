@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.graph import Graph
-from repro.metrics.partition_metrics import master_partition
 from repro.partitioning.base import EdgePartitionAssignment
 from repro.partitioning.membership import VertexMembership, master_partition_array
 from repro.partitioning.registry import make_partitioner
+from pregel_oracles import master_partition, membership_dict, vertex_partitions_reference
 
 
 def _membership(graph, num_partitions, placement):
@@ -39,14 +39,14 @@ class TestConstruction:
         graph = Graph([huge, 0], [huge + 1, huge])
         membership = _membership(graph, 1000, [999, 0])
         assert membership.vertices.tolist() == [0, huge, huge + 1]
-        assert membership.partitions_of(huge).tolist() == [0, 999]
+        assert membership_dict(membership, np.array([huge]), tuple) == {huge: (0, 999)}
 
     def test_empty_graph(self):
         membership = _membership(Graph([], [], vertices=[5]), 3, [])
         assert membership.num_pairs == 0
         assert membership.num_placed_vertices == 0
         assert membership.vertices_per_partition().tolist() == [0, 0, 0]
-        assert membership.to_dict(np.array([5])) == {5: frozenset()}
+        assert membership_dict(membership, np.array([5])) == {5: frozenset()}
 
     def test_from_slots_turns_partition_major_slots_vertex_major(self):
         # Partition 0 mirrors {5, 2**62}, partition 1 {0, 5}, partition 2 nothing.
@@ -85,8 +85,8 @@ class TestAccessors:
 
     def test_to_dict_matches_reference(self, small_social_graph):
         assignment = make_partitioner("1D").assign(small_social_graph, 8)
-        expected = assignment.vertex_partitions_reference()
-        got = assignment.membership().to_dict(small_social_graph.vertex_ids)
+        expected = vertex_partitions_reference(assignment)
+        got = membership_dict(assignment.membership(), small_social_graph.vertex_ids)
         assert got == expected
         assert list(got) == list(expected)  # same (sorted) key order
 

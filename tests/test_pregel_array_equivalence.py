@@ -1,14 +1,15 @@
 """Equivalence: the array-native Pregel superstep path vs the scalar loop.
 
-The PR that introduced ``ArrayMessageKernel`` rewired PageRank, Connected
-Components, ShortestPaths, TriangleCount and the degree computation onto
-vectorised message kernels.  These tests prove the array path is
-*observationally identical* to the scalar loop — bit-identical vertex
-values and identical :class:`SuperstepRecord` counters (edges scanned,
-remote/local messages, partition compute units, simulated seconds) —
-across every registered partitioner and the awkward graph shapes
-(duplicate edges, self-loops, isolated vertices), mirroring
-``tests/test_array_equivalence.py`` for the partitioning pipeline.
+PageRank, Connected Components, ShortestPaths, TriangleCount and the
+degree computation run on vectorised message kernels.  These tests prove
+the array path is *observationally identical* to the seed's scalar
+callbacks on the scalar loop (kept in ``pregel_oracles`` and
+``triangle_oracles``) — bit-identical vertex values and identical
+:class:`SuperstepRecord` counters (edges scanned, remote/local messages,
+partition compute units, simulated seconds) — across every registered
+partitioner and the awkward graph shapes (duplicate edges, self-loops,
+isolated vertices), mirroring ``tests/test_array_equivalence.py`` for the
+partitioning pipeline.
 """
 
 import math
@@ -30,6 +31,13 @@ from repro.engine.pregel import pregel
 from repro.ooc import GraphChunkSource, ingest_source
 from repro.partitioning.registry import available_partitioners
 from repro.session.store import ArtifactStore
+from pregel_oracles import (
+    connected_components_scalar,
+    degree_count_scalar,
+    master_partition,
+    pagerank_scalar,
+    shortest_paths_scalar,
+)
 from triangle_oracles import triangle_count_scalar
 
 ALL_PARTITIONERS = available_partitioners()
@@ -50,15 +58,15 @@ def _landmarks_of(graph, count=3):
 
 
 def _runners(pgraph):
-    """One ``vectorized=...`` callable per algorithm, on a fixed setup
-    (TR's scalar loop is the test oracle in ``triangle_oracles``)."""
+    """One ``array -> result`` callable per algorithm, on a fixed setup:
+    the library entry point when ``array`` is true, else its scalar oracle."""
     landmarks = _landmarks_of(pgraph.graph)
     return {
-        "PR": lambda v: pagerank(pgraph, num_iterations=5, vectorized=v),
-        "CC": lambda v: connected_components(pgraph, vectorized=v),
-        "SSSP": lambda v: shortest_paths(pgraph, landmarks, vectorized=v),
-        "TR": lambda v: triangle_count(pgraph) if v else triangle_count_scalar(pgraph),
-        "DEG": lambda v: degree_count(pgraph, direction="both", vectorized=v),
+        "PR": lambda a: (pagerank if a else pagerank_scalar)(pgraph, num_iterations=5),
+        "CC": lambda a: (connected_components if a else connected_components_scalar)(pgraph),
+        "SSSP": lambda a: (shortest_paths if a else shortest_paths_scalar)(pgraph, landmarks),
+        "TR": lambda a: (triangle_count if a else triangle_count_scalar)(pgraph),
+        "DEG": lambda a: (degree_count if a else degree_count_scalar)(pgraph, direction="both"),
     }
 
 
@@ -145,8 +153,8 @@ def test_parallel_identical_without_threshold_override(small_social_graph):
 def test_degree_directions_identical(direction, small_social_graph):
     pgraph = PartitionedGraph.partition(small_social_graph, "2D", 8)
     _assert_identical(
-        degree_count(pgraph, direction=direction, vectorized=False),
-        degree_count(pgraph, direction=direction, vectorized=True),
+        degree_count_scalar(pgraph, direction=direction),
+        degree_count(pgraph, direction=direction),
     )
 
 
@@ -209,8 +217,8 @@ def test_road_graph_cc_identical(small_road_graph):
     # superstep of both paths.
     pgraph = PartitionedGraph.partition(small_road_graph, "DC", 6)
     _assert_identical(
-        connected_components(pgraph, vectorized=False),
-        connected_components(pgraph, vectorized=True),
+        connected_components_scalar(pgraph),
+        connected_components(pgraph),
     )
 
 
@@ -218,8 +226,8 @@ def test_pagerank_iteration_cap_identical(small_social_graph):
     pgraph = PartitionedGraph.partition(small_social_graph, "1D", 4)
     for iterations in (1, 3):
         _assert_identical(
-            pagerank(pgraph, num_iterations=iterations, vectorized=False),
-            pagerank(pgraph, num_iterations=iterations, vectorized=True),
+            pagerank_scalar(pgraph, num_iterations=iterations),
+            pagerank(pgraph, num_iterations=iterations),
         )
 
 
@@ -245,5 +253,5 @@ def test_triplet_arrays_match_partition_scan(small_social_graph):
     assert got == expected
     assert np.array_equal(
         trip.master_of,
-        np.array([pgraph.routing.master_of(int(v)) for v in ids.tolist()]),
+        np.array([master_partition(int(v), 7) for v in ids.tolist()]),
     )

@@ -14,13 +14,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.connected_components import connected_components
-from repro.algorithms.pagerank import pagerank, reference_pagerank
+from repro.algorithms.degrees import degree_count
+from repro.algorithms.pagerank import pagerank
+from repro.algorithms.shortest_paths import multi_source_distances, shortest_paths
 from repro.algorithms.triangle_count import total_triangles, triangle_count
 from repro.core.graph import Graph
 from repro.core.properties import triangle_count as exact_triangles
+from repro.engine.cluster import paper_cluster
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.metrics.partition_metrics import compute_metrics
-from repro.partitioning.registry import PAPER_PARTITIONER_NAMES, make_partitioner
+from repro.partitioning.registry import (
+    PAPER_PARTITIONER_NAMES,
+    available_partitioners,
+    make_partitioner,
+)
+from pregel_oracles import (
+    connected_components_scalar,
+    degree_count_scalar,
+    multi_source_distances_scalar,
+    pagerank_scalar,
+    reference_pagerank,
+    shortest_paths_scalar,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -82,10 +97,18 @@ class TestPartitioningProperties:
         edge_bounds = pgraph.triplets().edge_bounds
         assert edge_bounds[-1] == pgraph.graph.num_edges
         assert (np.diff(edge_bounds) >= 0).all()
-        for vertex, parts in pgraph.routing.replicas.items():
-            assert pgraph.routing.sync_message_count(vertex) <= len(parts)
-            for part in parts:
-                assert 0 <= part < pgraph.num_partitions
+        routing = pgraph.routing
+        offsets, partitions, _ = routing.broadcast_plan(
+            paper_cluster().executor_map(pgraph.num_partitions)
+        )
+        # Every vertex syncs at most its replicas; placed ones sit on
+        # ``membership.vertices`` in the graph's dense order.
+        sync = np.diff(offsets)
+        placed = np.searchsorted(pgraph.graph.vertex_ids, routing.membership.vertices)
+        assert (sync[placed] <= routing.membership.counts).all()
+        assert sync.sum() == sync[placed].sum()
+        for parts in (routing.membership.pair_partition, partitions):
+            assert ((0 <= parts) & (parts < pgraph.num_partitions)).all()
 
     @SETTINGS
     @given(graph=graphs(), parts=st.integers(4, 16))
@@ -144,3 +167,47 @@ class TestAlgorithmProperties:
     def test_simulated_time_is_positive_and_finite(self, pgraph):
         result = pagerank(pgraph, num_iterations=2)
         assert 0 < result.simulated_seconds < 1e6
+
+
+#: Each entry point beside its scalar oracle in ``pregel_oracles``.
+_ORACLE_PAIRS = {
+    "PR": (pagerank, pagerank_scalar),
+    "CC": (connected_components, connected_components_scalar),
+    "SSSP": (shortest_paths, shortest_paths_scalar),
+    "MS": (multi_source_distances, multi_source_distances_scalar),
+    "DEG": (degree_count, degree_count_scalar),
+}
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random graph under any registry partitioner, one algorithm and
+    its arguments (iteration caps, landmark or source lists, direction)."""
+    graph = draw(graphs())
+    name = draw(st.sampled_from(available_partitioners()))
+    pgraph = PartitionedGraph.partition(graph, name, draw(st.integers(1, 12)))
+    algorithm = draw(st.sampled_from(sorted(_ORACLE_PAIRS)))
+    vertices = st.sampled_from(graph.vertex_ids.tolist())
+    if algorithm == "PR":
+        args = {"num_iterations": draw(st.integers(1, 5))}
+    elif algorithm == "CC":
+        args = {"max_iterations": draw(st.none() | st.integers(0, 5))}
+    elif algorithm == "SSSP":
+        args = {"landmarks": draw(st.lists(vertices, min_size=1, max_size=4))}
+    elif algorithm == "MS":
+        args = {"sources": draw(st.lists(vertices, min_size=1, max_size=4))}
+    else:
+        args = {"direction": draw(st.sampled_from(["out", "in", "both"]))}
+    return pgraph, algorithm, args
+
+
+class TestEntryPointsMatchScalarOracles:
+    @SETTINGS
+    @given(case=oracle_cases())
+    def test_bit_identical_to_oracle(self, case):
+        pgraph, algorithm, args = case
+        entry_point, oracle = _ORACLE_PAIRS[algorithm]
+        got, expected = entry_point(pgraph, **args), oracle(pgraph, **args)
+        assert got.vertex_values == expected.vertex_values
+        assert got.num_supersteps == expected.num_supersteps
+        assert got.report.supersteps == expected.report.supersteps

@@ -79,6 +79,11 @@ class TestSessionCaching:
         with pytest.raises(AnalysisError):
             Session(scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(AnalysisError, match="positive finite"):
+            Session(scale=scale)
+
     def test_landmarks_are_memoized_and_deterministic(self, session):
         first = session.landmarks("youtube", 3)
         second = session.landmarks("youtube", 3)

@@ -30,6 +30,7 @@ from repro.engine.cluster import ClusterConfig, paper_cluster
 from repro.engine.cost_model import CostModel, CostParameters
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.partitioning.membership import segment_arange
+from pregel_oracles import routing_views
 
 
 def triangle_count_scalar(
@@ -89,11 +90,12 @@ def triangle_count_scalar(
     partition_units = [0.0] * num_partitions
     cut_vertices = 0
     shipped_bytes = 0
-    for vertex, parts in routing.replicas.items():
+    views = routing_views(routing, pgraph.graph.vertex_ids)
+    for vertex, parts in views.replicas.items():
         if len(parts) <= 1:
             continue
         cut_vertices += 1
-        master = routing.master_of(vertex)
+        master = views.masters[vertex]
         set_size = len(neighbour_sets.get(vertex, ()))
         partition_units[master] += _CUT_REDUCTION_UNITS + set_size * _SET_BUILD_UNITS
         shipped_bytes += _CUT_STATE_BYTES + set_size * _BYTES_PER_ID
