@@ -1,8 +1,8 @@
-"""Setuptools shim so editable installs work without the ``wheel`` package.
+"""Setuptools shim; all project metadata lives in ``setup.cfg``.
 
-All project metadata lives in ``setup.cfg``; this file only enables
-``pip install -e .`` / ``python setup.py develop`` on offline environments
-that lack ``bdist_wheel`` support.
+``pip install -e .`` needs the ``wheel`` package.  Where it is missing
+(an offline machine), ``python setup.py develop`` installs the package and
+its ``repro`` console script in development mode instead.
 """
 
 from setuptools import setup

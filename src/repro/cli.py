@@ -1,69 +1,28 @@
-"""Command-line interface for the reproduction.
+"""Command-line interface: ``repro <command> ...`` or ``python -m repro.cli``.
 
-Provides nine sub-commands mirroring the evaluation workflow::
-
-    python -m repro.cli characterize                 # Table 1
-    python -m repro.cli metrics --partitions 128     # Table 2 / 3
-    python -m repro.cli run --algorithm PR --partitions 128
-    python -m repro.cli sweep --algorithms PR CC --partitions 128 256
-    python -m repro.cli advise --dataset orkut --algorithm PR
-    python -m repro.cli ingest --dataset pokec --cache-dir .repro-cache
-    python -m repro.cli cache info --cache-dir .repro-cache
-    python -m repro.cli serve --datasets youtube --partitions 16
-    python -m repro.cli check --list-rules           # static analysis
-
-``sweep`` is the grid front-end of the :mod:`repro.session` planner: it
-covers multi-algorithm x multi-granularity grids with one shared
-partition cache, supports ``--workers N`` with ``--executor
-thread|process`` (threads share one in-memory session; processes ship
-cells to worker interpreters for true multi-core execution), and
-``--dry-run`` to print the planned cells and cache-hit estimate without
-executing anything.  ``serve`` starts the long-lived query daemon of
-:mod:`repro.serve`: preloaded partitioned graphs plus a
-landmark-distance index answer distance / PageRank / component /
-neighborhood queries over HTTP, with concurrent exact-distance requests
-coalesced into single multi-source sweeps (with ``--cache-dir``,
-restarts are warm).  ``--cache-dir DIR`` attaches a persistent
-:class:`~repro.session.store.ArtifactStore`: placements, landmark
-choices and completed cells survive the process, so repeating — or
-resuming an interrupted — sweep re-runs only what is missing
-(``--resume`` makes that expectation explicit and fails without a cache
-directory).  ``ingest`` is the out-of-core front door of
-:mod:`repro.ooc`: it streams an edge-list file, a catalog dataset or a
-synthetic generator through a streaming partitioner in bounded chunks and
-publishes the result as a content-addressed *shard* artifact — per-
-partition edge files that later runs memory-map instead of loading, so
-``repro run --out-of-core`` (PR/CC/SSSP on the reference backend)
-executes graphs larger than RAM with bit-identical placements, vertex
-values and superstep counters.  ``cache`` inspects (``info``) or empties
-(``clear``) such a store, shards included.  ``check`` runs the project-native static analyser of
-:mod:`repro.devtools` — the REP rules encoding the engine's invariants —
-and exits 1 on any finding that is neither ``# repro: noqa[REP###]``
-suppressed nor grandfathered in a ``--baseline`` JSON file.
-
-All sub-commands accept ``--scale`` to shrink or grow the synthetic
-datasets and ``--seed`` for reproducibility; both global flags are valid
-before *and* after the sub-command name.  Library failures
-(:class:`~repro.errors.ReproError`) are reported as a one-line message on
-stderr with exit code 2 instead of a traceback.
+Each sub-command's flags are declared beside its handler, in one
+``@_command`` table.  ``--scale`` and ``--seed`` are valid before *and*
+after the sub-command name.  A library failure
+(:class:`~repro.errors.ReproError`) is one ``repro: error:`` line on
+stderr with exit code 2, not a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .algorithms.registry import run_algorithm
+from .algorithms.registry import canonical_algorithm_name, run_algorithm
 from .analysis.advisor import recommend_empirically, recommend_partitioner
 from .analysis.correlation import correlation_table
 from .analysis.results import best_partitioner_per_dataset
 from .backends import available_backends, get_backend
 from .datasets.catalog import PAPER_DATASET_NAMES, get_spec, load_dataset
 from .datasets.characterization import build_table1, format_table1
-from .engine.cluster import paper_cluster
 from .engine.partitioned_graph import PartitionedGraph
-from .errors import AnalysisError, PartitioningError, ReproError
+from .errors import AnalysisError, ReproError
 from .metrics.report import format_metrics_table, format_table
 from .partitioning.registry import PAPER_PARTITIONER_NAMES, canonical_partitioner_name
 from .session import ArtifactStore, Session
@@ -84,34 +43,37 @@ DEFAULT_ADVISE_PARTITIONS = 16
 SWEEP_LANDMARK_COUNT = 5
 
 
-def _partitioner_name(name: str) -> str:
-    """argparse type: resolve strategy names case-insensitively ("rvc" -> "RVC")."""
-    try:
-        return canonical_partitioner_name(name)
-    except PartitioningError as error:
-        raise argparse.ArgumentTypeError(str(error))
+def _number(kind: type, low: float, high: float = math.inf, *, open_low: bool = False):
+    """argparse type: a finite ``kind`` (``int`` or ``float``) in
+    ``[low, high]``, or ``(low, high]`` with ``open_low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        above = value > low if open_low else value >= low
+        if not (above and value <= high) or value == math.inf:
+            lower = f"{'>' if open_low else '>='} {low}"
+            bound = lower if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (partition counts)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _resolved(resolve: Callable[[str], str]):
+    """argparse type: a name resolved by a library canonicaliser, whose
+    :class:`ReproError` becomes a usage error ("rvc" -> "RVC")."""
 
+    def parse(text: str) -> str:
+        try:
+            return resolve(text)
+        except ReproError as error:
+            raise argparse.ArgumentTypeError(str(error))
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (a zero batch window flushes per tick)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _rule_ids(text: str) -> List[str]:
@@ -127,19 +89,89 @@ def _rule_ids(text: str) -> List[str]:
     return ids
 
 
-def _port_number(text: str) -> int:
-    """argparse type: a TCP port (0 asks the OS for an ephemeral one)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {value}")
-    return value
+#: Counts (partitions, iterations, workers, sizes): zero or negative
+#: values would otherwise reach the library as empty or nonsense runs.
+_COUNT = _number(int, 1)
+_ALGORITHM_NAME = _resolved(canonical_algorithm_name)
+_PARTITIONER_NAME = _resolved(canonical_partitioner_name)
+
+
+class _Flag(NamedTuple):
+    """One ``add_argument`` call of the command table."""
+
+    names: Tuple[str, ...]
+    options: Dict[str, Any]
+
+    def but(self, **changes: Any) -> "_Flag":
+        """This flag with some of its options replaced."""
+        return _Flag(self.names, {**self.options, **changes})
+
+
+def _flag(*names: str, **options: Any) -> _Flag:
+    """A flag of the command table.  A callable ``choices`` is called when
+    the parser is built, so backends registered after import are offered."""
+    return _Flag(names, options)
+
+
+_ALGORITHM = _flag(
+    "--algorithm",
+    type=_ALGORITHM_NAME,
+    default="PR",
+    help="PR, CC, TR or SSSP, case-insensitive; long forms such as PageRank "
+    "are accepted (default: PR)",
+)
+_DATASETS = _flag("--datasets", nargs="*", default=None)
+_PARTITIONERS = _flag(
+    "--partitioners",
+    nargs="+",
+    type=_PARTITIONER_NAME,
+    default=None,
+    help="strategy names, case-insensitive (default: the paper's six)",
+)
+_PARTITIONS = _flag("--partitions", type=_COUNT, default=128)
+_ITERATIONS = _flag(
+    "--iterations",
+    type=_COUNT,
+    default=10,
+    help="iteration budget per PageRank or CC run (default: 10)",
+)
+_ENGINE_WORKERS = _flag(
+    "--engine-workers",
+    type=_COUNT,
+    default=None,
+    help="shared-memory Pregel workers per engine run (default: serial); "
+    "results are bit-identical at any worker count",
+)
+_CHUNK_EDGES = _flag(
+    "--chunk-edges",
+    type=_COUNT,
+    default=None,
+    help="edges per chunk when streaming shards — the peak-memory knob "
+    "(default: the ooc module's chunk size)",
+)
+_CACHE_DIR = _flag(
+    "--cache-dir",
+    default=None,
+    help="artifact store directory; placements, landmarks, cell records "
+    "and shards kept there survive the process",
+)
+
+#: The command table, in ``--help`` order: (name, help, flags, handler).
+_COMMANDS: List[Tuple[str, str, Tuple[_Flag, ...], Callable[[argparse.Namespace], int]]] = []
+
+
+def _command(name: str, help: str, *flags: _Flag):
+    """Register the decorated handler as sub-command ``name``."""
+
+    def register(handler: Callable[[argparse.Namespace], int]):
+        _COMMANDS.append((name, help, flags, handler))
+        return handler
+
+    return register
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argparse parser for the ``repro`` CLI.
+    """Build the argparse parser for the ``repro`` CLI from the command table.
 
     The global ``--scale``/``--seed`` flags live on parent parsers attached
     to the root *and* to every sub-command, so they are accepted both
@@ -165,417 +197,56 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return flags
 
-    root_flags = _global_flags(with_defaults=True)
-    global_flags = _global_flags(with_defaults=False)
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Cut to Fit: Tailoring the Partitioning to the Computation'",
-        parents=[root_flags],
+        parents=[_global_flags(with_defaults=True)],
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    subparsers.add_parser(
-        "characterize",
-        help="print the Table 1 dataset characterisation",
-        parents=[global_flags],
-    )
-
-    metrics_parser = subparsers.add_parser(
-        "metrics", help="print Table 2/3 partitioning metrics", parents=[global_flags]
-    )
-    metrics_parser.add_argument("--partitions", type=_positive_int, default=128)
-    metrics_parser.add_argument("--datasets", nargs="*", default=None)
-    metrics_parser.add_argument(
-        "--partitioners",
-        nargs="+",
-        type=_partitioner_name,
-        default=None,
-        help="strategy names, case-insensitive (default: the paper's six)",
-    )
-
-    run_parser = subparsers.add_parser(
-        "run", help="run an algorithm sweep (Figures 3-6)", parents=[global_flags]
-    )
-    # type=str.upper runs before the choices check, so lowercase
-    # abbreviations ("pr", "sssp") are accepted too.
-    run_parser.add_argument(
-        "--algorithm", default="PR", type=str.upper, choices=["PR", "CC", "TR", "SSSP"]
-    )
-    run_parser.add_argument("--partitions", type=_positive_int, default=128)
-    run_parser.add_argument("--datasets", nargs="*", default=None)
-    run_parser.add_argument(
-        "--partitioners",
-        nargs="+",
-        type=_partitioner_name,
-        default=None,
-        help="strategy names, case-insensitive (default: the paper's six)",
-    )
-    # _positive_int (not bare int): --iterations 0 or negative would
-    # otherwise silently produce empty or nonsense runs.
-    run_parser.add_argument("--iterations", type=_positive_int, default=10)
-    run_parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend (reference = cost-model simulator)",
-    )
-    run_parser.add_argument(
-        "--engine-workers",
-        type=_positive_int,
-        default=None,
-        help="shared-memory Pregel workers per run (default: serial); "
-        "results are bit-identical at any worker count",
-    )
-    run_parser.add_argument(
-        "--out-of-core",
-        action="store_true",
-        help="execute over memory-mapped shard artifacts instead of "
-        "in-memory partitions (requires --cache-dir; PR/CC/SSSP on the "
-        "reference backend; results are bit-identical)",
-    )
-    run_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="artifact store holding (or receiving) the shards used by "
-        "--out-of-core; pre-populate it with 'repro ingest'",
-    )
-    run_parser.add_argument(
-        "--chunk-edges",
-        type=_positive_int,
-        default=None,
-        help="edges per superstep chunk in --out-of-core execution "
-        "(default: the ooc module's chunk size)",
-    )
-
-    sweep_parser = subparsers.add_parser(
-        "sweep",
-        help="run a multi-algorithm x multi-granularity grid with one partition cache",
-        parents=[global_flags],
-    )
-    sweep_parser.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["PR"],
-        type=str.upper,
-        choices=["PR", "CC", "TR", "SSSP"],
-        help="algorithms to execute per placement (default: PR)",
-    )
-    sweep_parser.add_argument(
-        "--partitions",
-        nargs="+",
-        type=_positive_int,
-        default=[128, 256],
-        help="granularities to sweep (default: the paper's 128 and 256)",
-    )
-    sweep_parser.add_argument("--datasets", nargs="*", default=None)
-    sweep_parser.add_argument(
-        "--partitioners",
-        nargs="+",
-        type=_partitioner_name,
-        default=None,
-        help="strategy names, case-insensitive (default: the paper's six)",
-    )
-    sweep_parser.add_argument("--iterations", type=_positive_int, default=10)
-    sweep_parser.add_argument(
-        "--backends",
-        nargs="+",
-        default=["reference"],
-        choices=available_backends(),
-        help="execution backends to cover (default: reference)",
-    )
-    # _positive_int (not bare int): a zero/negative pool size would
-    # otherwise reach ThreadPoolExecutor as a crash or a silent no-op.
-    sweep_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker-pool size for cell execution (default: 1)",
-    )
-    sweep_parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="pool flavour behind --workers: 'thread' shares one in-memory "
-        "session, 'process' runs cells on separate cores (default: thread)",
-    )
-    sweep_parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the planned cells and cache-hit estimate without executing",
-    )
-    sweep_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist placements, landmarks and completed cells to this "
-        "directory and reuse them across invocations",
-    )
-    sweep_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells whose records are already in --cache-dir "
-        "(requires --cache-dir; reuse is on by default when a cache "
-        "directory is given — this flag makes it explicit)",
-    )
-    sweep_parser.add_argument(
-        "--engine-workers",
-        type=_positive_int,
-        default=None,
-        help="shared-memory Pregel workers within each cell (default: "
-        "serial); composes with --workers, which parallelises across cells",
-    )
-
-    ingest_parser = subparsers.add_parser(
-        "ingest",
-        help="stream a graph into content-addressed shard artifacts",
-        parents=[global_flags],
-    )
-    ingest_parser.add_argument(
-        "edge_list",
-        nargs="?",
-        default=None,
-        help="path to a SNAP-style edge-list file to ingest (omit to "
-        "ingest a catalog dataset via --dataset, or --synthetic)",
-    )
-    ingest_parser.add_argument(
-        "--dataset",
-        default=None,
-        help="catalog dataset to ingest, or the dataset label for an "
-        "edge-list / synthetic source (default: file name / 'synthetic')",
-    )
-    ingest_parser.add_argument(
-        "--synthetic",
-        action="store_true",
-        help="generate the edge stream instead of reading it "
-        "(power-law endpoints; requires --vertices and --edges)",
-    )
-    ingest_parser.add_argument(
-        "--vertices",
-        type=_positive_int,
-        default=None,
-        help="vertex-id space size for --synthetic",
-    )
-    ingest_parser.add_argument(
-        "--edges",
-        type=_positive_int,
-        default=None,
-        help="edge count for --synthetic",
-    )
-    ingest_parser.add_argument(
-        "--skew",
-        type=float,
-        default=2.0,
-        help="power-law skew for --synthetic; 1.0 is uniform (default: 2.0)",
-    )
-    ingest_parser.add_argument(
-        "--delimiter",
-        default=None,
-        help="field delimiter for edge-list files (default: any whitespace)",
-    )
-    ingest_parser.add_argument(
-        "--partitioner",
-        type=_partitioner_name,
-        default="Greedy",
-        help="streaming partitioning strategy (default: Greedy)",
-    )
-    ingest_parser.add_argument("--partitions", type=_positive_int, default=128)
-    ingest_parser.add_argument(
-        "--chunk-edges",
-        type=_positive_int,
-        default=None,
-        help="edges per ingest chunk — the peak-memory knob "
-        "(default: the ooc module's chunk size)",
-    )
-    ingest_parser.add_argument(
-        "--cache-dir",
-        required=True,
-        help="artifact store directory receiving the shard",
-    )
-    ingest_parser.add_argument(
-        "--force",
-        action="store_true",
-        help="rebuild the shard even when the store already has it",
-    )
-
-    cache_parser = subparsers.add_parser(
-        "cache",
-        help="inspect or clear a persistent artifact store",
-        parents=[global_flags],
-    )
-    cache_parser.add_argument("action", choices=["info", "clear"])
-    cache_parser.add_argument(
-        "--cache-dir", required=True, help="artifact store directory"
-    )
-    cache_parser.add_argument(
-        "--kind",
-        choices=["placements", "landmarks", "records", "shards"],
-        default=None,
-        help="restrict 'clear' to one artifact kind (default: all)",
-    )
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="start the long-lived graph query daemon",
-        parents=[global_flags],
-    )
-    serve_parser.add_argument(
-        "--datasets",
-        nargs="+",
-        default=["youtube"],
-        help="catalog datasets to preload and serve (default: youtube)",
-    )
-    serve_parser.add_argument(
-        "--partitioner",
-        type=_partitioner_name,
-        default="Hybrid",
-        help="partitioning strategy for the served graphs (default: Hybrid)",
-    )
-    serve_parser.add_argument("--partitions", type=_positive_int, default=16)
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port",
-        type=_port_number,
-        default=8571,
-        help="TCP port to bind; 0 picks an ephemeral port (default: 8571)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="artifact store for warm restarts: placements and landmark "
-        "choices are reused across daemon starts",
-    )
-    serve_parser.add_argument(
-        "--landmarks",
-        type=_positive_int,
-        default=5,
-        help="landmark count for the distance-estimate index (default: 5)",
-    )
-    serve_parser.add_argument(
-        "--iterations",
-        type=_positive_int,
-        default=10,
-        help="PageRank iterations behind /pagerank/top (default: 10)",
-    )
-    serve_parser.add_argument(
-        "--top-k",
-        type=_positive_int,
-        default=10,
-        help="default k for /pagerank/top (default: 10)",
-    )
-    serve_parser.add_argument(
-        "--batch-window-ms",
-        type=_nonnegative_int,
-        default=25,
-        help="tick window within which concurrent exact-distance requests "
-        "coalesce into one multi-source sweep (default: 25)",
-    )
-    serve_parser.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=256,
-        help="flush a batch early once this many distinct sources are "
-        "pending (default: 256)",
-    )
-    serve_parser.add_argument(
-        "--engine-workers",
-        type=_positive_int,
-        default=None,
-        help="shared-memory Pregel workers for exact-SSSP batch sweeps and "
-        "lazy PageRank/component runs (default: serial)",
-    )
-
-    check_parser = subparsers.add_parser(
-        "check",
-        help="run the project-native static analyser (REP rules)",
-        parents=[global_flags],
-    )
-    check_parser.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files/directories to check (default: src tests benchmarks "
-        "examples under the current directory)",
-    )
-    check_parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="findings output format (default: text)",
-    )
-    check_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON baseline of grandfathered findings; only findings not "
-        "in the baseline fail the check",
-    )
-    check_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline and exit 0",
-    )
-    check_parser.add_argument(
-        "--rule",
-        action="append",
-        type=_rule_ids,
-        default=None,
-        help="restrict to specific rule ids; comma-separated and "
-        "repeatable (e.g. --rule REP001,REP004)",
-    )
-    check_parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the id/severity/description table of every rule and exit",
-    )
-    check_parser.add_argument(
-        "--output",
-        default=None,
-        help="also write the JSON findings document to this file "
-        "(CI artifact), independent of --format",
-    )
-    check_parser.add_argument(
-        "--statistics",
-        action="store_true",
-        help="report per-rule finding/file counts and parse/analysis wall "
-        "time (text and JSON output)",
-    )
-
-    advise_parser = subparsers.add_parser(
-        "advise", help="recommend a partitioner", parents=[global_flags]
-    )
-    advise_parser.add_argument("--dataset", required=True)
-    advise_parser.add_argument("--algorithm", default="PR", type=str.upper)
-    advise_parser.add_argument("--partitions", type=_positive_int, default=None)
-    advise_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="also execute the recommended configuration on this backend",
-    )
-
+    global_flags = _global_flags(with_defaults=False)
+    for name, help, flags, handler in _COMMANDS:
+        command = subparsers.add_parser(name, help=help, parents=[global_flags])
+        for names, options in flags:
+            if callable(options.get("choices")):
+                options = {**options, "choices": options["choices"]()}
+            command.add_argument(*names, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 
+@_command("characterize", "print the Table 1 dataset characterisation")
 def _cmd_characterize(args: argparse.Namespace) -> int:
     rows = build_table1(scale=args.scale, seed=args.seed)
     print(format_table1(rows))
     return 0
 
 
-def _grid_plan(args: argparse.Namespace):
-    """The one-granularity plan behind ``metrics`` and in-memory ``run``."""
+def _plan(args: argparse.Namespace, store: Optional[str] = None):
+    """The (session, plan) pair behind ``metrics``, in-memory ``run`` and
+    ``sweep``; the caller adds the algorithm and backend axes."""
+    session = Session(scale=args.scale, seed=args.seed, store=store)
     plan = (
-        Session(scale=args.scale, seed=args.seed)
-        .plan()
+        session.plan()
         .datasets(args.datasets or PAPER_DATASET_NAMES)
         .granularities(args.partitions)
     )
     if args.partitioners:
         plan.partitioners(args.partitioners)
-    return plan
+    if "iterations" in args:  # run and sweep execute; metrics only partitions
+        plan.iterations(args.iterations).engine_workers(args.engine_workers)
+        plan.landmarks(SWEEP_LANDMARK_COUNT, seed=args.seed + 7)
+    return session, plan
 
 
+@_command(
+    "metrics",
+    "print Table 2/3 partitioning metrics",
+    _PARTITIONS,
+    _DATASETS,
+    _PARTITIONERS,
+)
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    results = _grid_plan(args).run()
+    results = _plan(args)[1].run()
     table = {
         dataset: [record.metrics for record in subset]
         for dataset, subset in results.group_by("dataset").items()
@@ -593,7 +264,6 @@ def _cmd_run_out_of_core(args: argparse.Namespace) -> int:
     at a time and dropped after its superstep pass).
     """
     # Import here: the out-of-core stack is irrelevant to in-memory runs.
-    from .algorithms.registry import canonical_algorithm_name
     from .ooc import DEFAULT_CHUNK_EDGES
 
     if not args.cache_dir:
@@ -601,8 +271,7 @@ def _cmd_run_out_of_core(args: argparse.Namespace) -> int:
             "--out-of-core requires --cache-dir (shards are on-disk artifacts; "
             "pre-populate the store with 'repro ingest')"
         )
-    algorithm = canonical_algorithm_name(args.algorithm)
-    if algorithm == "TR":
+    if args.algorithm == "TR":
         raise AnalysisError(
             "triangle counting materialises whole adjacency sets and is not "
             "available out-of-core; choose PR, CC or SSSP"
@@ -617,29 +286,22 @@ def _cmd_run_out_of_core(args: argparse.Namespace) -> int:
             "--engine-workers forks in-memory partitions and does not compose "
             "with --out-of-core (supersteps already stream one chunk at a time)"
         )
-    datasets = list(args.datasets or PAPER_DATASET_NAMES)
-    for name in datasets:
-        get_spec(name)
     partitioners = args.partitioners or PAPER_PARTITIONER_NAMES
     chunk_edges = args.chunk_edges or DEFAULT_CHUNK_EDGES
     session = Session(scale=args.scale, seed=args.seed, store=args.cache_dir)
     rows = []
-    for dataset in datasets:
+    for dataset in args.datasets or PAPER_DATASET_NAMES:
         for partitioner in partitioners:
             sharded = session.sharded_partition(
                 dataset, partitioner, args.partitions, chunk_edges=chunk_edges
             )
-            result = run_algorithm(
-                algorithm, sharded, num_iterations=args.iterations
-            )
-            simulated = (
-                result.simulated_seconds if result.report is not None else ""
-            )
+            result = run_algorithm(args.algorithm, sharded, num_iterations=args.iterations)
+            simulated = result.simulated_seconds if result.report is not None else ""
             rows.append(
                 {
                     "dataset": dataset,
                     "partitioner": partitioner,
-                    "algorithm": algorithm,
+                    "algorithm": args.algorithm,
                     "partitions": args.partitions,
                     "supersteps": result.num_supersteps,
                     "simulated_s": simulated,
@@ -657,6 +319,31 @@ def _cmd_run_out_of_core(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "run",
+    "run an algorithm sweep (Figures 3-6)",
+    _ALGORITHM,
+    _PARTITIONS,
+    _DATASETS,
+    _PARTITIONERS,
+    _ITERATIONS,
+    _flag(
+        "--backend",
+        default="reference",
+        choices=available_backends,
+        help="execution backend (reference = cost-model simulator)",
+    ),
+    _ENGINE_WORKERS,
+    _flag(
+        "--out-of-core",
+        action="store_true",
+        help="execute over memory-mapped shard artifacts instead of "
+        "in-memory partitions (requires --cache-dir; PR/CC/SSSP on the "
+        "reference backend; results are bit-identical)",
+    ),
+    _CACHE_DIR,
+    _CHUNK_EDGES,
+)
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.out_of_core:
         return _cmd_run_out_of_core(args)
@@ -665,16 +352,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "--cache-dir/--chunk-edges only apply to 'run' together with "
             "--out-of-core (use 'sweep' for cached in-memory grids)"
         )
-    records = (
-        _grid_plan(args)
-        .algorithms(args.algorithm)
-        .backends(args.backend)
-        .iterations(args.iterations)
-        .landmarks(SWEEP_LANDMARK_COUNT, seed=args.seed + 7)
-        .cluster(paper_cluster())
-        .engine_workers(args.engine_workers)
-        .run()
-    )
+    records = _plan(args)[1].algorithms(args.algorithm).backends(args.backend).run()
     print(format_table(records.to_rows()))
     print()
     if args.backend != "reference":
@@ -705,33 +383,65 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sweep_plan(args: argparse.Namespace):
-    """The (session, plan) pair behind ``repro sweep``."""
+@_command(
+    "sweep",
+    "run a multi-algorithm x multi-granularity grid with one partition cache",
+    _flag(
+        "--algorithms",
+        nargs="+",
+        type=_ALGORITHM_NAME,
+        default=["PR"],
+        help="algorithms to execute per placement, case-insensitive; long "
+        "forms such as PageRank are accepted (default: PR)",
+    ),
+    _PARTITIONS.but(
+        nargs="+",
+        default=[128, 256],
+        help="granularities to sweep (default: the paper's 128 and 256)",
+    ),
+    _DATASETS,
+    _PARTITIONERS,
+    _ITERATIONS,
+    _flag(
+        "--backends",
+        nargs="+",
+        default=["reference"],
+        choices=available_backends,
+        help="execution backends to cover (default: reference)",
+    ),
+    _flag(
+        "--workers",
+        type=_COUNT,
+        default=1,
+        help="worker-pool size for cell execution (default: 1)",
+    ),
+    _flag(
+        "--executor",
+        choices=["thread", "process"],
+        default="thread",
+        help="pool flavour behind --workers: 'thread' shares one in-memory "
+        "session, 'process' runs cells on separate cores (default: thread)",
+    ),
+    _flag(
+        "--dry-run",
+        action="store_true",
+        help="print the planned cells and cache-hit estimate without executing",
+    ),
+    _CACHE_DIR,
+    _flag(
+        "--resume",
+        action="store_true",
+        help="skip cells whose records are already in --cache-dir "
+        "(requires --cache-dir; reuse is on by default when a cache "
+        "directory is given — this flag makes it explicit)",
+    ),
+    _ENGINE_WORKERS,
+)
+def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.cache_dir:
         raise AnalysisError("--resume requires --cache-dir (there is no store to resume from)")
-    datasets = list(args.datasets or PAPER_DATASET_NAMES)
-    # Resolve names against the catalog up front so a typo fails loudly
-    # even under --dry-run (which otherwise never touches the catalog).
-    for name in datasets:
-        get_spec(name)
-    session = Session(scale=args.scale, seed=args.seed, store=args.cache_dir)
-    plan = (
-        session.plan()
-        .datasets(datasets)
-        .granularities(args.partitions)
-        .algorithms(args.algorithms)
-        .backends(args.backends)
-        .iterations(args.iterations)
-        .landmarks(SWEEP_LANDMARK_COUNT, seed=args.seed + 7)
-        .engine_workers(args.engine_workers)
-    )
-    if args.partitioners:
-        plan.partitioners(args.partitioners)
-    return session, plan
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    session, plan = _build_sweep_plan(args)
+    session, plan = _plan(args, args.cache_dir)
+    plan.algorithms(args.algorithms).backends(args.backends)
     preview = plan.preview()
     if args.dry_run:
         print(format_table([cell.as_row() for cell in preview.cells]))
@@ -775,6 +485,56 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "ingest",
+    "stream a graph into content-addressed shard artifacts",
+    _flag(
+        "edge_list",
+        nargs="?",
+        default=None,
+        help="path to a SNAP-style edge-list file to ingest (omit to "
+        "ingest a catalog dataset via --dataset, or --synthetic)",
+    ),
+    _flag(
+        "--dataset",
+        default=None,
+        help="catalog dataset to ingest, or the dataset label for an "
+        "edge-list / synthetic source (default: file name / 'synthetic')",
+    ),
+    _flag(
+        "--synthetic",
+        action="store_true",
+        help="generate the edge stream instead of reading it "
+        "(power-law endpoints; requires --vertices and --edges)",
+    ),
+    _flag("--vertices", type=_COUNT, default=None, help="vertex-id space size for --synthetic"),
+    _flag("--edges", type=_COUNT, default=None, help="edge count for --synthetic"),
+    _flag(
+        "--skew",
+        type=_number(float, 0, open_low=True),
+        default=2.0,
+        help="power-law skew for --synthetic; 1.0 is uniform (default: 2.0)",
+    ),
+    _flag(
+        "--delimiter",
+        default=None,
+        help="field delimiter for edge-list files (default: any whitespace)",
+    ),
+    _flag(
+        "--partitioner",
+        type=_PARTITIONER_NAME,
+        default="Greedy",
+        help="streaming partitioning strategy (default: Greedy)",
+    ),
+    _PARTITIONS,
+    _CHUNK_EDGES,
+    _CACHE_DIR.but(required=True),
+    _flag(
+        "--force",
+        action="store_true",
+        help="rebuild the shard even when the store already has it",
+    ),
+)
 def _cmd_ingest(args: argparse.Namespace) -> int:
     # Import here: the out-of-core stack is irrelevant to every other
     # sub-command (same pattern as the serve daemon).
@@ -812,7 +572,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         # (name, partitioner, partitions, scale, seed) — matches what
         # Session.sharded_partition computes, making this a warm-up for
         # 'repro run --out-of-core' against the same --cache-dir.
-        get_spec(args.dataset)
         graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
         source = GraphChunkSource(graph, chunk_edges=chunk_edges)
     else:
@@ -848,6 +607,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "cache",
+    "inspect or clear a persistent artifact store",
+    _flag("action", choices=["info", "clear"]),
+    _CACHE_DIR.but(required=True),
+    _flag(
+        "--kind",
+        choices=["placements", "landmarks", "records", "shards"],
+        default=None,
+        help="restrict 'clear' to one artifact kind (default: all)",
+    ),
+)
 def _cmd_cache(args: argparse.Namespace) -> int:
     store = ArtifactStore(args.cache_dir)
     if args.action == "info":
@@ -865,13 +636,58 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "serve",
+    "start the long-lived graph query daemon",
+    _DATASETS.but(
+        nargs="+",
+        default=["youtube"],
+        help="catalog datasets to preload and serve (default: youtube)",
+    ),
+    _flag(
+        "--partitioner",
+        type=_PARTITIONER_NAME,
+        default="Hybrid",
+        help="partitioning strategy for the served graphs (default: Hybrid)",
+    ),
+    _PARTITIONS.but(default=16),
+    _flag("--host", default="127.0.0.1"),
+    _flag(
+        "--port",
+        type=_number(int, 0, 65535),
+        default=8571,
+        help="TCP port to bind; 0 picks an ephemeral port (default: 8571)",
+    ),
+    _CACHE_DIR,
+    _flag(
+        "--landmarks",
+        type=_COUNT,
+        default=5,
+        help="landmark count for the distance-estimate index (default: 5)",
+    ),
+    _ITERATIONS,
+    _flag("--top-k", type=_COUNT, default=10, help="default k for /pagerank/top (default: 10)"),
+    _flag(
+        "--batch-window-ms",
+        type=_number(int, 0),
+        default=25,
+        help="tick window within which concurrent exact-distance requests "
+        "coalesce into one multi-source sweep (default: 25)",
+    ),
+    _flag(
+        "--max-batch",
+        type=_COUNT,
+        default=256,
+        help="flush a batch early once this many distinct sources are "
+        "pending (default: 256)",
+    ),
+    _ENGINE_WORKERS,
+)
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Import here: the daemon stack (asyncio server, batcher threads) is
     # irrelevant to every other sub-command.
     from .serve import GraphService, serve_forever
 
-    for name in args.datasets:
-        get_spec(name)
     session = Session(scale=args.scale, seed=args.seed, store=args.cache_dir)
     service = GraphService(
         session,
@@ -912,6 +728,59 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "check",
+    "run the project-native static analyser (REP rules)",
+    _flag(
+        "paths",
+        nargs="*",
+        default=None,
+        help="files/directories to check (default: src tests benchmarks "
+        "examples under the current directory)",
+    ),
+    _flag(
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        help="findings output format (default: text)",
+    ),
+    _flag(
+        "--baseline",
+        default=None,
+        help="JSON baseline of grandfathered findings; only findings not "
+        "in the baseline fail the check",
+    ),
+    _flag(
+        "--write-baseline",
+        action="store_true",
+        help="write the current findings to --baseline and exit 0",
+    ),
+    _flag(
+        "--rule",
+        action="append",
+        type=_rule_ids,
+        default=None,
+        help="restrict to specific rule ids; comma-separated and "
+        "repeatable (e.g. --rule REP001,REP004)",
+    ),
+    _flag(
+        "--list-rules",
+        action="store_true",
+        help="print the id/severity/description table of every rule and exit",
+    ),
+    _flag(
+        "--output",
+        default=None,
+        help="also write the JSON findings document to this file "
+        "(CI artifact), independent of --format",
+    ),
+    _flag(
+        "--statistics",
+        action="store_true",
+        help="report per-rule finding/file counts and parse/analysis wall "
+        "time (text and JSON output)",
+    ),
+)
 def _cmd_check(args: argparse.Namespace) -> int:
     # Import here: the static analyser is irrelevant to every other
     # sub-command (same pattern as the serve daemon).
@@ -923,6 +792,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return run_check(args)
 
 
+@_command(
+    "advise",
+    "recommend a partitioner",
+    _flag("--dataset", required=True),
+    _ALGORITHM,
+    _PARTITIONS.but(default=None),
+    _flag(
+        "--backend",
+        default=None,
+        choices=available_backends,
+        help="also execute the recommended configuration on this backend",
+    ),
+)
 def _cmd_advise(args: argparse.Namespace) -> int:
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if args.partitions:
@@ -958,23 +840,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Library errors (bad dataset name, misconfigured study, ...) all derive
     from :class:`ReproError`; they are user errors, not crashes, so they
-    are reported as one line on stderr with exit code 2.
+    are reported as one line on stderr with exit code 2.  ``--datasets``
+    names are checked before dispatch, so a typo fails before any work.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "characterize": _cmd_characterize,
-        "metrics": _cmd_metrics,
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "advise": _cmd_advise,
-        "ingest": _cmd_ingest,
-        "cache": _cmd_cache,
-        "serve": _cmd_serve,
-        "check": _cmd_check,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        for name in getattr(args, "datasets", None) or ():
+            get_spec(name)
+        return args.handler(args)
     except ReproError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2

@@ -220,8 +220,8 @@ class SyntheticChunkSource(EdgeChunkSource):
             raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
         if num_edges < 0:
             raise ValueError(f"num_edges must be non-negative, got {num_edges}")
-        if skew <= 0:
-            raise ValueError(f"skew must be positive, got {skew}")
+        if not (0 < skew < np.inf):
+            raise ValueError(f"skew must be positive and finite, got {skew}")
         self.num_vertices = int(num_vertices)
         self.seed = int(seed)
         self.skew = float(skew)

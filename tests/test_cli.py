@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -795,3 +797,176 @@ class TestGoldenOutput:
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:] if line]
         golden = {line.split()[1]: line.split() for line in METRICS_GOLDEN[2:] if line}
         assert rows == [golden["DC"], golden["RVC"]]
+
+
+#: Every sub-command's flags after ``--scale``/``--seed``: option strings,
+#: dest, default, nargs, required, action class and choices.  Captured
+#: from the hand-written parser that preceded the command table; the only
+#: change since is that the algorithm flags resolve names through the
+#: library's alias table instead of a fixed ``choices`` list.
+BACKENDS = ["reference", "vectorized"]
+PARSER_SURFACE = {
+    "characterize": [],
+    "metrics": [
+        (("--partitions",), "partitions", 128, None, False, "_StoreAction", None),
+        (("--datasets",), "datasets", None, "*", False, "_StoreAction", None),
+        (("--partitioners",), "partitioners", None, "+", False, "_StoreAction", None),
+    ],
+    "run": [
+        (("--algorithm",), "algorithm", "PR", None, False, "_StoreAction", None),
+        (("--partitions",), "partitions", 128, None, False, "_StoreAction", None),
+        (("--datasets",), "datasets", None, "*", False, "_StoreAction", None),
+        (("--partitioners",), "partitioners", None, "+", False, "_StoreAction", None),
+        (("--iterations",), "iterations", 10, None, False, "_StoreAction", None),
+        (("--backend",), "backend", "reference", None, False, "_StoreAction", BACKENDS),
+        (("--engine-workers",), "engine_workers", None, None, False, "_StoreAction", None),
+        (("--out-of-core",), "out_of_core", False, 0, False, "_StoreTrueAction", None),
+        (("--cache-dir",), "cache_dir", None, None, False, "_StoreAction", None),
+        (("--chunk-edges",), "chunk_edges", None, None, False, "_StoreAction", None),
+    ],
+    "sweep": [
+        (("--algorithms",), "algorithms", ["PR"], "+", False, "_StoreAction", None),
+        (("--partitions",), "partitions", [128, 256], "+", False, "_StoreAction", None),
+        (("--datasets",), "datasets", None, "*", False, "_StoreAction", None),
+        (("--partitioners",), "partitioners", None, "+", False, "_StoreAction", None),
+        (("--iterations",), "iterations", 10, None, False, "_StoreAction", None),
+        (("--backends",), "backends", ["reference"], "+", False, "_StoreAction", BACKENDS),
+        (("--workers",), "workers", 1, None, False, "_StoreAction", None),
+        (
+            ("--executor",), "executor", "thread", None, False, "_StoreAction",
+            ["thread", "process"],
+        ),
+        (("--dry-run",), "dry_run", False, 0, False, "_StoreTrueAction", None),
+        (("--cache-dir",), "cache_dir", None, None, False, "_StoreAction", None),
+        (("--resume",), "resume", False, 0, False, "_StoreTrueAction", None),
+        (("--engine-workers",), "engine_workers", None, None, False, "_StoreAction", None),
+    ],
+    "ingest": [
+        ((), "edge_list", None, "?", False, "_StoreAction", None),
+        (("--dataset",), "dataset", None, None, False, "_StoreAction", None),
+        (("--synthetic",), "synthetic", False, 0, False, "_StoreTrueAction", None),
+        (("--vertices",), "vertices", None, None, False, "_StoreAction", None),
+        (("--edges",), "edges", None, None, False, "_StoreAction", None),
+        (("--skew",), "skew", 2.0, None, False, "_StoreAction", None),
+        (("--delimiter",), "delimiter", None, None, False, "_StoreAction", None),
+        (("--partitioner",), "partitioner", "Greedy", None, False, "_StoreAction", None),
+        (("--partitions",), "partitions", 128, None, False, "_StoreAction", None),
+        (("--chunk-edges",), "chunk_edges", None, None, False, "_StoreAction", None),
+        (("--cache-dir",), "cache_dir", None, None, True, "_StoreAction", None),
+        (("--force",), "force", False, 0, False, "_StoreTrueAction", None),
+    ],
+    "cache": [
+        ((), "action", None, None, True, "_StoreAction", ["info", "clear"]),
+        (("--cache-dir",), "cache_dir", None, None, True, "_StoreAction", None),
+        (
+            ("--kind",), "kind", None, None, False, "_StoreAction",
+            ["placements", "landmarks", "records", "shards"],
+        ),
+    ],
+    "serve": [
+        (("--datasets",), "datasets", ["youtube"], "+", False, "_StoreAction", None),
+        (("--partitioner",), "partitioner", "Hybrid", None, False, "_StoreAction", None),
+        (("--partitions",), "partitions", 16, None, False, "_StoreAction", None),
+        (("--host",), "host", "127.0.0.1", None, False, "_StoreAction", None),
+        (("--port",), "port", 8571, None, False, "_StoreAction", None),
+        (("--cache-dir",), "cache_dir", None, None, False, "_StoreAction", None),
+        (("--landmarks",), "landmarks", 5, None, False, "_StoreAction", None),
+        (("--iterations",), "iterations", 10, None, False, "_StoreAction", None),
+        (("--top-k",), "top_k", 10, None, False, "_StoreAction", None),
+        (("--batch-window-ms",), "batch_window_ms", 25, None, False, "_StoreAction", None),
+        (("--max-batch",), "max_batch", 256, None, False, "_StoreAction", None),
+        (("--engine-workers",), "engine_workers", None, None, False, "_StoreAction", None),
+    ],
+    "check": [
+        ((), "paths", None, "*", False, "_StoreAction", None),
+        (("--format",), "format", "text", None, False, "_StoreAction", ["text", "json"]),
+        (("--baseline",), "baseline", None, None, False, "_StoreAction", None),
+        (("--write-baseline",), "write_baseline", False, 0, False, "_StoreTrueAction", None),
+        (("--rule",), "rule", None, None, False, "_AppendAction", None),
+        (("--list-rules",), "list_rules", False, 0, False, "_StoreTrueAction", None),
+        (("--output",), "output", None, None, False, "_StoreAction", None),
+        (("--statistics",), "statistics", False, 0, False, "_StoreTrueAction", None),
+    ],
+    "advise": [
+        (("--dataset",), "dataset", None, None, True, "_StoreAction", None),
+        (("--algorithm",), "algorithm", "PR", None, False, "_StoreAction", None),
+        (("--partitions",), "partitions", None, None, False, "_StoreAction", None),
+        (("--backend",), "backend", None, None, False, "_StoreAction", BACKENDS),
+    ],
+}
+
+
+#: The global flags every sub-command re-declares with suppressed defaults.
+GLOBAL_FLAG_ROWS = [
+    (("--scale",), "scale", argparse.SUPPRESS, None, False, "_StoreAction", None),
+    (("--seed",), "seed", argparse.SUPPRESS, None, False, "_StoreAction", None),
+]
+
+
+def _parser_surface(parser):
+    """Walk ``parser``'s sub-commands into ``PARSER_SURFACE``'s row format."""
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: [
+            (
+                tuple(action.option_strings), action.dest, action.default,
+                action.nargs, action.required, type(action).__name__,
+                None if action.choices is None else list(action.choices),
+            )
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        for name, command in subparsers.choices.items()
+    }
+
+
+class TestParserSurface:
+    """The command table builds the same 82 option slots as before."""
+
+    def test_sub_commands_in_help_order(self):
+        assert list(_parser_surface(build_parser())) == list(PARSER_SURFACE)
+
+    @pytest.mark.parametrize("command", list(PARSER_SURFACE))
+    def test_flags_match_the_pinned_table(self, command):
+        surface = _parser_surface(build_parser())
+        assert surface[command] == GLOBAL_FLAG_ROWS + PARSER_SURFACE[command]
+
+    def test_slot_count(self):
+        slots = sum(len(rows) for rows in _parser_surface(build_parser()).values())
+        assert slots == 82
+
+
+class TestLibraryNameResolution:
+    """Algorithm flags accept the library's aliases; unknown names are usage errors."""
+
+    def test_run_accepts_long_form_algorithm(self):
+        assert build_parser().parse_args(["run", "--algorithm", "pagerank"]).algorithm == "PR"
+
+    def test_sweep_accepts_long_form_algorithms(self):
+        args = build_parser().parse_args(["sweep", "--algorithms", "PageRank", "cc"])
+        assert args.algorithms == ["PR", "CC"]
+
+    def test_advise_rejects_unknown_algorithm(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["advise", "--dataset", "orkut", "--algorithm", "BFS"])
+        assert excinfo.value.code == 2
+
+
+class TestSkewValidation:
+    @pytest.mark.parametrize("skew", ["0", "-1", "nan", "inf"])
+    def test_bad_skew_is_a_usage_error(self, skew, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "ingest", "--synthetic", "--vertices", "10", "--edges", "20",
+                    "--skew", skew, "--cache-dir", str(tmp_path / "store"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--skew" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "store").exists()

@@ -139,6 +139,12 @@ class TestSyntheticChunkSource:
         with pytest.raises(ValueError):
             SyntheticChunkSource(10, 10, seed=0, skew=0.0)
 
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+    def test_non_finite_skew_raises(self, skew):
+        # A nan or infinite exponent would collapse every endpoint to one vertex.
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticChunkSource(10, 10, seed=0, skew=skew)
+
 
 class TestGraphChunkSource:
     def test_streams_the_exact_edge_arrays(self, small_social_graph):
