@@ -10,7 +10,7 @@ that makes fine-grained partitioning pay off in the paper's Figure 4.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,12 +35,6 @@ class ConnectedComponentsKernel(ArrayMessageKernel):
     merge_ufunc = np.minimum
     merge_identity = np.iinfo(np.int64).max
     message_dtype = np.int64
-
-    def encode(self, vertex_ids, values):
-        return np.array([int(values[v]) for v in vertex_ids.tolist()], dtype=np.int64)
-
-    def decode(self, vertex_ids, state):
-        return dict(zip(vertex_ids.tolist(), state.tolist()))
 
     def send_message_array(self, src_idx, dst_idx, state):
         src_labels = state[src_idx]
@@ -73,10 +67,10 @@ def connected_components(
     """
     iterations = max_iterations if max_iterations is not None else pgraph.graph.num_vertices + 1
 
-    initial_values: Dict[int, int] = {int(v): int(v) for v in pgraph.graph.vertex_ids.tolist()}
+    vertex_ids = pgraph.graph.vertex_ids
     result = pregel(
         pgraph,
-        initial_values=initial_values,
+        initial_values=vertex_ids.astype(np.int64),
         max_iterations=iterations,
         active_direction="either",
         cluster=cluster,
@@ -89,7 +83,8 @@ def connected_components(
 
     return AlgorithmResult(
         algorithm="ConnectedComponents",
-        vertex_values=dict(result.vertex_values),
+        vertex_ids=vertex_ids,
+        values=result.vertex_values,
         num_supersteps=result.num_supersteps,
         report=result.report,
     )

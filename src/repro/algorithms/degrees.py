@@ -33,9 +33,6 @@ class DegreeKernel(ArrayMessageKernel):
     def __init__(self, direction: str) -> None:
         self.direction = direction
 
-    def encode(self, vertex_ids, values):
-        return None  # degree messages do not read vertex state
-
     def send_message_array(self, src_idx, dst_idx, state):
         num_edges = src_idx.size
         if self.direction == "out":
@@ -50,9 +47,6 @@ class DegreeKernel(ArrayMessageKernel):
             targets[0::2] = src_idx
             targets[1::2] = dst_idx
         return positions, targets, np.ones(targets.size, dtype=np.int64)
-
-    def decode_messages(self, target_ids, messages):
-        return dict(zip(target_ids.tolist(), messages.tolist()))
 
 
 def degree_count(
@@ -69,19 +63,22 @@ def degree_count(
     if direction not in ("out", "in", "both"):
         raise EngineError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
 
-    values = {int(v): 0 for v in pgraph.graph.vertex_ids.tolist()}
-    merged, report = aggregate_messages(
+    vertex_ids = pgraph.graph.vertex_ids
+    # Degree messages do not read vertex state.
+    (target_idx, merged), report = aggregate_messages(
         pgraph,
-        vertex_values=values,
+        vertex_values=None,
         cluster=cluster,
         cost_parameters=cost_parameters,
         edge_compute_units=0.5,
         message_kernel=DegreeKernel(direction),
     )
-    values.update(merged)
+    values = np.zeros(vertex_ids.size, dtype=np.int64)
+    values[target_idx] = merged
     return AlgorithmResult(
         algorithm=f"DegreeCount[{direction}]",
-        vertex_values=values,
+        vertex_ids=vertex_ids,
+        values=values,
         num_supersteps=report.num_supersteps,
         report=report,
     )

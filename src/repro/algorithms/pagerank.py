@@ -11,7 +11,7 @@ normalised, matching GraphX semantics.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..engine.cost_model import CostParameters
 from ..engine.messaging import ArrayMessageKernel
 from ..engine.partitioned_graph import PartitionedGraph
 from ..engine.pregel import pregel
-from ..errors import EngineError
+from ..errors import EngineError, require_count
 from .result import AlgorithmResult
 
 __all__ = ["pagerank", "PageRankKernel"]
@@ -35,9 +35,8 @@ class PageRankKernel(ArrayMessageKernel):
     """Vectorised rank-contribution messages: ``rank / out_degree`` along
     every out-edge, merged with ``np.add``.
 
-    The state array holds the ranks; the (constant) out-degrees are kept on
-    the kernel and re-attached in :meth:`decode` so the decoded values are
-    the scalar path's ``(rank, degree)`` tuples.
+    The state array holds the ranks; the constant out-degrees (int64, in
+    ``vertex_ids`` order) are the kernel's own.
     """
 
     merge_ufunc = np.add
@@ -47,23 +46,10 @@ class PageRankKernel(ArrayMessageKernel):
     # the fold plan and routing counters are superstep-invariant.
     static_message_structure = True
 
-    def __init__(self, reset_prob: float) -> None:
+    def __init__(self, reset_prob: float, degrees: np.ndarray) -> None:
         self.reset_prob = reset_prob
         self.damping = 1.0 - reset_prob
-        self._degrees: Optional[np.ndarray] = None
-
-    def encode(self, vertex_ids, values):
-        ids = vertex_ids.tolist()
-        self._degrees = np.array([int(values[v][1]) for v in ids], dtype=np.int64)
-        return np.array([float(values[v][0]) for v in ids], dtype=np.float64)
-
-    def decode(self, vertex_ids, state):
-        return {
-            int(v): (float(rank), int(degree))
-            for v, rank, degree in zip(
-                vertex_ids.tolist(), state.tolist(), self._degrees.tolist()
-            )
-        }
+        self._degrees = degrees
 
     def send_message_array(self, src_idx, dst_idx, state):
         degrees = self._degrees[src_idx]
@@ -88,23 +74,19 @@ def pagerank(
 ) -> AlgorithmResult:
     """Run static PageRank for ``num_iterations`` supersteps.
 
-    Returns an :class:`AlgorithmResult` whose ``vertex_values`` map each
-    vertex to its (unnormalised) rank.  ``parallel_workers >= 2`` fans the
+    Returns an :class:`AlgorithmResult` whose ``values`` hold each
+    vertex's (unnormalised) rank.  ``parallel_workers >= 2`` fans the
     supersteps out across a shared-memory process pool, bit-identically
     (see :mod:`repro.engine.parallel`).
     """
-    if num_iterations < 1:
-        raise EngineError("num_iterations must be >= 1")
+    num_iterations = require_count(num_iterations, "num_iterations", 1, EngineError)
     if not 0.0 < reset_prob < 1.0:
         raise EngineError("reset_prob must be in (0, 1)")
 
-    out_degrees = pgraph.graph.out_degrees()
-    initial_values: Dict[int, Tuple[float, int]] = {
-        v: (1.0, out_degrees[v]) for v in out_degrees
-    }
+    graph = pgraph.graph
     result = pregel(
         pgraph,
-        initial_values=initial_values,
+        initial_values=np.ones(graph.num_vertices),
         max_iterations=num_iterations,
         active_direction="either",
         cluster=cluster,
@@ -112,14 +94,14 @@ def pagerank(
         edge_compute_units=_EDGE_UNITS,
         vertex_compute_units=_VERTEX_UNITS,
         always_active=True,
-        message_kernel=PageRankKernel(reset_prob),
+        message_kernel=PageRankKernel(reset_prob, graph.out_degree_array()),
         parallel_workers=parallel_workers,
     )
 
-    ranks = {vertex: value[0] for vertex, value in result.vertex_values.items()}
     return AlgorithmResult(
         algorithm="PageRank",
-        vertex_values=ranks,
+        vertex_ids=graph.vertex_ids,
+        values=result.vertex_values,
         num_supersteps=result.num_supersteps,
         report=result.report,
     )

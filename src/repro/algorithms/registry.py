@@ -94,7 +94,8 @@ def run_algorithm(
 
     ``backend`` picks the execution strategy (``"reference"`` by default;
     see :mod:`repro.backends` for the registry).  The backend layer stamps
-    every result with its name and measured wall-clock time.
+    every result with its name and measured wall-clock time, and rejects a
+    non-integral ``num_iterations`` with :class:`~repro.errors.EngineError`.
     ``engine_workers >= 2`` fans the reference backend's Pregel supersteps
     out across a shared-memory process pool (bit-identical results; TR and
     non-Pregel backends ignore it).

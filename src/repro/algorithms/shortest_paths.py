@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -66,26 +66,6 @@ class ShortestPathsKernel(ArrayMessageKernel):
         self.landmarks = [int(v) for v in landmarks]
         self.message_width = len(self.landmarks)
 
-    def encode(self, vertex_ids, values):
-        state = np.full((vertex_ids.size, len(self.landmarks)), np.inf)
-        column = {landmark: j for j, landmark in enumerate(self.landmarks)}
-        for i, v in enumerate(vertex_ids.tolist()):
-            for landmark, distance in values[v].items():
-                state[i, column[landmark]] = float(distance)
-        return state
-
-    def decode(self, vertex_ids, state):
-        # Column by column (landmark order, so each map's key order is the
-        # row order): a few numpy calls per landmark, not two per vertex.
-        ids = vertex_ids.tolist()
-        values: Dict[int, Dict[int, int]] = {v: {} for v in ids}
-        for j, landmark in enumerate(self.landmarks):
-            reached = np.flatnonzero(np.isfinite(state[:, j]))
-            distances = state[reached, j].astype(np.int64)
-            for i, distance in zip(reached.tolist(), distances.tolist()):
-                values[ids[i]][landmark] = distance
-        return values
-
     def send_message_array(self, src_idx, dst_idx, state):
         candidates = state[dst_idx] + 1.0
         improving = (candidates < state[src_idx]).any(axis=1)
@@ -101,7 +81,7 @@ class MultiSourceShortestPathsKernel(ShortestPathsKernel):
     """The forward orientation of :class:`ShortestPathsKernel`: candidate
     rows ``src + 1`` travel *along* edge direction to destinations that
     improve, so row entries are ``d(source -> v)`` instead of
-    ``d(v -> landmark)``.  Encoding, merging and decoding are inherited."""
+    ``d(v -> landmark)``.  The state layout and the merge are inherited."""
 
     def send_message_array(self, src_idx, dst_idx, state):
         candidates = state[src_idx] + 1.0
@@ -118,16 +98,18 @@ def shortest_paths(
     cost_parameters: Optional[CostParameters] = None,
     parallel_workers: Optional[int] = None,
 ) -> AlgorithmResult:
-    """Compute hop distances from every vertex to each landmark it can reach."""
-    landmark_list = [int(v) for v in landmarks]
-    if not landmark_list:
-        raise EngineError("at least one landmark vertex is required")
+    """Compute hop distances from every vertex to each landmark it can reach.
+
+    The result's ``values`` are the ``(num_vertices, num_landmarks)`` hop
+    matrix (``inf`` where unreached) and its ``columns`` the landmarks.
+    Duplicate landmarks are collapsed (first occurrence wins the ordering).
+    """
     return _landmark_sweep(
         pgraph,
         "ShortestPaths",
-        "landmarks",
-        landmark_list,
-        ShortestPathsKernel(landmark_list),
+        "landmark",
+        landmarks,
+        ShortestPathsKernel,
         max_iterations,
         cluster,
         cost_parameters,
@@ -145,9 +127,10 @@ def multi_source_distances(
 ) -> AlgorithmResult:
     """Hop distances *from* every source vertex, all in one Pregel run.
 
-    The result's ``vertex_values`` map each vertex ``v`` to
-    ``{source: d(source -> v)}`` for the sources that reach it, so a
-    point query ``d(u -> v)`` reads ``vertex_values[v].get(u)``.  Any
+    The result's ``values[i, j]`` is ``d(columns[j] -> vertex_ids[i])``
+    (``inf`` where unreached), and its ``vertex_values`` map each vertex
+    ``v`` to ``{source: d(source -> v)}`` for the sources that reach it,
+    so a point query ``d(u -> v)`` reads ``vertex_values[v].get(u)``.  Any
     number of sources share one frontier sweep — this is the primitive
     the serving layer's batching scheduler coalesces concurrent SSSP
     requests into, and running it with sources ``[s]`` N times is
@@ -155,15 +138,12 @@ def multi_source_distances(
 
     Duplicate sources are collapsed (first occurrence wins the ordering).
     """
-    source_list = list(dict.fromkeys(int(v) for v in sources))
-    if not source_list:
-        raise EngineError("at least one source vertex is required")
     return _landmark_sweep(
         pgraph,
         "MultiSourceSSSP",
-        "sources",
-        source_list,
-        MultiSourceShortestPathsKernel(source_list),
+        "source",
+        sources,
+        MultiSourceShortestPathsKernel,
         max_iterations,
         cluster,
         cost_parameters,
@@ -175,43 +155,48 @@ def _landmark_sweep(
     pgraph: PartitionedGraph,
     algorithm: str,
     role: str,
-    seeds: List[int],
-    kernel: ShortestPathsKernel,
+    seeds: Iterable[int],
+    kernel: type,
     max_iterations: Optional[int],
     cluster: Optional[ClusterConfig],
     cost_parameters: Optional[CostParameters],
     parallel_workers: Optional[int],
 ) -> AlgorithmResult:
-    """One Pregel run of a landmark-map ``kernel``: each of ``seeds``
-    starts at distance 0 from itself, every other map starts empty."""
-    known = set(pgraph.graph.vertex_ids.tolist())
-    unknown = [v for v in seeds if v not in known]
-    if unknown:
-        raise EngineError(f"{role} not present in the graph: {unknown}")
+    """One Pregel run of a landmark-map ``kernel`` class over the distinct
+    ``seeds`` (first occurrence wins the column order): each seed starts at
+    distance 0 from itself in its own column, every other entry unreached."""
+    seeds = list(dict.fromkeys(int(v) for v in seeds))
+    if not seeds:
+        raise EngineError(f"at least one {role} vertex is required")
+    vertex_ids = pgraph.graph.vertex_ids
+    known = np.isin(seeds, vertex_ids).tolist()
+    if not all(known):
+        unknown = [v for v, ok in zip(seeds, known) if not ok]
+        raise EngineError(f"{role}s not present in the graph: {unknown}")
 
-    iterations = max_iterations if max_iterations is not None else pgraph.graph.num_vertices + 1
-    seed_set = set(seeds)
-    initial_values: Dict[int, Dict[int, int]] = {
-        v: ({v: 0} if v in seed_set else {}) for v in pgraph.graph.vertex_ids.tolist()
-    }
+    iterations = max_iterations if max_iterations is not None else vertex_ids.size + 1
+    state = np.full((vertex_ids.size, len(seeds)), np.inf)
+    state[np.searchsorted(vertex_ids, seeds), np.arange(len(seeds))] = 0.0
     result = pregel(
         pgraph,
-        initial_values=initial_values,
+        initial_values=state,
         max_iterations=iterations,
         active_direction="either",
         cluster=cluster,
         cost_parameters=cost_parameters,
         edge_compute_units=_EDGE_UNITS,
         vertex_compute_units=_VERTEX_UNITS,
-        message_kernel=kernel,
+        message_kernel=kernel(seeds),
         parallel_workers=parallel_workers,
     )
 
     return AlgorithmResult(
         algorithm=algorithm,
-        vertex_values=dict(result.vertex_values),
+        vertex_ids=vertex_ids,
+        values=result.vertex_values,
         num_supersteps=result.num_supersteps,
         report=result.report,
+        columns=seeds,
     )
 
 
@@ -259,18 +244,6 @@ class LandmarkMatrix:
         return int(self.to_landmark.nbytes + self.from_landmark.nbytes)
 
 
-def _distance_matrix(
-    vertex_ids: np.ndarray, landmarks: List[int], values: Dict[int, Dict[int, int]]
-) -> np.ndarray:
-    """A dense ``(num_vertices, num_landmarks)`` matrix from per-vertex maps."""
-    column = {landmark: j for j, landmark in enumerate(landmarks)}
-    matrix = np.full((vertex_ids.size, len(landmarks)), np.inf)
-    for i, v in enumerate(vertex_ids.tolist()):
-        for landmark, distance in values.get(v, {}).items():
-            matrix[i, column[landmark]] = float(distance)
-    return matrix
-
-
 def build_landmark_matrix(
     pgraph: PartitionedGraph,
     landmarks: Iterable[int],
@@ -284,28 +257,27 @@ def build_landmark_matrix(
     distance *to* each landmark; one forward sweep
     (:func:`multi_source_distances`) yields each landmark's distance to
     every vertex.  Two engine runs total, regardless of landmark count.
+    Duplicate landmarks are collapsed (first occurrence wins the ordering).
     """
-    landmark_list = [int(v) for v in landmarks]
-    vertex_ids = pgraph.graph.vertex_ids
-    to_values = shortest_paths(
+    to_sweep = shortest_paths(
         pgraph,
-        landmark_list,
+        landmarks,
         max_iterations=max_iterations,
         cluster=cluster,
         cost_parameters=cost_parameters,
-    ).vertex_values
-    from_values = multi_source_distances(
+    )
+    from_sweep = multi_source_distances(
         pgraph,
-        landmark_list,
+        to_sweep.columns,
         max_iterations=max_iterations,
         cluster=cluster,
         cost_parameters=cost_parameters,
-    ).vertex_values
+    )
     return LandmarkMatrix(
-        landmarks=landmark_list,
-        vertex_ids=vertex_ids,
-        to_landmark=_distance_matrix(vertex_ids, landmark_list, to_values),
-        from_landmark=_distance_matrix(vertex_ids, landmark_list, from_values).T.copy(),
+        landmarks=to_sweep.columns,
+        vertex_ids=to_sweep.vertex_ids,
+        to_landmark=to_sweep.values,
+        from_landmark=from_sweep.values.T.copy(),
     )
 
 

@@ -34,7 +34,7 @@ encodes exactly that explanation:
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -89,13 +89,15 @@ class GraphTriangles(NamedTuple):
     counted_targets: int
     #: Number of vertices on at least one triangle.
     active_vertices: int
-    #: ``{vertex id: triangles through it}`` (results receive copies).
-    vertex_values: Dict[int, int]
+    #: Triangles through every dense vertex (read-only; results share it).
+    counts: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the cached arrays (the values dict excluded)."""
-        arrays = (self.edges_by_code, self.group_starts, self.set_sizes, self.probe_sizes)
+        """Bytes held by the cached arrays."""
+        arrays = (
+            self.edges_by_code, self.group_starts, self.set_sizes, self.probe_sizes, self.counts
+        )
         return sum(int(array.nbytes) for array in arrays)
 
     @classmethod
@@ -143,6 +145,8 @@ class GraphTriangles(NamedTuple):
             np.bincount(lo, weights=common, minlength=vertex_ids.size)
             + np.bincount(hi, weights=common, minlength=vertex_ids.size)
         ).astype(np.int64)
+        counts = double_counts // 2
+        counts.setflags(write=False)
         return cls(
             edges_by_code=kept[order],
             group_starts=group_starts,
@@ -150,7 +154,7 @@ class GraphTriangles(NamedTuple):
             probe_sizes=probe_sizes,
             counted_targets=2 * int((common > 0).sum()),
             active_vertices=int((double_counts > 0).sum()),
-            vertex_values=dict(zip(vertex_ids.tolist(), (double_counts // 2).tolist())),
+            counts=counts,
         )
 
 
@@ -161,9 +165,9 @@ def triangle_count(
 ) -> AlgorithmResult:
     """Count triangles through every vertex of the canonicalised graph.
 
-    ``vertex_values`` of the returned result maps every vertex to the
-    number of triangles it participates in; :func:`total_triangles` sums
-    them into the global count reported in Table 1.  The counts come from
+    ``values`` of the returned result holds the number of triangles every
+    vertex participates in; :func:`total_triangles` sums them into the
+    global count reported in Table 1.  The counts come from
     the graph's cached :class:`GraphTriangles`; this placement's share is
     the accounting: compute is charged to the partition of each canonical
     edge's *first* occurrence in the partition-major scan order, and the
@@ -253,7 +257,8 @@ def triangle_count(
 
     return AlgorithmResult(
         algorithm="TriangleCount",
-        vertex_values=dict(shared.vertex_values),
+        vertex_ids=graph.vertex_ids,
+        values=shared.counts,
         num_supersteps=report.num_supersteps,
         report=report,
     )
@@ -261,4 +266,4 @@ def triangle_count(
 
 def total_triangles(result: AlgorithmResult) -> int:
     """Global triangle count from a :func:`triangle_count` result."""
-    return sum(result.vertex_values.values()) // 3
+    return int(result.values.sum()) // 3

@@ -24,7 +24,7 @@ from ..core.graph import Graph
 from ..engine.cluster import ClusterConfig
 from ..engine.cost_model import CostParameters
 from ..engine.partitioned_graph import PartitionedGraph
-from ..errors import BackendError
+from ..errors import BackendError, EngineError, require_count
 
 __all__ = [
     "Backend",
@@ -75,13 +75,15 @@ class Backend(ABC):
         without changing call sites.  Likewise ``engine_workers``: the
         partition-aware Pregel backends fan supersteps out across a
         shared-memory process pool when it is >= 2, other backends ignore
-        it (results are identical either way).
+        it (results are identical either way).  A non-integral
+        ``num_iterations`` (``2.5``, ``nan``, ``inf``, ``True``) is an
+        :class:`~repro.errors.EngineError` on every backend.
         """
         started = time.perf_counter()
         result = self._run(
             algorithm,
             graph,
-            num_iterations=num_iterations,
+            num_iterations=require_count(num_iterations, "num_iterations", 0, EngineError),
             landmarks=landmarks,
             landmark_seed=landmark_seed,
             cluster=cluster,

@@ -24,7 +24,7 @@ The backend has no cluster model: results carry ``report=None``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -224,31 +224,21 @@ class VectorizedBackend(Backend):
         key = algorithm.upper()
         if key == "PR":
             ranks = pagerank_kernel(csr, num_iterations=num_iterations)
-            return self._result("PageRank", csr, ranks.tolist(), num_iterations + 1)
+            return self._result("PageRank", csr, ranks, num_iterations + 1)
         if key == "CC":
             labels, rounds = connected_components_kernel(csr, max_iterations=num_iterations)
-            return self._result("ConnectedComponents", csr, labels.tolist(), rounds + 1)
+            return self._result("ConnectedComponents", csr, labels, rounds + 1)
         if key == "TR":
-            counts = triangle_kernel(csr)
-            return self._result("TriangleCount", csr, counts.tolist(), 1)
+            return self._result("TriangleCount", csr, triangle_kernel(csr), 1)
         if key == "SSSP":
             chosen = landmarks or choose_landmarks(plain, count=1, seed=landmark_seed)
-            landmark_list = [int(v) for v in chosen]
-            known = set(csr.vertex_ids.tolist())
-            unknown = [v for v in landmark_list if v not in known]
-            if unknown:
+            landmark_list = list(dict.fromkeys(int(v) for v in chosen))
+            known = np.isin(landmark_list, csr.vertex_ids).tolist()
+            if not all(known):
+                unknown = [v for v, ok in zip(landmark_list, known) if not ok]
                 raise BackendError(f"landmarks not present in the graph: {unknown}")
             dist, rounds = shortest_paths_kernel(csr, csr.index_of(landmark_list))
-            values = []
-            for row in dist:
-                finite = np.isfinite(row)
-                values.append(
-                    {
-                        landmark_list[j]: int(row[j])
-                        for j in np.flatnonzero(finite)
-                    }
-                )
-            return self._result("ShortestPaths", csr, values, rounds + 1)
+            return self._result("ShortestPaths", csr, dist, rounds + 1, landmark_list)
         raise BackendError(
             f"unknown algorithm {algorithm!r}; expected one of ['PR', 'CC', 'TR', 'SSSP']"
         )
@@ -256,14 +246,15 @@ class VectorizedBackend(Backend):
     def _degrees(self, graph: GraphLike, direction: str = "out") -> AlgorithmResult:
         csr = resolve_graph(graph).csr()
         values = degree_kernel(csr, direction=direction)
-        return self._result(f"DegreeCount[{direction}]", csr, values.tolist(), 1)
+        return self._result(f"DegreeCount[{direction}]", csr, values, 1)
 
-    def _result(self, algorithm, csr, values, num_supersteps) -> AlgorithmResult:
-        vertex_values: Dict[int, object] = dict(zip(csr.vertex_ids.tolist(), values))
+    def _result(self, algorithm, csr, values, num_supersteps, columns=None) -> AlgorithmResult:
         return AlgorithmResult(
             algorithm=algorithm,
-            vertex_values=vertex_values,
+            vertex_ids=csr.vertex_ids,
+            values=values,
             num_supersteps=num_supersteps,
             report=None,
             backend=self.name,
+            columns=columns,
         )

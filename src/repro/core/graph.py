@@ -173,11 +173,11 @@ class Graph:
     # ------------------------------------------------------------------
     def out_degrees(self) -> dict:
         """Return ``{vertex_id: out-degree}`` for every vertex (zeros included)."""
-        return self._cached_degree_map("out", self._src)
+        return self._degree_map("out", self._src)
 
     def in_degrees(self) -> dict:
         """Return ``{vertex_id: in-degree}`` for every vertex (zeros included)."""
-        return self._cached_degree_map("in", self._dst)
+        return self._degree_map("in", self._dst)
 
     def degrees(self) -> dict:
         """Return ``{vertex_id: total degree}`` (in + out) for every vertex."""
@@ -186,20 +186,23 @@ class Graph:
             out[v] += d
         return out
 
-    def _cached_degree_map(self, key: str, endpoints: np.ndarray) -> dict:
+    def out_degree_array(self) -> np.ndarray:
+        """Out-degree of every vertex in ``vertex_ids`` order (int64,
+        read-only, cached)."""
+        return self._degree_array("out", self._src)
+
+    def _degree_array(self, key: str, endpoints: np.ndarray) -> np.ndarray:
         cached = self._degree_cache.get(key)
         if cached is None:
-            cached = self._degree_map(endpoints)
-            self._degree_cache[key] = cached
-        return dict(cached)
+            counts = np.bincount(
+                np.searchsorted(self._vertex_ids, endpoints), minlength=self.num_vertices
+            )
+            cached = self._degree_cache[key] = _read_only(counts.astype(np.int64))
+        return cached
 
-    def _degree_map(self, endpoints: np.ndarray) -> dict:
-        result = {int(v): 0 for v in self._vertex_ids.tolist()}
-        if endpoints.size:
-            ids, counts = np.unique(endpoints, return_counts=True)
-            for v, c in zip(ids.tolist(), counts.tolist()):
-                result[int(v)] = int(c)
-        return result
+    def _degree_map(self, key: str, endpoints: np.ndarray) -> dict:
+        degrees = self._degree_array(key, endpoints)
+        return dict(zip(self._vertex_ids.tolist(), degrees.tolist()))
 
     # ------------------------------------------------------------------
     # Transformations

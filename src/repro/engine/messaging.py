@@ -45,7 +45,7 @@ bit-for-bit whenever the unit costs are dyadic rationals (0.25, 0.5, 1.0,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,10 +71,14 @@ class ArrayMessageKernel:
     contract is strict observational equivalence with the scalar triple:
     identical vertex values (bit for bit) and identical message sets.
 
-    Subclasses set the class attributes below and implement the methods
-    that their execution mode needs (:meth:`apply_messages_all` only for
-    ``always_active`` algorithms, :meth:`decode_messages` only for
-    ``aggregate_messages`` users).
+    State is dense from caller to caller: :func:`pregel` takes the initial
+    state as an array indexed by vertex position (``None`` if the messages
+    never read it) and returns the final state as it stands; constant
+    per-vertex inputs such as PageRank's out-degrees are constructor
+    arguments of the kernel.  Subclasses set the class attributes below and
+    implement the hooks their execution mode needs (:meth:`apply_messages`
+    for the data-driven loop, :meth:`apply_messages_all` for
+    ``always_active`` runs, neither for :func:`aggregate_messages`).
     """
 
     #: ufunc combining two messages for the same target; must be the exact
@@ -91,18 +95,6 @@ class ArrayMessageKernel:
     #: change — e.g. PageRank, which always sends along every out-edge.
     #: Lets the engine compute the fold plan and routing counters once.
     static_message_structure = False
-
-    # -- state codec ----------------------------------------------------
-    def encode(self, vertex_ids: np.ndarray, values: Dict[int, Any]):
-        """Encode the scalar per-vertex values into dense array state."""
-        raise NotImplementedError
-
-    def decode(self, vertex_ids: np.ndarray, state) -> Dict[int, Any]:
-        """Decode array state back into the scalar ``vertex_values`` dict.
-
-        Payloads must be bit-identical to what the scalar path produces.
-        """
-        raise NotImplementedError
 
     # -- superstep hooks ------------------------------------------------
     def initial_program(self, state):
@@ -144,11 +136,6 @@ class ArrayMessageKernel:
         Runs on *every* vertex; non-receivers see the algorithm's default
         message (the kernel owns that substitution).
         """
-        raise NotImplementedError
-
-    # -- aggregate_messages ---------------------------------------------
-    def decode_messages(self, target_ids: np.ndarray, messages) -> Dict[int, Any]:
-        """Decode merged messages for :func:`aggregate_messages` users."""
         raise NotImplementedError
 
     # -- helpers --------------------------------------------------------

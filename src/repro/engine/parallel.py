@@ -485,10 +485,8 @@ class ParallelPregelExecutor:
         The merged messages it returns are a view of a run segment, valid
         until the next call.
 
-        ``state`` is the encoded initial state (it sizes the state
-        segment); ``encode`` may set kernel-side state, which is why the
-        kernel is pickled for the workers only here.  The run segments are
-        unlinked on exit, whatever happened inside.
+        ``state`` is the dense initial state (it sizes the state segment).
+        The run segments are unlinked on exit, whatever happened inside.
         """
         if self._closed:
             raise EngineError("executor is closed")

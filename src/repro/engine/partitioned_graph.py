@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from ..core.graph import Graph
 from ..core.properties import estimated_size_bytes
@@ -91,11 +91,6 @@ class PartitionedGraph:
     def dataset_bytes(self) -> int:
         """Estimated on-disk size of the underlying edge list."""
         return estimated_size_bytes(self.graph)
-
-    # ------------------------------------------------------------------
-    def out_degrees(self) -> Dict[int, int]:
-        """Out-degree of every vertex (convenience passthrough)."""
-        return self.graph.out_degrees()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -38,6 +38,11 @@ slots_per_partition, shuffle_remote, shuffle_local)``, picked by
 * the mmap chunk walk — :func:`repro.ooc.pregel_stream.stream_scan`, for
   graphs that set ``stream_supersteps``.
 
+The kernelised loop is dense end to end: it takes the initial state as an
+array indexed by position in ``graph.vertex_ids`` and returns the final
+state as :attr:`PregelResult.vertex_values`; only the scalar loop speaks
+``{vertex: value}`` dicts.
+
 All three are bit-identical to each other and to the scalar loop because
 outbox entries live in replica slots — one per ``(partition, mirrored
 vertex)`` pair, partition-major — and every fold is an in-order,
@@ -57,7 +62,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import EngineError, require_count
 from ..partitioning.membership import master_partition_array, segment_arange
 from .cluster import ClusterConfig, paper_cluster
 from .cost_model import CostModel, CostParameters, SimulationReport
@@ -86,9 +91,14 @@ _SYNC_APPLY_UNITS = 0.1
 
 @dataclass
 class PregelResult:
-    """Outcome of a Pregel run: final vertex values plus the simulation report."""
+    """Outcome of a Pregel run: final vertex values plus the simulation report.
 
-    vertex_values: Dict[int, Any]
+    ``vertex_values`` is the scalar loop's ``{vertex: value}`` dict, or
+    with a ``message_kernel`` the final dense state, indexed like
+    ``graph.vertex_ids``.
+    """
+
+    vertex_values: Any
     num_supersteps: int
     report: SimulationReport
 
@@ -213,7 +223,7 @@ def _broadcast_updates(
 
 def pregel(
     pgraph: PartitionedGraph,
-    initial_values: Dict[int, Any],
+    initial_values: Any,
     initial_message: Any = None,
     vertex_program: Optional[VertexProgram] = None,
     send_message: Optional[SendMessage] = None,
@@ -236,7 +246,10 @@ def pregel(
     pgraph:
         The partitioned graph to compute on.
     initial_values:
-        Initial value for every vertex id of the graph.
+        The scalar loop's ``{vertex: value}`` dict, covering every vertex of
+        the graph; with a ``message_kernel``, the dense initial state
+        indexed by position in ``graph.vertex_ids`` (``None`` if the kernel
+        never reads state), which the kernel may update in place.
     initial_message:
         Message delivered to every vertex in superstep 0.
     vertex_program:
@@ -251,7 +264,7 @@ def pregel(
         a ``message_kernel`` is given, which replaces all three (and
         ``initial_message`` / ``default_message``).
     max_iterations:
-        Maximum number of message-exchange supersteps.
+        Maximum number of message-exchange supersteps, an integer >= 0.
     active_direction:
         Which endpoint must be active for a triplet to be scanned:
         ``"either"`` (default), ``"out"`` (source active), ``"in"``
@@ -287,16 +300,10 @@ def pregel(
         without working shared memory fall back to the in-process scan.
     """
     _check_direction(active_direction)
-    if max_iterations < 0:
-        raise EngineError("max_iterations must be non-negative")
+    max_iterations = require_count(max_iterations, "max_iterations", 0, EngineError)
     if parallel_workers is not None and int(parallel_workers) < 1:
         raise EngineError(
             f"parallel_workers must be >= 1, got {parallel_workers!r}"
-        )
-    missing = [v for v in pgraph.graph.vertex_ids.tolist() if v not in initial_values]
-    if missing:
-        raise EngineError(
-            f"initial_values is missing {len(missing)} vertices (e.g. {missing[:3]})"
         )
 
     cluster = cluster or paper_cluster()
@@ -313,9 +320,11 @@ def pregel(
             if streaming
             else pgraph.triplets().master_of
         )
-        # ``encode`` may set kernel-side state (PageRank's degrees), so it
-        # runs before the pool strategy pickles the kernel for its workers.
-        state = message_kernel.encode(vertex_ids, initial_values)
+        state = initial_values
+        if state is not None and len(state) != vertex_ids.size:
+            raise EngineError(
+                f"the initial state has {len(state)} rows for {vertex_ids.size} vertices"
+            )
         strategy = (
             message_kernel,
             cluster.executor_map(pgraph.num_partitions),
@@ -352,6 +361,11 @@ def pregel(
             )
 
     _require_callbacks(vertex_program, send_message, merge_message)
+    missing = [v for v in pgraph.graph.vertex_ids.tolist() if v not in initial_values]
+    if missing:
+        raise EngineError(
+            f"initial_values is missing {len(missing)} vertices (e.g. {missing[:3]})"
+        )
     edge_lists = _scalar_edge_lists(pgraph)
     values: Dict[int, Any] = dict(initial_values)
     num_partitions = pgraph.num_partitions
@@ -491,8 +505,7 @@ def _run_supersteps(
     scanned_per_partition, slots_per_partition, shuffle_remote,
     shuffle_local)``.
     """
-    vertex_ids = pgraph.graph.vertex_ids
-    num_vertices = int(vertex_ids.size)
+    num_vertices = pgraph.graph.num_vertices
     num_partitions = pgraph.num_partitions
     vertex_units_per_master = (
         np.bincount(master_of, minlength=num_partitions) * vertex_compute_units
@@ -570,7 +583,7 @@ def _run_supersteps(
         )
 
     return PregelResult(
-        vertex_values=kernel.decode(vertex_ids, state),
+        vertex_values=state,
         num_supersteps=report.num_supersteps,
         report=report,
     )
@@ -578,7 +591,7 @@ def _run_supersteps(
 
 def aggregate_messages(
     pgraph: PartitionedGraph,
-    vertex_values: Dict[int, Any],
+    vertex_values: Any,
     send_message: Optional[SendMessage] = None,
     merge_message: Optional[MergeMessage] = None,
     cluster: Optional[ClusterConfig] = None,
@@ -586,15 +599,19 @@ def aggregate_messages(
     report: Optional[SimulationReport] = None,
     edge_compute_units: float = 1.0,
     message_kernel: Optional[ArrayMessageKernel] = None,
-) -> Tuple[Dict[int, Any], SimulationReport]:
+) -> Tuple[Any, SimulationReport]:
     """One-shot ``aggregateMessages``: scan every triplet once and merge per target.
 
     Used by algorithms that are not naturally iterative (degree computation,
     neighbourhood collection for triangle counting).  When ``report`` is
     given, the superstep is appended to it; otherwise a fresh report is
-    created.  ``message_kernel`` selects the array-native scan, with the
-    same observable results as the scalar loop; without one,
-    ``send_message`` and ``merge_message`` are required.
+    created.  Without a ``message_kernel``, ``send_message`` and
+    ``merge_message`` are required, ``vertex_values`` is a
+    ``{vertex: value}`` dict and the merged messages come back as one.  A
+    ``message_kernel`` selects the array-native scan over the dense state
+    ``vertex_values`` (as for :func:`pregel`) and returns the merged
+    messages as ``(target_idx, merged)`` arrays, with the same observable
+    results.
     """
     cluster = cluster or paper_cluster()
     model = CostModel(cluster, cost_parameters)
@@ -612,9 +629,7 @@ def aggregate_messages(
             scan = pgraph.stream_scan(master_of, *strategy)
         else:
             scan = triplet_scan(pgraph.triplets(), *strategy)
-        target_idx, merged, scanned, slots, remote, local = scan(
-            None, message_kernel.encode(vertex_ids, vertex_values)
-        )
+        target_idx, merged, scanned, slots, remote, local = scan(None, vertex_values)
         partition_units = np.multiply(scanned, edge_compute_units, dtype=np.float64)
         partition_units += slots * _MESSAGE_SERIALIZE_UNITS
         model.record_superstep(
@@ -626,7 +641,7 @@ def aggregate_messages(
             active_vertices=int(target_idx.size),
             edges_scanned=int(scanned.sum()),
         )
-        return message_kernel.decode_messages(vertex_ids[target_idx], merged), report
+        return (target_idx, merged), report
 
     _require_callbacks(send_message, merge_message)
     edge_lists = _scalar_edge_lists(pgraph)

@@ -2,8 +2,11 @@
 
 All exceptions raised by the library derive from :class:`ReproError`, so
 callers can catch a single base class when they do not care about the
-specific failure mode.
+specific failure mode.  :func:`require_count` is the integral-count check
+the entry points share, each raising its own error class.
 """
+
+import numbers
 
 
 class ReproError(Exception):
@@ -42,3 +45,17 @@ class AnalysisError(ReproError):
 class StaticCheckError(ReproError):
     """Raised when ``repro check`` is misconfigured (unknown rule id,
     unreadable path or baseline, unparseable source)."""
+
+
+def require_count(value, what: str, minimum: int, error: type = ReproError) -> int:
+    """``value`` as a plain ``int`` of at least ``minimum``.
+
+    ``bool``, floats (``2.5``, ``nan``, ``inf``) and every other
+    non-integral value raise ``error`` instead of being silently truncated
+    by ``int(...)``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value!r}")
+    return int(value)

@@ -41,23 +41,16 @@ class _ShardVertexTable:
 
     Quacks like :class:`~repro.core.graph.Graph` for everything the
     algorithms and the engine read from ``pgraph.graph`` — vertex ids,
-    counts and degree maps — without ever materialising an edge array.
+    counts and out-degrees — without ever materialising an edge array.
     """
 
     def __init__(
-        self,
-        name: str,
-        vertex_ids: np.ndarray,
-        out_degree: np.ndarray,
-        in_degree: np.ndarray,
-        num_edges: int,
+        self, name: str, vertex_ids: np.ndarray, out_degree: np.ndarray, num_edges: int
     ) -> None:
         self.name = name
         self._vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
         self._out_degree = np.asarray(out_degree, dtype=np.int64)
-        self._in_degree = np.asarray(in_degree, dtype=np.int64)
         self._num_edges = int(num_edges)
-        self._degree_maps: Dict[str, dict] = {}
 
     @property
     def vertex_ids(self) -> np.ndarray:
@@ -72,27 +65,9 @@ class _ShardVertexTable:
     def num_edges(self) -> int:
         return self._num_edges
 
-    def _degree_map(self, key: str, degrees: np.ndarray) -> dict:
-        cached = self._degree_maps.get(key)
-        if cached is None:
-            cached = dict(zip(self._vertex_ids.tolist(), degrees.tolist()))
-            self._degree_maps[key] = cached
-        return dict(cached)
-
-    def out_degrees(self) -> dict:
-        """``{vertex_id: out-degree}`` for every vertex (zeros included)."""
-        return self._degree_map("out", self._out_degree)
-
-    def in_degrees(self) -> dict:
-        """``{vertex_id: in-degree}`` for every vertex (zeros included)."""
-        return self._degree_map("in", self._in_degree)
-
-    def degrees(self) -> dict:
-        """``{vertex_id: total degree}`` (in + out) for every vertex."""
-        out = self.out_degrees()
-        for vertex, degree in self.in_degrees().items():
-            out[vertex] += degree
-        return out
+    def out_degree_array(self) -> np.ndarray:
+        """Out-degree of every vertex in ``vertex_ids`` order (int64)."""
+        return self._out_degree
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -246,10 +221,6 @@ class ShardedGraph:
         """Estimated on-disk size of the underlying edge list."""
         return estimated_size_bytes(self.graph)
 
-    def out_degrees(self) -> dict:
-        """Out-degree of every vertex (convenience passthrough)."""
-        return self.graph.out_degrees()
-
     def release(self) -> None:
         """Release every partition's mapping."""
         for partition in self.partitions:
@@ -370,7 +341,6 @@ def load_sharded_graph(
         name=dataset,
         vertex_ids=vertex_ids,
         out_degree=out_degree,
-        in_degree=in_degree,
         num_edges=num_edges,
     )
     return ShardedGraph(

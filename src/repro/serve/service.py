@@ -21,6 +21,8 @@ import time
 from collections import Counter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..algorithms.connected_components import connected_components
 from ..algorithms.pagerank import pagerank
 from ..algorithms.shortest_paths import LandmarkMatrix, multi_source_distances
@@ -238,7 +240,8 @@ class GraphService:
         :class:`~repro.serve.batcher.BatchingScheduler`; it runs on the
         batcher's engine thread.  Every computed per-source map is also
         published to the query cache so repeat queries skip the engine
-        entirely.
+        entirely.  A map is rendered from its source's column of the sweep,
+        and all maps of one batch share their vertex-id key objects.
         """
         by_dataset: Dict[str, List[int]] = {}
         for dataset, source in keys:
@@ -246,19 +249,21 @@ class GraphService:
         results: Dict[Hashable, Dict[int, int]] = {}
         for dataset, sources in by_dataset.items():
             pgraph = self.pgraph(dataset)
-            known = set(pgraph.graph.vertex_ids.tolist())
-            valid = [s for s in sources if s in known]
-            missing = [s for s in sources if s not in known]
+            vertex_ids = pgraph.graph.vertex_ids
+            known = np.isin(sources, vertex_ids).tolist()
+            valid = [s for s, ok in zip(sources, known) if ok]
+            missing = [s for s, ok in zip(sources, known) if not ok]
             if valid:
                 sweep = multi_source_distances(
                     pgraph, valid, parallel_workers=self.engine_workers
                 )
                 self._count_engine_run()
-                per_source: Dict[int, Dict[int, int]] = {s: {} for s in valid}
-                for vertex, distances in sweep.vertex_values.items():
-                    for source, distance in distances.items():
-                        per_source[source][vertex] = distance
-                for source, mapping in per_source.items():
+                ids = vertex_ids.tolist()
+                for j, source in enumerate(sweep.columns):
+                    column = sweep.values[:, j]
+                    reached = np.flatnonzero(np.isfinite(column))
+                    hops = column[reached].astype(np.int64).tolist()
+                    mapping = dict(zip([ids[i] for i in reached.tolist()], hops))
                     results[(dataset, source)] = mapping
                     self.cache.put(self.exact_map_key(dataset, source), mapping)
             for source in missing:
@@ -309,7 +314,7 @@ class GraphService:
                     parallel_workers=self.engine_workers,
                 )
                 self._count_engine_run()
-                labels = {v: int(c) for v, c in result.vertex_values.items()}
+                labels = result.vertex_values
                 sizes = dict(Counter(labels.values()))
                 state = self._components[dataset] = (labels, sizes)
         return state

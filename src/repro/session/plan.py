@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,7 +47,7 @@ from ..algorithms.registry import canonical_algorithm_name, run_algorithm
 from ..backends import get_backend
 from ..engine.cluster import ClusterConfig
 from ..engine.cost_model import CostParameters
-from ..errors import AnalysisError, EngineError
+from ..errors import AnalysisError, EngineError, require_count
 from ..partitioning.registry import PAPER_PARTITIONER_NAMES, canonical_partitioner_name
 from .resultset import ResultSet
 from .session import Session, _KeyedCache
@@ -62,16 +61,6 @@ METRICS_ONLY = "METRICS"
 
 #: Supported ``ExperimentPlan.run`` executors.
 EXECUTORS = ("thread", "process")
-
-
-def _validate_workers(workers) -> int:
-    """``workers`` as a plain int; non-integers (e.g. ``2.5``) are rejected
-    instead of being silently truncated by ``int(...)``."""
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise AnalysisError(f"workers must be an integer >= 1, got {workers!r}")
-    if workers < 1:
-        raise AnalysisError("workers must be >= 1")
-    return int(workers)
 
 
 def _simulation_fingerprint(
@@ -194,9 +183,9 @@ class ExperimentPlan:
         resolved = _flatten(counts)
         if not resolved:
             raise AnalysisError("granularities(...) requires at least one partition count")
-        if any(int(count) < 1 for count in resolved):
-            raise AnalysisError("partition counts must be >= 1")
-        self._granularities = [int(count) for count in resolved]
+        self._granularities = [
+            require_count(count, "partition count", 1, AnalysisError) for count in resolved
+        ]
         return self
 
     def algorithms(self, *names: str) -> "ExperimentPlan":
@@ -240,9 +229,7 @@ class ExperimentPlan:
     # ------------------------------------------------------------------
     def iterations(self, count: int) -> "ExperimentPlan":
         """Superstep budget per algorithm run (default 10, the paper's setting)."""
-        if int(count) < 1:
-            raise AnalysisError("num_iterations must be >= 1")
-        self._num_iterations = int(count)
+        self._num_iterations = require_count(count, "num_iterations", 1, AnalysisError)
         return self
 
     def landmarks(self, count: int, seed: Optional[int] = None) -> "ExperimentPlan":
@@ -251,9 +238,7 @@ class ExperimentPlan:
         Without this call SSSP cells let :func:`run_algorithm` pick its own
         default landmark.  ``seed`` defaults to ``session.seed + 7``.
         """
-        if int(count) < 1:
-            raise AnalysisError("landmark count must be >= 1")
-        self._landmark_count = int(count)
+        self._landmark_count = require_count(count, "landmark count", 1, AnalysisError)
         self._landmark_seed = None if seed is None else int(seed)
         return self
 
@@ -360,7 +345,7 @@ class ExperimentPlan:
         a finished sweep re-runs nothing.  ``resume=True`` makes that
         expectation explicit (it raises without a store).
         """
-        workers = _validate_workers(workers)
+        workers = require_count(workers, "workers", 1, AnalysisError)
         if executor not in EXECUTORS:
             raise AnalysisError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"

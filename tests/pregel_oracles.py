@@ -9,9 +9,13 @@ equivalence tests:
 * the seed's scalar callback triples for PageRank, Connected Components,
   ShortestPaths, multi-source distances and degree counting, run through
   the public callback :func:`~repro.engine.pregel.pregel` /
-  :func:`~repro.engine.pregel.aggregate_messages` loop (a ``*_scalar``
-  function returns the same :class:`AlgorithmResult` as its library
-  entry point, so results compare with ``==``);
+  :func:`~repro.engine.pregel.aggregate_messages` loop.  A ``*_scalar``
+  function returns a :class:`~repro.engine.pregel.PregelResult` whose
+  ``vertex_values`` is the ``{vertex: value}`` dict its library entry
+  point's lazy :attr:`AlgorithmResult.vertex_values
+  <repro.algorithms.result.AlgorithmResult.vertex_values>` must equal
+  (ranks, labels, landmark maps, degrees), next to the same
+  ``num_supersteps``, ``report`` and ``simulated_seconds``;
 * :func:`reference_pagerank`, PageRank on the bare edge list;
 * the seed's dict walks over a placement: :func:`vertex_partitions_reference`,
   :func:`compute_metrics_reference` and :func:`routing_from_vertex_partitions`,
@@ -30,22 +34,20 @@ from repro.algorithms.connected_components import _EDGE_UNITS as _CC_EDGE_UNITS
 from repro.algorithms.connected_components import _VERTEX_UNITS as _CC_VERTEX_UNITS
 from repro.algorithms.pagerank import _EDGE_UNITS as _PR_EDGE_UNITS
 from repro.algorithms.pagerank import _VERTEX_UNITS as _PR_VERTEX_UNITS
-from repro.algorithms.result import AlgorithmResult
 from repro.algorithms.shortest_paths import _EDGE_UNITS as _SP_EDGE_UNITS
 from repro.algorithms.shortest_paths import _VERTEX_UNITS as _SP_VERTEX_UNITS
 from repro.engine.cluster import ClusterConfig
 from repro.engine.cost_model import CostParameters
 from repro.engine.partitioned_graph import PartitionedGraph
-from repro.engine.pregel import aggregate_messages, pregel
+from repro.engine.pregel import PregelResult, aggregate_messages, pregel
 from repro.engine.routing import RoutingTable
 from repro.metrics.partition_metrics import PartitioningMetrics
 from repro.partitioning.base import EdgePartitionAssignment
 from repro.partitioning.membership import VertexMembership, master_partition_array
 
 
-def _result(algorithm: str, run, vertex_values: Optional[Dict] = None) -> AlgorithmResult:
-    return AlgorithmResult(
-        algorithm=algorithm,
+def _result(run: PregelResult, vertex_values: Optional[Dict] = None) -> PregelResult:
+    return PregelResult(
         vertex_values=dict(run.vertex_values) if vertex_values is None else vertex_values,
         num_supersteps=run.num_supersteps,
         report=run.report,
@@ -61,7 +63,7 @@ def pagerank_scalar(
     reset_prob: float = 0.15,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """:func:`repro.algorithms.pagerank.pagerank` on the scalar loop."""
     out_degrees = pgraph.graph.out_degrees()
     damping = 1.0 - reset_prob
@@ -95,7 +97,7 @@ def pagerank_scalar(
         default_message=0.0,
     )
     ranks = {v: value[0] for v, value in run.vertex_values.items()}
-    return _result("PageRank", run, ranks)
+    return _result(run, ranks)
 
 
 def connected_components_scalar(
@@ -103,7 +105,7 @@ def connected_components_scalar(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """:func:`repro.algorithms.connected_components.connected_components`
     on the scalar loop."""
 
@@ -134,7 +136,7 @@ def connected_components_scalar(
         edge_compute_units=_CC_EDGE_UNITS,
         vertex_compute_units=_CC_VERTEX_UNITS,
     )
-    return _result("ConnectedComponents", run)
+    return _result(run)
 
 
 def merge_maps(left: Dict[int, int], right: Dict[int, int]) -> Dict[int, int]:
@@ -156,13 +158,12 @@ def _fixpoint_cap(pgraph: PartitionedGraph, max_iterations: Optional[int]) -> in
 
 def _distance_maps(
     pgraph: PartitionedGraph,
-    algorithm: str,
     seeds: Iterable[int],
     forward: bool,
     max_iterations: Optional[int],
     cluster: Optional[ClusterConfig],
     cost_parameters: Optional[CostParameters],
-) -> AlgorithmResult:
+) -> PregelResult:
     """The seed map-valued sweep: backwards to landmarks, or ``forward``
     from sources."""
     seed_set = {int(v) for v in seeds}
@@ -200,7 +201,7 @@ def _distance_maps(
         edge_compute_units=_SP_EDGE_UNITS,
         vertex_compute_units=_SP_VERTEX_UNITS,
     )
-    return _result(algorithm, run)
+    return _result(run)
 
 
 def shortest_paths_scalar(
@@ -209,11 +210,9 @@ def shortest_paths_scalar(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """:func:`repro.algorithms.shortest_paths.shortest_paths` on the scalar loop."""
-    return _distance_maps(
-        pgraph, "ShortestPaths", landmarks, False, max_iterations, cluster, cost_parameters
-    )
+    return _distance_maps(pgraph, landmarks, False, max_iterations, cluster, cost_parameters)
 
 
 def multi_source_distances_scalar(
@@ -222,12 +221,10 @@ def multi_source_distances_scalar(
     max_iterations: Optional[int] = None,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """:func:`repro.algorithms.shortest_paths.multi_source_distances` on the
     scalar loop."""
-    return _distance_maps(
-        pgraph, "MultiSourceSSSP", sources, True, max_iterations, cluster, cost_parameters
-    )
+    return _distance_maps(pgraph, sources, True, max_iterations, cluster, cost_parameters)
 
 
 def degree_count_scalar(
@@ -235,7 +232,7 @@ def degree_count_scalar(
     direction: str = "out",
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """:func:`repro.algorithms.degrees.degree_count` on the scalar
     ``aggregate_messages`` loop."""
 
@@ -258,12 +255,7 @@ def degree_count_scalar(
         edge_compute_units=0.5,
     )
     values.update(merged)
-    return AlgorithmResult(
-        algorithm=f"DegreeCount[{direction}]",
-        vertex_values=values,
-        num_supersteps=report.num_supersteps,
-        report=report,
-    )
+    return PregelResult(vertex_values=values, num_supersteps=report.num_supersteps, report=report)
 
 
 def reference_pagerank(

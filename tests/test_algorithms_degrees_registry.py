@@ -1,8 +1,10 @@
 """Tests for degree counting on the engine and the algorithm registry."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms.degrees import degree_count
+from repro.algorithms.pagerank import pagerank
 from repro.algorithms.registry import (
     ALGORITHM_NAMES,
     algorithm_metric_of_interest,
@@ -33,6 +35,29 @@ class TestDegreeCount:
         result = degree_count(partitioned_social)
         assert result.num_supersteps == 1
         assert result.simulated_seconds > 0
+
+
+class TestIterationCounts:
+    COUNTS = [float("nan"), float("inf"), float("-inf"), 2.5, True]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_run_algorithm_rejects_non_integral_counts(
+        self, name, backend, count, partitioned_social
+    ):
+        with pytest.raises(EngineError, match="num_iterations must be an integer"):
+            run_algorithm(name, partitioned_social, num_iterations=count, backend=backend)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_pagerank_rejects_non_integral_counts(self, count, partitioned_social):
+        # At inf PageRank used to never return.
+        with pytest.raises(EngineError, match="num_iterations must be an integer"):
+            pagerank(partitioned_social, num_iterations=count)
+
+    def test_numpy_integers_are_counts(self, partitioned_social):
+        result = run_algorithm("PR", partitioned_social, num_iterations=np.int64(2))
+        assert result.num_supersteps == 3
 
 
 class TestAlgorithmRegistry:

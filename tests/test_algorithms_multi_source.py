@@ -7,6 +7,7 @@ upper-bound (and at landmarks equal) the exact distances.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms.shortest_paths import (
@@ -126,6 +127,18 @@ class TestLandmarkMatrix:
                 expected_from = forward[vertex].get(landmark)
                 assert (expected_to if expected_to is not None else float("inf")) == row[j]
                 assert (expected_from if expected_from is not None else float("inf")) == column[j]
+
+    def test_duplicate_landmarks_collapse(self, small_social_graph):
+        pgraph = PartitionedGraph.partition(small_social_graph, "CRVC", 8)
+        a, b = choose_landmarks(small_social_graph, count=2, seed=3)
+        matrix = build_landmark_matrix(pgraph, [b, a, b, a])
+        distinct = build_landmark_matrix(pgraph, [b, a])
+        assert matrix.landmarks == [b, a]
+        assert matrix.num_landmarks == 2
+        assert np.array_equal(matrix.to_landmark, distinct.to_landmark)
+        assert np.array_equal(matrix.from_landmark, distinct.from_landmark)
+        assert matrix.to_landmark.shape == (small_social_graph.num_vertices, 2)
+        assert matrix.from_landmark.shape == (2, small_social_graph.num_vertices)
 
     def test_estimate_upper_bounds_exact_distance(self, matrix_and_graph):
         matrix, graph, landmarks = matrix_and_graph

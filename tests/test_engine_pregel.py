@@ -1,12 +1,16 @@
 """Unit tests for the Pregel loop and the aggregate_messages primitive."""
 
+import numpy as np
 import pytest
 
+from repro.algorithms.connected_components import ConnectedComponentsKernel
 from repro.core.graph import Graph
 from repro.engine.cluster import ClusterConfig
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.engine.pregel import aggregate_messages, pregel
 from repro.errors import EngineError
+
+NAN, INF = float("nan"), float("inf")
 
 
 def _chain_graph(length=5):
@@ -102,6 +106,26 @@ class TestPregelValidation:
         pgraph = _pgraph(_chain_graph(3))
         with pytest.raises(EngineError):
             _min_propagation(pgraph, max_iterations=-1)
+
+    @pytest.mark.parametrize("count", [NAN, INF, -INF, 2.5, True])
+    def test_non_integral_max_iterations_rejected(self, count):
+        # nan used to stop after superstep 0, inf never to stop and 2.5 to
+        # run three supersteps; each is now a named error on both loops.
+        pgraph = _pgraph(_chain_graph(3))
+        with pytest.raises(EngineError, match="max_iterations must be an integer"):
+            _min_propagation(pgraph, max_iterations=count)
+        with pytest.raises(EngineError, match="max_iterations must be an integer"):
+            pregel(
+                pgraph,
+                pgraph.graph.vertex_ids.copy(),
+                max_iterations=count,
+                message_kernel=ConnectedComponentsKernel(),
+            )
+
+    def test_kernel_state_must_cover_every_vertex(self):
+        pgraph = _pgraph(_chain_graph(3))
+        with pytest.raises(EngineError, match="3 rows for 4 vertices"):
+            pregel(pgraph, np.arange(3), message_kernel=ConnectedComponentsKernel())
 
     def test_unknown_message_target_raises_engine_error(self):
         # A send_message that addresses a vertex id outside the graph must

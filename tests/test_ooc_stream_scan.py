@@ -138,11 +138,8 @@ def test_two_runs_step_their_scans_alternately(tmp_path, small_social_graph):
     ids = graph.vertex_ids
     executor_of = paper_cluster().executor_map(k)
     master_of = master_partition_array(ids, k)
-    cc, pr = ConnectedComponentsKernel(), PageRankKernel(0.15)
-    runs = [
-        [cc, False, cc.encode(ids, {v: v for v in ids.tolist()})],
-        [pr, True, pr.encode(ids, {v: (1.0, d) for v, d in graph.out_degrees().items()})],
-    ]
+    cc, pr = ConnectedComponentsKernel(), PageRankKernel(0.15, graph.out_degree_array())
+    runs = [[cc, False, ids.copy()], [pr, True, np.ones(ids.size)]]
     # Both runs' scans exist before either steps, so each owns its scratch.
     scans = [
         (

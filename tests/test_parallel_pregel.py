@@ -160,7 +160,7 @@ class TestExecutorLifecycle:
         with pytest.raises(EngineError):
             with executor.scan(
                 np.ones(pgraph.graph.num_vertices),
-                PageRankKernel(0.15),
+                PageRankKernel(0.15, pgraph.graph.out_degree_array()),
                 np.zeros(pgraph.num_partitions, dtype=np.int64),
                 "either",
                 True,
@@ -206,13 +206,11 @@ class ExplodingKernel(PageRankKernel):
 @needs_fork
 def test_no_leak_after_worker_exception():
     pgraph = _make_pgraph(seed=6)
-    out_degrees = pgraph.graph.out_degrees()
-    initial_values = {v: (1.0, out_degrees[v]) for v in out_degrees}
     before = len(_own_segments())
     with pytest.raises(RuntimeError, match="kernel exploded"):
         pregel(
             pgraph,
-            initial_values=initial_values,
+            initial_values=np.ones(pgraph.graph.num_vertices),
             initial_message=None,
             vertex_program=lambda v, value, message: value,
             send_message=lambda s, sv, d, dv: (),
@@ -220,7 +218,7 @@ def test_no_leak_after_worker_exception():
             max_iterations=3,
             always_active=True,
             default_message=0.0,
-            message_kernel=ExplodingKernel(0.15),
+            message_kernel=ExplodingKernel(0.15, pgraph.graph.out_degree_array()),
             parallel_workers=2,
         )
     # All per-run segments were unlinked by the finally; only the

@@ -187,10 +187,12 @@ def test_active_directions_identical_on_every_scan(
             return [(src, dst_value)]
         return []
 
+    ids = graph.vertex_ids
+
     def run(target, kernel, workers):
-        return pregel(
+        result = pregel(
             target,
-            initial_values={int(v): int(v) for v in graph.vertex_ids.tolist()},
+            initial_values={v: v for v in ids.tolist()} if kernel is None else ids.copy(),
             initial_message=math.inf,
             vertex_program=lambda v, value, m: value if math.isinf(m) else min(value, int(m)),
             send_message=send_message,
@@ -201,6 +203,9 @@ def test_active_directions_identical_on_every_scan(
             message_kernel=kernel,
             parallel_workers=workers,
         )
+        if kernel is not None:  # dense labels, in the scalar loop's dict form
+            result.vertex_values = dict(zip(ids.tolist(), result.vertex_values.tolist()))
+        return result
 
     scalar = run(pgraph, None, None)
     kernelised = run(

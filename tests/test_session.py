@@ -279,6 +279,23 @@ class TestExperimentPlan:
         with pytest.raises(AnalysisError, match="integer"):
             plan.run(workers=True)  # bool would silently mean one worker
 
+    def test_count_setters_reject_non_integers(self, session):
+        # 2.5 iterations used to run 2, granularities(True) to plan one
+        # partition, and a nan count to raise a bare ValueError.
+        plan = session.plan()
+        for configure in (
+            lambda: plan.iterations(2.5),
+            lambda: plan.iterations(float("nan")),
+            lambda: plan.iterations(True),
+            lambda: plan.granularities(True),
+            lambda: plan.granularities(4, 8.0),
+            lambda: plan.granularities(float("inf")),
+            lambda: plan.landmarks(2.5),
+            lambda: plan.landmarks(float("nan")),
+        ):
+            with pytest.raises(AnalysisError, match="must be an integer"):
+                configure()
+
     def test_run_rejects_unknown_executor(self, session):
         plan = session.plan().datasets("youtube").partitioners("2D").granularities(4)
         with pytest.raises(AnalysisError, match="executor"):

@@ -141,23 +141,19 @@ def multigraphs(draw):
 
 
 def _kernel_and_state(name, graph):
-    """``(kernel, encoded initial state, always_active)`` as the algorithm
+    """``(kernel, dense initial state, always_active)`` as the algorithm
     modules set them up."""
     ids = graph.vertex_ids
     if name == "PR":
-        degrees = graph.out_degrees()
-        kernel = PageRankKernel(0.15)
-        return kernel, kernel.encode(ids, {v: (1.0, degrees[v]) for v in ids.tolist()}), True
+        return PageRankKernel(0.15, graph.out_degree_array()), np.ones(ids.size), True
     if name == "CC":
-        kernel = ConnectedComponentsKernel()
-        return kernel, kernel.encode(ids, {v: v for v in ids.tolist()}), False
+        return ConnectedComponentsKernel(), ids.copy(), False
     if name == "SSSP":
         landmarks = ids.tolist()[:3]
-        kernel = ShortestPathsKernel(landmarks)
-        values = {v: ({v: 0} if v in landmarks else {}) for v in ids.tolist()}
-        return kernel, kernel.encode(ids, values), False
-    kernel = DegreeKernel("both")
-    return kernel, kernel.encode(ids, {}), True
+        state = np.full((ids.size, len(landmarks)), np.inf)
+        state[np.arange(len(landmarks)), np.arange(len(landmarks))] = 0.0
+        return ShortestPathsKernel(landmarks), state, False
+    return DegreeKernel("both"), None, True
 
 
 @SETTINGS
@@ -238,7 +234,7 @@ def test_messaging_a_non_endpoint_is_a_named_error(scan, small_social_graph, tmp
         assert pgraph.stream_supersteps
     else:
         pgraph = PartitionedGraph.partition(small_social_graph, "2D", 4)
-    values = {int(v): int(v) for v in small_social_graph.vertex_ids.tolist()}
+    values = small_social_graph.vertex_ids.copy()
     with pytest.raises(EngineError, match="not an endpoint of their triplet"):
         pregel(
             pgraph, values, None, None, None, None,

@@ -1,7 +1,9 @@
 """Reference triangle counts the library's :func:`triangle_count` is held to.
 
 Both run every phase per placement, as the library did before it split the
-placement-independent intersection out into a per-graph cache:
+placement-independent intersection out into a per-graph cache, and return
+a :class:`~repro.engine.pregel.PregelResult` whose ``vertex_values`` dict
+the library result's lazy ``vertex_values`` must equal:
 
 * :func:`triangle_count_scalar` — the seed per-edge/per-set loops over the
   partition-major scan (the reference semantics);
@@ -17,7 +19,6 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.algorithms.result import AlgorithmResult
 from repro.algorithms.triangle_count import (
     _BYTES_PER_ID,
     _CUT_REDUCTION_UNITS,
@@ -29,6 +30,7 @@ from repro.algorithms.triangle_count import (
 from repro.engine.cluster import ClusterConfig, paper_cluster
 from repro.engine.cost_model import CostModel, CostParameters
 from repro.engine.partitioned_graph import PartitionedGraph
+from repro.engine.pregel import PregelResult
 from repro.partitioning.membership import segment_arange
 from pregel_oracles import routing_views
 
@@ -37,7 +39,7 @@ def triangle_count_scalar(
     pgraph: PartitionedGraph,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """The seed per-edge/per-set implementation (reference semantics)."""
     cluster = cluster or paper_cluster()
     model = CostModel(cluster, cost_parameters)
@@ -149,11 +151,8 @@ def triangle_count_scalar(
     _add_bulk_bytes(model, report, counted_targets * _BYTES_PER_ID)
 
     per_vertex = {vertex: count // 2 for vertex, count in double_counts.items()}
-    return AlgorithmResult(
-        algorithm="TriangleCount",
-        vertex_values=per_vertex,
-        num_supersteps=report.num_supersteps,
-        report=report,
+    return PregelResult(
+        vertex_values=per_vertex, num_supersteps=report.num_supersteps, report=report
     )
 
 
@@ -161,7 +160,7 @@ def triangle_count_array(
     pgraph: PartitionedGraph,
     cluster: Optional[ClusterConfig] = None,
     cost_parameters: Optional[CostParameters] = None,
-) -> AlgorithmResult:
+) -> PregelResult:
     """Array implementation of the three phases, all of them per placement.
 
     Compute is charged to the partition of each canonical edge's *first*
@@ -282,9 +281,6 @@ def triangle_count_array(
     _add_bulk_bytes(model, report, counted_targets * _BYTES_PER_ID)
 
     per_vertex = dict(zip(trip.vertex_ids.tolist(), (double_counts // 2).tolist()))
-    return AlgorithmResult(
-        algorithm="TriangleCount",
-        vertex_values=per_vertex,
-        num_supersteps=report.num_supersteps,
-        report=report,
+    return PregelResult(
+        vertex_values=per_vertex, num_supersteps=report.num_supersteps, report=report
     )
