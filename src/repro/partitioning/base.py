@@ -9,8 +9,9 @@ the edge endpoints and the partition count unless documented otherwise.
 from __future__ import annotations
 
 import abc
+import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import AbstractSet, Collection, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ __all__ = [
     "ChunkAssigner",
     "PartitionStrategy",
     "EdgePartitionAssignment",
-    "parts_index_array",
+    "LoadLevels",
 ]
 
 
@@ -61,14 +62,63 @@ class _StatelessChunkAssigner(ChunkAssigner):
         return self._strategy.assign_array(src, dst, self._num_partitions)
 
 
-def parts_index_array(parts: set) -> np.ndarray:
-    """A vertex's partition set as an index array for vectorised scoring.
+class LoadLevels:
+    """Integer partition loads kept as sorted ``load * k + id`` keys, so the
+    least-loaded partitions and the load bounds are read from the ends and
+    placing an edge moves one key."""
 
-    Shared by the streaming strategies (Greedy, HDRF, Fennel), which keep
-    sparse per-vertex partition sets but score partitions with numpy
-    fancy indexing.
-    """
-    return np.fromiter(parts, dtype=np.int64, count=len(parts))
+    def __init__(self, num_partitions: int) -> None:
+        self.num_partitions = num_partitions
+        self.loads = [0] * num_partitions
+        self._keys = list(range(num_partitions))
+
+    def add(self, part: int) -> None:
+        """Count one more edge in ``part``."""
+        keys, key = self._keys, self.loads[part] * self.num_partitions + part
+        del keys[bisect.bisect_left(keys, key)]
+        bisect.insort(keys, key + self.num_partitions)
+        self.loads[part] += 1
+
+    def bounds(self) -> Tuple[int, int]:
+        """``(min_load, max_load)``."""
+        return self._keys[0] // self.num_partitions, self._keys[-1] // self.num_partitions
+
+    def least_loaded(self, taken: Collection[int] = ()) -> Tuple[int, int]:
+        """``(load, id)`` of the least-loaded partition not in ``taken`` (which
+        must leave one out), lowest id first."""
+        for key in self._keys:
+            load, part = divmod(key, self.num_partitions)
+            if part not in taken:
+                return load, part
+
+    def best(self, parts_src: AbstractSet[int], parts_dst: AbstractSet[int], weight_src: float,
+             weight_dst: float, weight: float, top: float, scale: float) -> int:
+        """The first maximum, by id, over all partitions of ``(weight_src if
+        it holds the source else 0.0) + (weight_dst if it holds the
+        destination else 0.0) + weight * (top - load) / scale``.  That
+        balance never rises with load, so of the partitions holding neither
+        endpoint only the least-loaded, lowest-id one is scored, or, if
+        rounding gives the next load level the same balance, the lowest id
+        of that top balance."""
+        loads, k = self.loads, self.num_partitions
+        taken = parts_src | parts_dst if parts_src and parts_dst else parts_src or parts_dst
+        best_score, best_part = float("-inf"), k
+        for part in taken:
+            score = (weight_src if part in parts_src else 0.0) + (
+                weight_dst if part in parts_dst else 0.0
+            ) + weight * (top - loads[part]) / scale
+            if score > best_score or (score == best_score and part < best_part):
+                best_score, best_part = score, part
+        if len(taken) == k or best_score > weight * (top - self._keys[0] // k) / scale:
+            return best_part  # no partition outside ``taken`` can reach it
+        load, part = self.least_loaded(taken)
+        high = weight * (top - load) / scale
+        if weight * (top - load - 1) / scale == high:
+            part = next((p for p in range(part) if p not in taken
+                         and weight * (top - loads[p]) / scale == high), part)
+        if high > best_score or (high == best_score and part < best_part):
+            return part
+        return best_part
 
 
 @dataclass

@@ -6,15 +6,18 @@ HDRF) and are used by the ablation benchmark to quantify how much headroom
 a smarter, non-hash partitioner has over the paper's best pick.
 
 The streaming strategies are inherently sequential (each placement feeds
-the next), so the edge loop stays in Python; but the per-partition inner
-work — candidate filtering, load comparisons, HDRF scoring — runs on flat
-numpy arrays (per-endpoint partition-index arrays plus a load vector)
-instead of per-partition Python loops.  Vertex membership stays sparse
-(one set per placed vertex, exactly the seed's ``where`` map), so memory
-is O(total replicas) rather than O(vertices x partitions) even at 1024+
-partitions.  The placements are identical to the seed implementation,
-tie-breaking included; ``tests/test_array_equivalence.py`` asserts that
-edge for edge against re-implementations of the seed loops.
+the next), so the edge loop stays in Python, but it never scans all ``k``
+partitions: a :class:`~repro.partitioning.base.LoadLevels` keeps integer
+loads in ``(load, id)`` order (its front is Greedy's fallback), and HDRF
+scores only the endpoints' partitions plus the lowest-id least-loaded
+other one, whose balance term can only be matched, never beaten, by a
+more loaded partition.  Scores are the seed's float expressions in the
+seed's order, and where rounding ties two load levels' balance (a zero or
+subnormal weight) the lowest id of that balance wins.  Vertex membership
+stays sparse (one set per placed vertex, the seed's ``where`` map), so
+memory is O(total replicas) even at 1024+ partitions.  Placements are
+identical to the seed's, tie-breaking included, which
+``tests/test_array_equivalence.py`` asserts edge for edge.
 
 Both streaming strategies expose their loops through
 :meth:`~repro.partitioning.base.PartitionStrategy.begin_stream`: the
@@ -27,6 +30,7 @@ single-chunk stream.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Set
 
 import numpy as np
@@ -34,7 +38,7 @@ import numpy as np
 from ..core.graph import Graph
 from ..core.validation import require_positive_partitions
 from ..errors import PartitioningError
-from .base import ChunkAssigner, EdgePartitionAssignment, PartitionStrategy, parts_index_array
+from .base import ChunkAssigner, EdgePartitionAssignment, LoadLevels, PartitionStrategy
 from .degrees import DegreeLookup
 from .hashing import mix64
 
@@ -93,43 +97,32 @@ class _GreedyChunkAssigner(ChunkAssigner):
     """The PowerGraph greedy loop with its state lifted out of ``assign``."""
 
     def __init__(self, num_partitions: int, num_edges: int, balance_slack: float) -> None:
-        self._loads = np.zeros(num_partitions, dtype=np.int64)
+        self._levels = LoadLevels(num_partitions)
         self._capacity = max(1.0, balance_slack * num_edges / num_partitions)
         self._where: Dict[int, Set[int]] = {}
 
     def assign_chunk(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        loads = self._loads
+        levels = self._levels
+        loads = levels.loads
         capacity = self._capacity
         where = self._where
         placement = np.empty(len(src), dtype=np.int64)
+        no_parts: frozenset = frozenset()
 
-        def pick(candidates: np.ndarray) -> int:
-            # The seed's min(candidates, key=(load, id)) tie-break: the
-            # lowest-numbered partition among the least loaded candidates.
-            candidate_loads = loads[candidates]
-            least = candidates[candidate_loads == candidate_loads.min()]
-            return int(least.min())
+        def open_parts(parts: Set[int]) -> list:
+            return [(loads[p], p) for p in parts if loads[p] < capacity]
 
         for index, (s, d) in enumerate(
             zip(np.asarray(src).tolist(), np.asarray(dst).tolist())
         ):
-            parts_src = where.get(s, set())
-            parts_dst = where.get(d, set())
-            choice = -1
-            for parts in (parts_src & parts_dst, parts_src | parts_dst):
-                if not parts:
-                    continue
-                candidates = parts_index_array(parts)
-                candidates = candidates[loads[candidates] < capacity]
-                if candidates.size:
-                    choice = pick(candidates)
-                    break
-            if choice < 0:
-                # No (non-full) endpoint partition: globally least loaded,
-                # lowest id first (np.argmin returns the first minimum).
-                choice = int(np.argmin(loads))
+            parts_src = where.get(s, no_parts)
+            parts_dst = where.get(d, no_parts)
+            # The seed's min(candidates, key=(load, id)): the non-full
+            # partitions holding both endpoints, else either, else all.
+            candidates = open_parts(parts_src & parts_dst) or open_parts(parts_src | parts_dst)
+            choice = min(candidates)[1] if candidates else levels.least_loaded()[1]
             placement[index] = choice
-            loads[choice] += 1
+            levels.add(choice)
             where.setdefault(s, set()).add(choice)
             where.setdefault(d, set()).add(choice)
         return placement
@@ -156,8 +149,8 @@ class GreedyVertexCut(PartitionStrategy):
     name = "Greedy"
 
     def __init__(self, balance_slack: float = 1.1) -> None:
-        if balance_slack < 1.0:
-            raise ValueError("balance_slack must be >= 1.0")
+        if not (math.isfinite(balance_slack) and balance_slack >= 1.0):
+            raise ValueError(f"balance_slack must be finite and >= 1.0, got {balance_slack}")
         self.balance_slack = balance_slack
 
     def partition_edge(self, src: int, dst: int, num_partitions: int) -> int:
@@ -185,19 +178,18 @@ class _HdrfChunkAssigner(ChunkAssigner):
     """The HDRF scoring loop with its state lifted out of ``assign``."""
 
     def __init__(self, num_partitions: int, balance_weight: float) -> None:
-        self._num_partitions = num_partitions
         self._balance_weight = balance_weight
-        self._loads = np.zeros(num_partitions, dtype=np.float64)
+        self._levels = LoadLevels(num_partitions)
         self._partial_degree: Dict[int, int] = {}
         self._where: Dict[int, Set[int]] = {}
 
     def assign_chunk(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        num_partitions = self._num_partitions
         balance_weight = self._balance_weight
-        loads = self._loads
+        levels = self._levels
         partial_degree = self._partial_degree
         where = self._where
         placement = np.empty(len(src), dtype=np.int64)
+        no_parts: frozenset = frozenset()
 
         for index, (s, d) in enumerate(
             zip(np.asarray(src).tolist(), np.asarray(dst).tolist())
@@ -207,28 +199,19 @@ class _HdrfChunkAssigner(ChunkAssigner):
             deg_src = partial_degree[s]
             deg_dst = partial_degree[d]
             total = deg_src + deg_dst
-            theta_src = deg_src / total
-            theta_dst = deg_dst / total
-            max_load = loads.max()
-            min_load = loads.min()
+            rep_src = 1.0 + (1.0 - deg_src / total)
+            rep_dst = 1.0 + (1.0 - deg_dst / total)
+            min_load, max_load = levels.bounds()
             spread = (max_load - min_load) + 1.0
+            parts_src = where.get(s, no_parts)
+            parts_dst = where.get(d, no_parts)
 
-            # rep is built sparsely, then the balance vector is added, so the
-            # per-partition float additions happen in the seed's order
-            # ((rep_src + rep_dst) + bal) and the scores stay bit-identical.
-            score = np.zeros(num_partitions, dtype=np.float64)
-            parts_src = where.get(s)
-            if parts_src:
-                score[parts_index_array(parts_src)] += 1.0 + (1.0 - theta_src)
-            parts_dst = where.get(d)
-            if parts_dst:
-                score[parts_index_array(parts_dst)] += 1.0 + (1.0 - theta_dst)
-            score += balance_weight * (max_load - loads) / spread
-            # argmax keeps the first maximum, matching the seed's strict-">"
-            # scan over partition ids.
-            best_part = int(np.argmax(score))
+            # The seed's ((rep_src + rep_dst) + bal) in its order, bit for bit.
+            best_part = levels.best(
+                parts_src, parts_dst, rep_src, rep_dst, balance_weight, max_load, spread
+            )
             placement[index] = best_part
-            loads[best_part] += 1.0
+            levels.add(best_part)
             where.setdefault(s, set()).add(best_part)
             where.setdefault(d, set()).add(best_part)
         return placement
@@ -247,8 +230,8 @@ class HdrfPartitioner(PartitionStrategy):
     name = "HDRF"
 
     def __init__(self, balance_weight: float = 1.0) -> None:
-        if balance_weight < 0:
-            raise ValueError("balance_weight must be non-negative")
+        if not (math.isfinite(balance_weight) and balance_weight >= 0):
+            raise ValueError(f"balance_weight must be finite and >= 0, got {balance_weight}")
         self.balance_weight = balance_weight
 
     def partition_edge(self, src: int, dst: int, num_partitions: int) -> int:

@@ -6,6 +6,10 @@ edge-cut partitioning of the vertex set; here we adapt the same
 compared head-to-head with the paper's vertex-cut strategies in the
 ablation benchmark.
 
+Like HDRF (see :mod:`repro.partitioning.greedy`), it scores only the
+endpoints' partitions plus the lowest-id least-loaded other one, and lands
+every edge where the seed's scan over all ``k`` partitions did.
+
 The scoring loop lives on a chunk assigner (see
 :meth:`~repro.partitioning.base.PartitionStrategy.begin_stream`) so the
 out-of-core ingestion path can feed bounded chunks through the same state
@@ -14,6 +18,7 @@ and land every edge exactly where a whole-graph :meth:`assign` would.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Set
 
 import numpy as np
@@ -21,7 +26,7 @@ import numpy as np
 from ..core.graph import Graph
 from ..core.validation import require_positive_partitions
 from ..errors import PartitioningError
-from .base import ChunkAssigner, EdgePartitionAssignment, PartitionStrategy, parts_index_array
+from .base import ChunkAssigner, EdgePartitionAssignment, LoadLevels, PartitionStrategy
 
 __all__ = ["FennelEdgePartitioner"]
 
@@ -30,39 +35,29 @@ class _FennelChunkAssigner(ChunkAssigner):
     """The Fennel scoring loop with its state lifted out of ``assign``."""
 
     def __init__(self, num_partitions: int, num_edges: int, gamma: float) -> None:
-        self._num_partitions = num_partitions
         self._gamma = gamma
         self._capacity = max(1.0, num_edges / num_partitions)
-        self._loads = np.zeros(num_partitions, dtype=np.float64)
-        # The edge loop is sequential by construction (every placement feeds
-        # the next); vertex membership stays sparse (one set per vertex, the
-        # seed's map) while the per-partition affinity/penalty scoring runs
-        # on num_partitions-length arrays instead of a Python loop.
+        self._levels = LoadLevels(num_partitions)
         self._where: Dict[int, Set[int]] = {}
 
     def assign_chunk(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        num_partitions = self._num_partitions
         gamma = self._gamma
         capacity = self._capacity
-        loads = self._loads
+        levels = self._levels
         where = self._where
         placement = np.empty(len(src), dtype=np.int64)
+        no_parts: frozenset = frozenset()
 
         for index, (s, d) in enumerate(
             zip(np.asarray(src).tolist(), np.asarray(dst).tolist())
         ):
-            score = np.zeros(num_partitions, dtype=np.float64)
-            parts_src = where.get(s)
-            if parts_src:
-                score[parts_index_array(parts_src)] += 1.0
-            parts_dst = where.get(d)
-            if parts_dst:
-                score[parts_index_array(parts_dst)] += 1.0
-            score -= gamma * loads / capacity
-            # argmax keeps the first maximum — the seed's strict-">" scan.
-            best_part = int(np.argmax(score))
+            parts_src = where.get(s, no_parts)
+            parts_dst = where.get(d, no_parts)
+            # affinity - gamma * load / capacity, bit for bit: rounding is
+            # sign-symmetric, so gamma * (0 - load) / capacity negates it.
+            best_part = levels.best(parts_src, parts_dst, 1.0, 1.0, gamma, 0, capacity)
             placement[index] = best_part
-            loads[best_part] += 1.0
+            levels.add(best_part)
             where.setdefault(s, set()).add(best_part)
             where.setdefault(d, set()).add(best_part)
         return placement
@@ -81,8 +76,8 @@ class FennelEdgePartitioner(PartitionStrategy):
     name = "Fennel"
 
     def __init__(self, gamma: float = 1.5) -> None:
-        if gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(gamma) and gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
         self.gamma = gamma
 
     def partition_edge(self, src: int, dst: int, num_partitions: int) -> int:

@@ -11,6 +11,8 @@ the scalar ``partition_edge`` semantics.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import Graph
 from repro.engine.cluster import paper_cluster
@@ -19,9 +21,10 @@ from repro.engine.routing import RoutingTable
 from repro.metrics.partition_metrics import compute_metrics
 from repro.partitioning.base import PartitionStrategy
 from repro.partitioning.degrees import DegreeLookup
-from repro.partitioning.greedy import DegreeBasedHashing
+from repro.partitioning.greedy import DegreeBasedHashing, GreedyVertexCut, HdrfPartitioner
 from repro.partitioning.hybrid import HybridCut
 from repro.partitioning.registry import available_partitioners, make_partitioner
+from repro.partitioning.streaming import FennelEdgePartitioner
 from pregel_oracles import (
     compute_metrics_reference,
     membership_dict,
@@ -230,6 +233,65 @@ class TestStreamingPlacementsMatchSeed:
         got = make_partitioner(name).assign(graph, num_partitions)
         expected = _SEED_STREAMING[name](graph, num_partitions)
         assert np.array_equal(got.partition_of, expected)
+
+
+#: Per streaming strategy: its class, the knob's keyword (the same in the
+#: seed oracle) and knob values that matter for tie-breaking: an exact zero
+#: makes every partition outside the endpoints' tie at 0.0, a subnormal
+#: weight rounds the balance terms of different load levels to one value,
+#: and small whole weights let an endpoint's partition tie exactly with a
+#: less loaded other one.
+_STREAMING_KNOBS = {
+    "Greedy": (GreedyVertexCut, "balance_slack", [1.0, 1.1, 3.0]),
+    "HDRF": (HdrfPartitioner, "balance_weight", [0.0, 0.1, 5e-324, 1.0, 3.0, 7.0]),
+    "Fennel": (FennelEdgePartitioner, "gamma", [0.0, 0.1, 5e-324, 1.0, 1.5, 2.0, 7.0]),
+}
+
+
+def _seed_placement(name, src, dst, num_partitions, knob):
+    """The seed oracle on an edge stream given as arrays."""
+    keyword = _STREAMING_KNOBS[name][1]
+    return _SEED_STREAMING[name](Graph(src, dst), num_partitions, **{keyword: knob})
+
+
+@st.composite
+def _chunked_streams(draw):
+    """A strategy, its knob, a small stream (repeated edges and self-loops
+    are likely), chunk boundaries and a partition count."""
+    name = draw(st.sampled_from(sorted(_STREAMING_KNOBS)))
+    values = _STREAMING_KNOBS[name][2]
+    knob = draw(st.one_of(st.sampled_from(values), st.floats(min(values), 10.0)))
+    num_vertices = draw(st.integers(1, 40))
+    vertex = st.integers(0, num_vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=300))
+    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=5)))
+    return name, knob, edges, [0, *cuts, len(edges)], draw(st.integers(1, 70))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_chunked_streams())
+def test_chunked_streams_place_like_the_seed(case):
+    """Scoring only the endpoints' partitions plus the least-loaded other
+    one places every edge where the seed's scan over all k did, across
+    chunk boundaries, float ties between load levels included."""
+    name, knob, edges, bounds, num_partitions = case
+    src = np.array([s for s, _ in edges], dtype=np.int64)
+    dst = np.array([d for _, d in edges], dtype=np.int64)
+    assigner = _STREAMING_KNOBS[name][0](knob).begin_stream(num_partitions, len(edges))
+    chunks = [assigner.assign_chunk(src[a:b], dst[a:b]) for a, b in zip(bounds, bounds[1:])]
+    expected = _seed_placement(name, src, dst, num_partitions, knob)
+    assert np.concatenate(chunks).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("name", ["HDRF", "Fennel"])
+def test_zero_balance_weight_on_a_long_stream(name):
+    """With a zero weight every partition outside the endpoints scores 0.0
+    and the loads drift far apart; the lowest such id must still win, found
+    without walking the load levels between them."""
+    rng = np.random.default_rng(11)
+    src, dst = (np.floor(2_000 * rng.random(20_000) ** 2.0).astype(np.int64) for _ in range(2))
+    got = _STREAMING_KNOBS[name][0](0.0).assign(Graph(src, dst), 64).partition_of
+    assert np.array_equal(got, _seed_placement(name, src, dst, 64, 0.0))
 
 
 class TestScalarVsArrayAssignment:

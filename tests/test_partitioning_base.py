@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.graph import Graph
 from repro.errors import PartitioningError
-from repro.partitioning.base import EdgePartitionAssignment, PartitionStrategy
+from repro.partitioning.base import EdgePartitionAssignment, LoadLevels, PartitionStrategy
 from repro.partitioning.hash_partitioners import RandomVertexCut
 from pregel_oracles import vertex_partitions_reference
 
@@ -85,3 +85,50 @@ class TestScalarFallback:
         assignment = ModuloStrategy().assign(Graph([], []), 3)
         assert assignment.partition_of.size == 0
         assert assignment.edges_per_partition().tolist() == [0, 0, 0]
+
+
+def _levels(loads):
+    levels = LoadLevels(len(loads))
+    for part, load in enumerate(loads):
+        for _ in range(load):
+            levels.add(part)
+    return levels
+
+
+class TestLoadLevels:
+    """The candidate rule the streaming placers share: score the endpoints'
+    partitions, then only the best of the rest, first maximum by id."""
+
+    NONE = frozenset()
+    FLAT = (0.0, 0, 1.0)  # balance weight * (top - load) / scale == 0.0
+    STEEP = (1.0, 0, 1.0)  # balance == -load
+
+    def test_bounds_and_least_loaded(self):
+        levels = _levels([2, 0, 1, 0])
+        assert levels.loads == [2, 0, 1, 0]
+        assert levels.bounds() == (0, 2)
+        assert levels.least_loaded() == (0, 1)
+        assert levels.least_loaded({1, 3}) == (1, 2)
+
+    def test_tying_candidates_go_to_the_lowest_id(self):
+        # {9, 2} iterates 9 first; the scan must still keep partition 2.
+        assert list({9, 2}) == [9, 2]
+        assert LoadLevels(10).best({9, 2}, self.NONE, 1.0, 0.0, *self.FLAT) == 2
+
+    def test_a_less_loaded_partition_tying_a_candidate_wins_on_id(self):
+        levels = _levels([0, 2])
+        # Partition 1 scores 2.0 - 2.0 == 0.0, partition 0 scores -0.0.
+        assert levels.best({1}, self.NONE, 2.0, 0.0, *self.STEEP) == 0
+        assert levels.best({1}, self.NONE, 2.5, 0.0, *self.STEEP) == 1
+
+    def test_balance_ties_across_load_levels_go_to_the_lowest_id(self):
+        levels = _levels([1, 0, 0])
+        # Partition 1 holds an endpoint but loses; of the rest, partition 2
+        # is the least loaded, and partition 0 wins only when its level
+        # has the same balance.
+        assert levels.best({1}, self.NONE, -1.0, 0.0, *self.FLAT) == 0
+        assert levels.best({1}, self.NONE, -1.0, 0.0, *self.STEEP) == 2
+
+    def test_every_partition_an_endpoints(self):
+        levels = _levels([3, 1])
+        assert levels.best({0}, {1}, 1.0, 1.0, *self.STEEP) == 1

@@ -101,3 +101,20 @@ class TestFennel:
     def test_scalar_api_not_supported(self):
         with pytest.raises(NotImplementedError):
             FennelEdgePartitioner().partition_edge(0, 1, 2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda value: GreedyVertexCut(balance_slack=value),
+        lambda value: HdrfPartitioner(balance_weight=value),
+        lambda value: FennelEdgePartitioner(gamma=value),
+    ],
+    ids=["balance_slack", "balance_weight", "gamma"],
+)
+def test_non_finite_knobs_rejected(make, value):
+    # A nan knob passes a plain "< 0" check and then scores every
+    # partition nan, which put every edge in partition 0.
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
