@@ -57,6 +57,20 @@ class PageRankKernel(ArrayMessageKernel):
         sending = src_idx[positions]
         return positions, dst_idx[positions], state[sending] / self._degrees[sending]
 
+    def static_messages(self, src_idx, dst_idx):
+        degrees = self._degrees
+        positions = np.flatnonzero(degrees[src_idx] > 0)
+        sending = src_idx[positions]
+        has_out = degrees > 0
+
+        def send(state):
+            # One division per vertex, then one gather: the same IEEE
+            # quotient per message as ``send_message_array``'s.
+            shares = np.divide(state, degrees, out=np.zeros(state.size), where=has_out)
+            return shares[sending]
+
+        return positions, dst_idx[positions], send
+
     def apply_messages_all(self, state, target_idx, messages):
         # Non-receivers see the algorithm's default message of 0.0.
         dense = np.zeros(state.size, dtype=np.float64)
