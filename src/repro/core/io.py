@@ -1,9 +1,11 @@
-"""Reading and writing edge-list files.
+"""Reading and writing edge-list files, and the on-disk array helpers.
 
 The SNAP datasets the paper uses are plain whitespace-separated edge lists
 with ``#`` comment lines; this module reads and writes that format so that
 real SNAP files can be dropped in as a replacement for the synthetic
-analogues shipped in :mod:`repro.datasets`.
+analogues shipped in :mod:`repro.datasets`.  :func:`atomic_write_bytes`
+and :func:`narrow_int_dtype` are shared by every writer of persisted
+arrays (the artifact store and the out-of-core shards).
 """
 
 from __future__ import annotations
@@ -11,12 +13,29 @@ from __future__ import annotations
 import os
 from typing import Optional, Union
 
+import numpy as np
+
 from ..errors import GraphIOError
 from .graph import Graph
 
-__all__ = ["PathLike", "atomic_write_bytes", "read_edge_list", "write_edge_list"]
+__all__ = [
+    "PathLike",
+    "atomic_write_bytes",
+    "narrow_int_dtype",
+    "read_edge_list",
+    "write_edge_list",
+]
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+
+def narrow_int_dtype(low: int, high: int) -> np.dtype:
+    """The narrowest integer dtype that holds every value in ``[low, high]``.
+
+    Persisted integer arrays are written in it and widened back to int64
+    on load: partition ids fit 8 or 16 bits, local slot indices 8 to 32.
+    """
+    return np.result_type(np.min_scalar_type(int(low)), np.min_scalar_type(int(high)))
 
 
 def atomic_write_bytes(path: PathLike, data: bytes, make_parents: bool = False) -> None:

@@ -7,7 +7,7 @@ The pipeline, layer by layer:
 2. :mod:`repro.ooc.shards` — stream a chunk source through a partition
    strategy's chunk assigner into a content-addressed shard artifact;
 3. :mod:`repro.ooc.mmap_graph` — serve a shard as a partitioned graph
-   whose edges are read-only ``np.load(mmap_mode="r")`` views;
+   whose edges are read-only ``np.memmap`` views;
 4. :mod:`repro.ooc.pregel_stream` — the scan strategy that lets the
    engine's superstep driver walk the shards one partition chunk at a
    time, bit-identical to the in-process scan;

@@ -7,8 +7,8 @@ built from a shard artifact instead of in-memory edge arrays, plus the
 shard's ``partitions``.  Only the vertex-scale state lives in RAM —
 vertex ids, degrees and the replication membership, exactly the state
 GraphX keeps in its vertex RDD — while every partition's edges stay on
-disk and are served as ``np.load(mmap_mode="r")`` read-only views, so
-the Pregel engine touches at most one partition's pages at a time.
+disk and are served as read-only ``np.memmap`` views, so the Pregel
+engine touches at most one partition's pages at a time.
 
 While :attr:`ShardedGraph.stream_supersteps` is set, the Pregel engine
 scans the shards partition at a time (:mod:`repro.ooc.pregel_stream`);
@@ -19,8 +19,9 @@ compiled exactly as an in-memory placement's are.
 from __future__ import annotations
 
 import mmap
+import os
 import zipfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,10 +81,12 @@ class ShardEdgePartition:
     """One partition's edges, memory-mapped from its shard sidecar.
 
     ``local_triplets()`` returns the on-disk ``(2, edges)`` array as a
-    read-only view straight out of ``np.load(mmap_mode="r")`` — the pages
-    are faulted in as the engine scans them and dropped again by
-    :meth:`release`, so resident memory never exceeds the pages of the
-    partition currently being processed.
+    read-only ``np.memmap`` at the ``dtype`` and data ``offset`` the
+    loader read from the ``.npy`` header once — the pages are faulted in
+    as the engine scans them and dropped again by :meth:`release`, so
+    resident memory never exceeds the pages of the partition currently
+    being processed.  (The map is not kept across releases: each open map
+    holds a file descriptor.)
     """
 
     def __init__(
@@ -92,11 +95,15 @@ class ShardEdgePartition:
         path: Optional[str],
         num_edges: int,
         vertex_ids: np.ndarray,
+        dtype: np.dtype,
+        offset: int,
     ) -> None:
         self.partition_id = int(partition_id)
         self.path = path
         self._num_edges = int(num_edges)
         self.vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
+        self.dtype = np.dtype(dtype)
+        self.offset = int(offset)
         self._mapped: Optional[np.ndarray] = None
 
     @property
@@ -111,13 +118,16 @@ class ShardEdgePartition:
         """The partition's ``(2, edges)`` sources and destinations as indices
         into its ``vertex_ids`` mirror list (so, its replica slots).
 
-        Served from the memory-mapped sidecar: read-only, stable across
-        calls until :meth:`release`.
+        Served from the memory-mapped sidecar in its stored integer dtype:
+        read-only, stable across calls until :meth:`release`.
         """
         if self._num_edges == 0 or self.path is None:
             return np.empty((2, 0), dtype=np.int64)
         if self._mapped is None:
-            self._mapped = np.load(self.path, mmap_mode="r")
+            self._mapped = np.memmap(
+                self.path, dtype=self.dtype, mode="r",
+                offset=self.offset, shape=(2, self._num_edges),
+            )
         return self._mapped
 
     def release(self) -> None:
@@ -233,26 +243,27 @@ class ShardedGraph:
         )
 
 
-def _validated_partition_path(
-    store: ArtifactStore,
-    key: Dict[str, object],
-    partition_id: int,
-    expected_edges: int,
-) -> Optional[str]:
-    """Header-check one partition sidecar; ``None`` when missing/corrupt."""
-    path = store.shard_member_path(key, partition_member_name(partition_id))
+def _partition_layout(path: str, expected_edges: int) -> Optional[Tuple[np.dtype, int]]:
+    """Header-check one partition sidecar: its ``(dtype, data offset)``, or
+    ``None`` when it is missing, truncated or not a C-ordered
+    ``(2, expected_edges)`` integer array (any integer width) in the
+    version 1.0 ``.npy`` format the writer emits."""
     try:
-        mapped = np.load(path, mmap_mode="r")
+        with open(path, "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            offset = handle.tell()
+            size = os.fstat(handle.fileno()).st_size
     except (OSError, ValueError):
         return None
     ok = (
-        mapped.dtype == np.int64
-        and mapped.ndim == 2
-        and mapped.shape[0] == 2
-        and mapped.shape[1] == expected_edges
+        dtype.kind in "iu"
+        and not fortran_order
+        and shape == (2, expected_edges)
+        and size == offset + 2 * expected_edges * dtype.itemsize
     )
-    del mapped
-    return path if ok else None
+    return (dtype, offset) if ok else None
 
 
 def load_sharded_graph(
@@ -266,8 +277,9 @@ def load_sharded_graph(
     The loader owns the hit/miss verdict: a shard only counts as a hit when
     the manifest, the vertex table and **every** partition sidecar it
     references are present and structurally sound (dtype, shape and edge
-    counts all match the manifest).  Anything less — a truncated ``.npy``,
-    a vertex table that does not decompress, a missing sidecar — is a miss,
+    counts all match the manifest, and every partition id is below its
+    partition count).  Anything less — a truncated ``.npy``,
+    a vertex table that does not unzip, a missing sidecar — is a miss,
     so callers rebuild instead of serving a corrupt graph.  ``count=False``
     skips the store's hit/miss accounting (the ingest driver's
     load-after-build verification is not a cache lookup).
@@ -310,6 +322,8 @@ def load_sharded_graph(
         out_degree.size != vertex_ids.size
         or in_degree.size != vertex_ids.size
         or pair_vertex.size != pair_partition.size
+        or int(pair_partition.min(initial=0)) < 0
+        or int(pair_partition.max(initial=0)) >= num_partitions
     ):
         verdict(False)
         return None
@@ -319,20 +333,25 @@ def load_sharded_graph(
     for pid in range(num_partitions):
         expected = edge_counts[pid]
         path: Optional[str] = None
+        dtype, offset = np.dtype(np.int64), 0
         if expected > 0:
             if partition_members.get(str(pid)) != partition_member_name(pid):
                 verdict(False)
                 return None
-            path = _validated_partition_path(store, key, pid, expected)
-            if path is None:
+            path = store.shard_member_path(key, partition_member_name(pid))
+            layout = _partition_layout(path, expected)
+            if layout is None:
                 verdict(False)
                 return None
+            dtype, offset = layout
         partitions.append(
             ShardEdgePartition(
                 partition_id=pid,
                 path=path,
                 num_edges=expected,
                 vertex_ids=membership.vertices_of_partition(pid),
+                dtype=dtype,
+                offset=offset,
             )
         )
 

@@ -11,13 +11,16 @@ addressed **shard** artifact in the
 :class:`~repro.session.store.ArtifactStore`:
 
 * ``<digest>.json`` — the manifest (written last: the commit point);
-* ``<digest>.vtx.npz`` — the vertex table: sorted vertex ids, degrees and
-  the membership pair arrays (O(vertices + replicas): this is the part of
-  the graph that stays in RAM at run time);
-* ``<digest>.pNNNNN.npy`` — one raw ``(2, edges)`` int64 array of
-  partition-local triplet indices per non-empty partition, saved as plain
-  ``.npy`` (not ``.npz``) so the engine can serve it with
-  ``np.load(mmap_mode="r")``.
+* ``<digest>.vtx.npz`` — the vertex table, an uncompressed ``np.savez``:
+  sorted vertex ids, degrees and the membership pair arrays, each in the
+  narrowest integer dtype that holds it (partition ids in 8 bits up to
+  k = 256).  O(vertices + replicas): this is the part of the graph that
+  stays in RAM at run time, widened to int64 on load;
+* ``<digest>.pNNNNN.npy`` — one raw ``(2, edges)`` array of
+  partition-local triplet indices per non-empty partition, in the
+  smallest integer dtype that holds the partition's mirror count (so
+  8 to 32 bits), saved as plain ``.npy`` (not ``.npz``) so the engine
+  can memory-map it.
 
 Peak writer memory is O(chunk + vertices + replicas): the placement loop
 touches one chunk at a time and nothing else, and finalisation re-reads
@@ -31,13 +34,13 @@ ever materialises a whole partition, let alone the whole edge set.
 
 from __future__ import annotations
 
-import io
 import os
 import shutil
 from typing import Dict, IO, Iterator
 
 import numpy as np
 
+from ..core.io import narrow_int_dtype
 from ..errors import PartitioningError
 from ..partitioning.base import PartitionStrategy
 from ..partitioning.membership import VertexMembership, sorted_unique
@@ -178,9 +181,11 @@ class PartitionShardWriter:
 
         The stable sort preserves stream order within each partition, so a
         finalised partition holds its edges in exactly the order an
-        in-memory placement's compiled edge order has.
+        in-memory placement's compiled edge order has.  It sorts the ids
+        in their narrowest dtype, which numpy radix-sorts.
         """
-        order = np.argsort(placement, kind="stable")
+        narrow = placement.astype(narrow_int_dtype(0, self.num_partitions - 1))
+        order = np.argsort(narrow, kind="stable")
         sorted_pids = placement[order]
         bounds = np.searchsorted(sorted_pids, np.arange(self.num_partitions + 1))
         interleaved = np.empty((src.size, 2), dtype=np.int64)
@@ -251,7 +256,8 @@ class PartitionShardWriter:
 
         # Pass 2: translate each partition's spill to local indices and
         # stream the (2, count) ``.npy`` straight to its published path —
-        # row 0 (src) then row 1 (dst), one bounded block at a time.
+        # row 0 (src) then row 1 (dst), one bounded block at a time, in
+        # the narrowest dtype that indexes the partition's mirrors.
         # Degrees fall out of the same translated blocks for free.
         partition_members: Dict[str, str] = {}
         for pid in range(self.num_partitions):
@@ -265,36 +271,49 @@ class PartitionShardWriter:
                 np.zeros(mirror.size, dtype=np.int64),
                 np.zeros(mirror.size, dtype=np.int64),
             ]
+            slot_dtype = narrow_int_dtype(0, mirror.size - 1)
             with self.store.open_shard_member(self.key, member) as handle:
                 np.lib.format.write_array_header_1_0(
                     handle,
-                    {"descr": "<i8", "fortran_order": False, "shape": (2, count)},
+                    {
+                        "descr": np.lib.format.dtype_to_descr(slot_dtype),
+                        "fortran_order": False,
+                        "shape": (2, count),
+                    },
                 )
                 for column in (0, 1):
                     for block in _iter_spill_blocks(spill_path, count):
-                        local = np.searchsorted(mirror, block[:, column]).astype(
-                            np.int64, copy=False
-                        )
+                        local = np.searchsorted(mirror, block[:, column])
                         local_degrees[column] += np.bincount(
                             local, minlength=mirror.size
                         )
-                        handle.write(np.ascontiguousarray(local))
+                        handle.write(local.astype(slot_dtype))
             where = np.searchsorted(vertex_ids, mirror)
             out_degree[where] += local_degrees[0]
             in_degree[where] += local_degrees[1]
             partition_members[str(pid)] = member
             os.remove(spill_path)
 
-        vertex_buffer = io.BytesIO()
-        np.savez_compressed(
-            vertex_buffer,
-            vertex_ids=vertex_ids,
-            out_degree=out_degree,
-            in_degree=in_degree,
-            pair_vertex=membership.pair_vertex,
-            pair_partition=membership.pair_partition,
-        )
-        self.store.save_shard_member(self.key, "vtx.npz", vertex_buffer.getvalue())
+        vertex_columns = {
+            "vertex_ids": vertex_ids,
+            "out_degree": out_degree,
+            "in_degree": in_degree,
+            "pair_vertex": membership.pair_vertex,
+        }
+        with self.store.open_shard_member(self.key, "vtx.npz") as handle:
+            np.savez(
+                handle,
+                **{
+                    name: column.astype(
+                        narrow_int_dtype(column.min(initial=0), column.max(initial=0))
+                    )
+                    for name, column in vertex_columns.items()
+                },
+                # By k, not by value: the partition id width follows the shape.
+                pair_partition=membership.pair_partition.astype(
+                    narrow_int_dtype(0, self.num_partitions - 1)
+                ),
+            )
 
         manifest: Dict[str, object] = {
             "format_version": STORE_FORMAT_VERSION,

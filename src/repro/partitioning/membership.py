@@ -153,11 +153,11 @@ class VertexMembership:
         """``(vertices, bounds)``: every pair's vertex, partition-major and
         ascending within a partition, which owns ``bounds[p]:bounds[p+1]``."""
         if self._by_partition is None:
-            order = np.argsort(self.pair_partition, kind="stable")
+            # Sorted in their narrowest dtype, which numpy radix-sorts.
+            pid = self.pair_partition.astype(np.min_scalar_type(max(self.num_partitions - 1, 0)))
+            order = np.argsort(pid, kind="stable")
             grouped = self.pair_vertex[order]
-            bounds = np.searchsorted(
-                self.pair_partition[order], np.arange(self.num_partitions + 1)
-            )
+            bounds = np.searchsorted(pid[order], np.arange(self.num_partitions + 1))
             self._by_partition = (grouped, bounds)
         return self._by_partition
 

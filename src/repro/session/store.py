@@ -15,10 +15,13 @@ expensive artefact kinds across processes:
   cells of an :class:`~repro.session.plan.ExperimentPlan` grid, which is
   what makes interrupted sweeps resumable.
 * **shards** — out-of-core partition shards (see :mod:`repro.ooc`): a
-  JSON manifest plus sidecar files — a ``.vtx.npz`` vertex table and one
-  plain ``.pNNNNN.npy`` per partition that the engine memory-maps at run
-  time (``.npz`` members cannot be mmapped, so the edge data ships as raw
-  ``.npy``).  The manifest is written *last*, so a crashed ingest never
+  JSON manifest plus sidecar files — an uncompressed ``.vtx.npz`` vertex
+  table and one plain ``.pNNNNN.npy`` per partition that the engine
+  memory-maps at run time (``.npz`` members cannot be mmapped, so the
+  edge data ships as raw ``.npy``).  Every member is stored in the
+  narrowest integer dtype that holds it; the ``.npy`` headers say which,
+  so shards written as int64 load unchanged.  The manifest is written
+  *last*, so a crashed ingest never
   publishes a shard; hit/miss is decided by the shard loader after it has
   verified every sidecar (see :meth:`ArtifactStore.count_shard`).
 
@@ -54,7 +57,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.io import PathLike, atomic_write_bytes
+from ..core.io import PathLike, atomic_write_bytes, narrow_int_dtype
 from ..errors import AnalysisError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -198,10 +201,7 @@ class ArtifactStore:
         them back to int64.
         """
         partition_of = np.asarray(partition_of, dtype=np.int64)
-        narrow = np.result_type(
-            np.min_scalar_type(int(partition_of.min(initial=0))),
-            np.min_scalar_type(int(partition_of.max(initial=0))),
-        )
+        narrow = narrow_int_dtype(partition_of.min(initial=0), partition_of.max(initial=0))
         buffer = io.BytesIO()
         np.savez_compressed(
             buffer,
@@ -370,20 +370,15 @@ class ArtifactStore:
 
     def shard_member_path(self, key: Dict[str, object], member: str) -> str:
         """On-disk path of one shard sidecar (e.g. ``"vtx.npz"``,
-        ``"p00003.npy"``) — this is what the engine memory-maps."""
+        ``"p00003.npy"``); the engine memory-maps the ``.npy`` ones."""
         return self._path("shards", key, "." + member)
-
-    def save_shard_member(self, key: Dict[str, object], member: str, data: bytes) -> None:
-        """Persist one shard sidecar atomically.  Sidecars must all be
-        published *before* :meth:`save_shard_manifest` so a crash mid-write
-        leaves an unreferenced sidecar, never a dangling manifest."""
-        _write_artifact(self.shard_member_path(key, member), data)
 
     @contextlib.contextmanager
     def open_shard_member(self, key: Dict[str, object], member: str):
-        """Stream one shard sidecar to disk with the atomic-publish
-        guarantee of :meth:`save_shard_member`, without ever holding the
-        payload in memory.
+        """Stream one shard sidecar to disk atomically, without ever holding
+        the payload in memory.  Sidecars must all be published *before*
+        :meth:`save_shard_manifest`, so a crash mid-write leaves an
+        unreferenced sidecar, never a dangling manifest.
 
         Yields a binary handle onto a temporary sibling; a clean exit
         ``os.replace``-s it into place, any exception removes it.  This is
