@@ -74,7 +74,7 @@ from .backends import (
     register_backend,
     validate_backends,
 )
-from .core import Graph, GraphBuilder, GraphSummary, read_edge_list, summarize, write_edge_list
+from .core import Graph, GraphSummary, read_edge_list, summarize, write_edge_list
 from .datasets import PAPER_DATASET_NAMES, load_all_datasets, load_dataset
 from .engine import ClusterConfig, CostParameters, PartitionedGraph, paper_cluster, pregel
 from .errors import (
@@ -122,7 +122,6 @@ __all__ = [
     "ExperimentPlan",
     "EXTENSION_PARTITIONER_NAMES",
     "Graph",
-    "GraphBuilder",
     "GraphIOError",
     "GraphSummary",
     "GraphValidationError",

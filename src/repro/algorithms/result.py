@@ -62,10 +62,6 @@ class AlgorithmResult:
             return 0.0
         return self.report.total_seconds
 
-    def value_of(self, vertex: int) -> Any:
-        """Final value of one vertex (raises ``KeyError`` if unknown)."""
-        return self.vertex_values[vertex]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AlgorithmResult({self.algorithm!r}, backend={self.backend!r}, "

@@ -36,7 +36,7 @@ from ..engine.cost_model import CostParameters
 from ..engine.messaging import ArrayMessageKernel
 from ..engine.partitioned_graph import PartitionedGraph
 from ..engine.pregel import pregel
-from ..errors import EngineError
+from ..errors import EngineError, require_count
 from .result import AlgorithmResult
 
 __all__ = [
@@ -290,8 +290,7 @@ def choose_landmarks(
     :meth:`Session.landmarks(seed=None) <repro.session.Session.landmarks>`;
     a ``count`` below 1 is a configuration error, not an empty sample.
     """
-    if count < 1:
-        raise EngineError(f"landmark count must be >= 1, got {count}")
+    count = require_count(count, "landmark count", 1, EngineError)
     graph = getattr(pgraph_or_graph, "graph", pgraph_or_graph)
     vertices = graph.vertex_ids.tolist()
     if not vertices:

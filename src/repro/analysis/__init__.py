@@ -2,7 +2,6 @@
 
 from .advisor import Recommendation, recommend_empirically, recommend_partitioner
 from .correlation import correlation_table, correlation_with_time, pearson, spearman
-from .plots import ascii_scatter, loglog_histogram, scatter_from_records
 from .serialization import load_records, record_from_dict, record_to_dict, report_to_dict, save_records
 from .results import (
     RunRecord,
@@ -16,9 +15,6 @@ __all__ = [
     "RunRecord",
     "best_partitioner_per_dataset",
     "correlation_table",
-    "ascii_scatter",
-    "loglog_histogram",
-    "scatter_from_records",
     "load_records",
     "record_from_dict",
     "record_to_dict",

@@ -3,7 +3,7 @@
 The reproduction has two execution paths for every algorithm:
 
 ``reference``
-    The dict-based Pregel/BSP *simulator* (:mod:`repro.engine`), faithful
+    The Pregel/BSP *simulator* (:mod:`repro.engine`), faithful
     to the paper's GraphX model.  It is the only backend that produces a
     cost-model :class:`~repro.engine.cost_model.SimulationReport`, so
     every partitioning experiment and figure reproduction uses it.

@@ -3,10 +3,11 @@
 A backend is an execution strategy for the paper's algorithms.  Every
 backend answers the same question — "what are the final vertex values of
 algorithm X on graph G?" — but may compute it very differently: the
-``reference`` backend runs the faithful dict-based Pregel simulator with
-its cluster cost model, while the ``vectorized`` backend runs whole-graph
-numpy kernels over the CSR view.  Future scaling work (multiprocessing,
-sharding, out-of-core) plugs in as further registered backends.
+``reference`` backend runs the algorithms' array kernels through the
+Pregel engine over the placement, priced by its cluster cost model, while
+the ``vectorized`` backend runs whole-graph numpy kernels over the CSR
+view.  Future scaling work (multiprocessing, sharding, out-of-core) plugs
+in as further registered backends.
 
 Backends accept either a :class:`~repro.core.graph.Graph` or a
 :class:`~repro.engine.partitioned_graph.PartitionedGraph`; backends that

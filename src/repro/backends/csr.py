@@ -1,7 +1,7 @@
 """Compressed-sparse-row view of a :class:`~repro.core.graph.Graph`.
 
-The dict-based :class:`Graph` accessors are convenient for the reference
-Pregel simulator but far too slow for bulk execution.  :class:`CSRGraph`
+The dict-returning :class:`Graph` accessors (``out_degrees()``,
+``adjacency()``) are far too slow for bulk execution.  :class:`CSRGraph`
 compacts the (possibly sparse, 64-bit) vertex ids into dense indices
 ``0..n-1`` and materialises the edge list in both orientations:
 

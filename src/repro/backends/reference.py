@@ -27,7 +27,7 @@ _DEFAULT_STRATEGY = "1D"
 
 
 class ReferenceBackend(Backend):
-    """Dict-based BSP simulation with the calibrated cluster cost model."""
+    """Pregel (BSP) simulation on the placement, with the calibrated cluster cost model."""
 
     name = "reference"
     uses_partitioning = True

@@ -1,19 +1,14 @@
-"""Property-graph substrate: graph data model, builders, I/O and statistics."""
+"""Property-graph substrate: graph data model, I/O and statistics."""
 
-from .builder import GraphBuilder
-from .graph import Edge, Graph
+from .graph import Graph
 from .io import read_edge_list, write_edge_list
-from .sampling import edge_sample, forest_fire_sample, induced_subgraph
 from .properties import (
     GraphSummary,
     degree_histogram,
     degree_ratio_cdf,
     diameter,
     estimated_size_bytes,
-    num_strongly_connected_components,
     num_weakly_connected_components,
-    per_vertex_triangles,
-    strongly_connected_components,
     summarize,
     symmetry_percent,
     triangle_count,
@@ -23,23 +18,15 @@ from .properties import (
 )
 
 __all__ = [
-    "Edge",
     "Graph",
-    "GraphBuilder",
     "GraphSummary",
     "read_edge_list",
-    "edge_sample",
-    "forest_fire_sample",
-    "induced_subgraph",
     "write_edge_list",
     "degree_histogram",
     "degree_ratio_cdf",
     "diameter",
     "estimated_size_bytes",
-    "num_strongly_connected_components",
     "num_weakly_connected_components",
-    "per_vertex_triangles",
-    "strongly_connected_components",
     "summarize",
     "symmetry_percent",
     "triangle_count",

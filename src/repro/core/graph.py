@@ -10,14 +10,13 @@ isolated vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import GraphValidationError
 
-__all__ = ["Edge", "Graph"]
+__all__ = ["Graph"]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -25,24 +24,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.setflags(write=False)
     return view
-
-
-@dataclass(frozen=True)
-class Edge:
-    """A single directed edge ``src -> dst``."""
-
-    src: int
-    dst: int
-
-    def reversed(self) -> "Edge":
-        """Return the edge pointing in the opposite direction."""
-        return Edge(self.dst, self.src)
-
-    def canonical(self) -> "Edge":
-        """Return the edge with endpoints ordered so that ``src <= dst``."""
-        if self.src <= self.dst:
-            return self
-        return Edge(self.dst, self.src)
 
 
 class Graph:
@@ -147,11 +128,6 @@ class Graph:
         """Number of directed edges (duplicates included)."""
         return int(self._src.size)
 
-    def edges(self) -> Iterator[Edge]:
-        """Iterate over edges as :class:`Edge` objects."""
-        for s, d in zip(self._src.tolist(), self._dst.tolist()):
-            yield Edge(s, d)
-
     def edge_pairs(self) -> Iterator[Tuple[int, int]]:
         """Iterate over edges as plain ``(src, dst)`` tuples."""
         for s, d in zip(self._src.tolist(), self._dst.tolist()):
@@ -207,18 +183,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def reverse(self) -> "Graph":
-        """Return the graph with every edge direction flipped."""
-        return Graph(self._dst, self._src, vertices=self._vertex_ids, name=self.name)
-
-    def deduplicated(self) -> "Graph":
-        """Return the graph with duplicate directed edges removed."""
-        if not self.num_edges:
-            return Graph([], [], vertices=self._vertex_ids, name=self.name)
-        stacked = np.stack([self._src, self._dst], axis=1)
-        unique = np.unique(stacked, axis=0)
-        return Graph(unique[:, 0], unique[:, 1], vertices=self._vertex_ids, name=self.name)
-
     def canonicalized(self) -> "Graph":
         """Return an undirected view: endpoints sorted, duplicates and self-loops removed.
 
@@ -235,13 +199,6 @@ class Graph:
             stacked = np.unique(stacked, axis=0)
             return Graph(stacked[:, 0], stacked[:, 1], vertices=self._vertex_ids, name=self.name)
         return Graph([], [], vertices=self._vertex_ids, name=self.name)
-
-    def symmetrized(self) -> "Graph":
-        """Return the graph with every edge reciprocated (both directions present)."""
-        src = np.concatenate([self._src, self._dst])
-        dst = np.concatenate([self._dst, self._src])
-        graph = Graph(src, dst, vertices=self._vertex_ids, name=self.name)
-        return graph.deduplicated()
 
     def adjacency(self, direction: str = "out") -> dict:
         """Return an adjacency map ``{vertex: set(neighbours)}``.

@@ -2,7 +2,7 @@
 
 Every statistic the paper reports for its datasets is computed here:
 edge symmetry, the fraction of vertices with zero in/out degree, the global
-triangle count, weakly and strongly connected components, the diameter
+triangle count, weakly connected components, the diameter
 (infinite when the graph is disconnected), and an on-disk size estimate.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,11 +23,8 @@ __all__ = [
     "zero_in_percent",
     "zero_out_percent",
     "triangle_count",
-    "per_vertex_triangles",
     "weakly_connected_components",
     "num_weakly_connected_components",
-    "strongly_connected_components",
-    "num_strongly_connected_components",
     "diameter",
     "estimated_size_bytes",
     "degree_histogram",
@@ -74,27 +71,6 @@ def zero_out_percent(graph: Graph) -> float:
 # ----------------------------------------------------------------------
 # Triangles
 # ----------------------------------------------------------------------
-def per_vertex_triangles(graph: Graph) -> Dict[int, int]:
-    """Number of triangles through each vertex of the canonicalised graph.
-
-    The graph is treated as undirected and simple (GraphX's TriangleCount
-    does the same canonicalisation).
-    """
-    canonical = graph.canonicalized()
-    adjacency = canonical.adjacency(direction="both")
-    counts = {v: 0 for v in adjacency}
-    for u, v in canonical.edge_pairs():
-        smaller, larger = (u, v) if len(adjacency[u]) <= len(adjacency[v]) else (v, u)
-        common = adjacency[smaller] & adjacency[larger]
-        for w in common:
-            counts[u] += 1
-            counts[v] += 1
-            counts[w] += 1
-    # Each triangle is seen once per edge it owns, i.e. 3 times in the loop
-    # above; each sighting credited all three corners, so divide by 3.
-    return {v: c // 3 for v, c in counts.items()}
-
-
 def triangle_count(graph: Graph) -> int:
     """Total number of distinct triangles in the canonicalised graph."""
     canonical = graph.canonicalized()
@@ -136,61 +112,6 @@ def num_weakly_connected_components(graph: Graph) -> int:
     """Number of weakly connected components."""
     labels = weakly_connected_components(graph)
     return len(set(labels.values())) if labels else 0
-
-
-def strongly_connected_components(graph: Graph) -> List[List[int]]:
-    """Strongly connected components via an iterative Tarjan algorithm."""
-    adjacency = graph.adjacency(direction="out")
-    index_counter = [0]
-    stack: List[int] = []
-    lowlink: Dict[int, int] = {}
-    index: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
-    components: List[List[int]] = []
-
-    for root in adjacency:
-        if root in index:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, iter(adjacency[succ])))
-                    advanced = True
-                    break
-                if on_stack.get(succ, False):
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
-def num_strongly_connected_components(graph: Graph) -> int:
-    """Number of strongly connected components."""
-    return len(strongly_connected_components(graph))
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +247,6 @@ class GraphSummary:
     connected_components: int
     diameter: float
     size_bytes: int
-    extras: Dict[str, float] = field(default_factory=dict)
 
     def as_row(self) -> Dict[str, object]:
         """Return the summary as a flat dict suitable for tabulation."""

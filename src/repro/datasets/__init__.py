@@ -12,8 +12,6 @@ from .characterization import (
     DatasetCharacterization,
     build_table1,
     characterize,
-    degree_distributions,
-    degree_ratio_distributions,
     format_table1,
 )
 from .generators import ring_of_cliques, road_network, social_graph
@@ -25,8 +23,6 @@ __all__ = [
     "build_table1",
     "characterize",
     "dataset_names",
-    "degree_distributions",
-    "degree_ratio_distributions",
     "format_table1",
     "get_spec",
     "load_all_datasets",

@@ -1,4 +1,4 @@
-"""Dataset characterisation: rebuilding Table 1 and Figures 1-2 of the paper."""
+"""Dataset characterisation: rebuilding Table 1 of the paper."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.graph import Graph
-from ..core.properties import GraphSummary, degree_histogram, degree_ratio_cdf, summarize
+from ..core.properties import GraphSummary, summarize
 from ..metrics.report import format_table
 from .catalog import PAPER_DATASET_NAMES, get_spec, load_dataset
 
@@ -15,8 +15,6 @@ __all__ = [
     "characterize",
     "build_table1",
     "format_table1",
-    "degree_distributions",
-    "degree_ratio_distributions",
 ]
 
 
@@ -80,20 +78,3 @@ def format_table1(rows: List[DatasetCharacterization]) -> str:
     ]
     return format_table(flat, columns)
 
-
-def degree_distributions(
-    graphs: Dict[str, Graph],
-) -> Dict[str, Dict[str, Dict[int, int]]]:
-    """In- and out-degree histograms for every graph (the data behind Figure 1)."""
-    return {
-        name: {
-            "in": degree_histogram(graph, direction="in"),
-            "out": degree_histogram(graph, direction="out"),
-        }
-        for name, graph in graphs.items()
-    }
-
-
-def degree_ratio_distributions(graphs: Dict[str, Graph]) -> Dict[str, list]:
-    """Out/in degree-ratio CDFs for every graph (the data behind Figure 2)."""
-    return {name: degree_ratio_cdf(graph) for name, graph in graphs.items()}

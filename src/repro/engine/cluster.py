@@ -9,12 +9,13 @@ the cost model can reproduce the relative effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import EngineError, require_count
 
 __all__ = [
     "ClusterConfig",
@@ -44,22 +45,17 @@ class ClusterConfig:
     name: str = "paper-cluster"
 
     def __post_init__(self) -> None:
-        if self.num_executors < 1:
-            raise EngineError("num_executors must be >= 1")
-        if self.cores_per_executor < 1:
-            raise EngineError("cores_per_executor must be >= 1")
-        if self.network_gbps <= 0:
-            raise EngineError("network_gbps must be positive")
+        require_count(self.num_executors, "num_executors", 1, EngineError)
+        require_count(self.cores_per_executor, "cores_per_executor", 1, EngineError)
+        if not (math.isfinite(self.network_gbps) and self.network_gbps > 0):
+            raise EngineError(
+                f"network_gbps must be a positive finite number, got {self.network_gbps!r}"
+            )
         if self.storage not in STORAGE_BANDWIDTH_BYTES:
             raise EngineError(
                 f"unknown storage medium {self.storage!r}; "
                 f"expected one of {sorted(STORAGE_BANDWIDTH_BYTES)}"
             )
-
-    @property
-    def total_cores(self) -> int:
-        """Total executor cores in the cluster."""
-        return self.num_executors * self.cores_per_executor
 
     @property
     def network_bytes_per_second(self) -> float:
@@ -82,14 +78,6 @@ class ClusterConfig:
         counters can index it every superstep for free.
         """
         return _executor_map(self.num_executors, num_partitions)
-
-    def with_network(self, network_gbps: float) -> "ClusterConfig":
-        """Return a copy of this cluster with a different network speed."""
-        return replace(self, network_gbps=network_gbps, name=f"{self.name}-{network_gbps:g}gbps")
-
-    def with_storage(self, storage: str) -> "ClusterConfig":
-        """Return a copy of this cluster with a different storage medium."""
-        return replace(self, storage=storage, name=f"{self.name}-{storage}")
 
 
 @lru_cache(maxsize=64)

@@ -12,11 +12,13 @@ granularities is what the model is calibrated to preserve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..errors import EngineError, require_count
 from .cluster import ClusterConfig
 
 __all__ = [
@@ -54,6 +56,15 @@ class CostParameters:
     spill_fraction: float = 0.3
     #: Fixed job submission overhead (driver, DAG scheduling).
     job_overhead_seconds: float = 0.01
+
+    def __post_init__(self) -> None:
+        require_count(self.bytes_per_message, "bytes_per_message", 0, EngineError)
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise EngineError(
+                    f"{item.name} must be a non-negative finite number, got {value!r}"
+                )
 
     def compute_seconds(self, units: float) -> float:
         """CPU seconds for ``units`` abstract compute units on one core."""
@@ -180,20 +191,6 @@ class CostModel:
             + messages_local * params.local_message_overhead_seconds
         )
         return transfer + spill + envelope
-
-    def superstep_seconds(
-        self,
-        partition_units: Sequence[float],
-        messages_remote: int,
-        messages_local: int,
-        bytes_remote: int,
-    ) -> float:
-        """Total simulated duration of one superstep (compute + network + barrier)."""
-        return (
-            self.executor_compute_seconds(partition_units)
-            + self.network_seconds(messages_remote, messages_local, bytes_remote)
-            + self.parameters.superstep_overhead_seconds
-        )
 
     def record_superstep(
         self,

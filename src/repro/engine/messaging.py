@@ -1,13 +1,13 @@
 """Array-native message plane for the Pregel engine.
 
-The scalar Pregel loop scans every edge triplet with a Python loop and
-merges messages through per-target dict folds.  That loop is the last big
-scalar hot path of the simulator: it dominates every algorithm sweep
-because it runs once per superstep per edge.
+The scalar Pregel loop inside :func:`~repro.engine.pregel.pregel` scans
+every edge triplet with a Python loop and merges messages through
+per-target dict folds.  It serves custom Python computations and the test
+suite's oracles; every shipped algorithm runs through this module instead.
 
-This module provides the vectorised replacement.  An algorithm may hand
-the engine an :class:`ArrayMessageKernel` describing its messages as flat
-numpy arrays; the engine then computes active-edge masks, per-target
+This module is the array path.  An algorithm hands the engine an
+:class:`ArrayMessageKernel` describing its messages as flat numpy arrays;
+the engine then computes active-edge masks, per-target
 message aggregation, master routing and remote/local message counts
 entirely with array operations over the partition-major
 :class:`TripletArrays` cached on the partitioned graph — the engine's view

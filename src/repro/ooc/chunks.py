@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.graph import Graph
 from ..core.io import PathLike
-from ..errors import GraphIOError
+from ..errors import GraphIOError, require_count
 
 __all__ = [
     "DEFAULT_CHUNK_EDGES",
@@ -68,12 +68,6 @@ class EdgeChunkSource:
         raise NotImplementedError
 
 
-def _require_chunk_edges(chunk_edges: int) -> int:
-    if chunk_edges < 1:
-        raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
-    return int(chunk_edges)
-
-
 def _is_data_line(stripped: str) -> bool:
     return bool(stripped) and not stripped.startswith("#") and not stripped.startswith("%")
 
@@ -102,7 +96,7 @@ class EdgeListChunkSource(EdgeChunkSource):
         self.path = path
         self.delimiter = delimiter
         self.name = name or os.path.basename(str(path))
-        self.chunk_edges = _require_chunk_edges(chunk_edges)
+        self.chunk_edges = require_count(chunk_edges, "chunk_edges", 1, ValueError)
         self._num_edges: Optional[int] = None
 
     @property
@@ -226,7 +220,7 @@ class SyntheticChunkSource(EdgeChunkSource):
         self.seed = int(seed)
         self.skew = float(skew)
         self.name = name or f"synthetic-{num_vertices}v-{num_edges}e-s{seed}"
-        self.chunk_edges = _require_chunk_edges(chunk_edges)
+        self.chunk_edges = require_count(chunk_edges, "chunk_edges", 1, ValueError)
         self._num_edges = int(num_edges)
 
     @property
@@ -263,7 +257,7 @@ class GraphChunkSource(EdgeChunkSource):
     def __init__(self, graph: Graph, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> None:
         self.graph = graph
         self.name = graph.name
-        self.chunk_edges = _require_chunk_edges(chunk_edges)
+        self.chunk_edges = require_count(chunk_edges, "chunk_edges", 1, ValueError)
 
     @property
     def num_edges(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.graph import Graph
 from ..core.validation import require_positive_partitions
-from ..errors import PartitioningError
+from ..errors import PartitioningError, require_count
 from .base import ChunkAssigner, EdgePartitionAssignment, PartitionStrategy
 from .degrees import DegreeLookup
 from .hashing import mix64
@@ -38,8 +38,8 @@ class HybridCut(PartitionStrategy):
     name = "Hybrid"
 
     def __init__(self, threshold: Optional[int] = None) -> None:
-        if threshold is not None and threshold < 1:
-            raise ValueError("threshold must be >= 1 when given")
+        if threshold is not None:
+            threshold = require_count(threshold, "threshold", 1, ValueError)
         self.threshold = threshold
         self._in_degrees: Optional[DegreeLookup] = None
         self._effective_threshold: float = float("inf")

@@ -19,11 +19,12 @@ on the engine.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
-from ..errors import EngineError
+from ..errors import EngineError, require_count
 
 __all__ = ["BatchStats", "BatchingScheduler"]
 
@@ -76,13 +77,13 @@ class BatchingScheduler:
         window_seconds: float = 0.025,
         max_batch: int = 256,
     ) -> None:
-        if window_seconds < 0:
-            raise EngineError(f"window_seconds must be >= 0, got {window_seconds}")
-        if max_batch < 1:
-            raise EngineError(f"max_batch must be >= 1, got {max_batch}")
+        if not (math.isfinite(window_seconds) and window_seconds >= 0):
+            raise EngineError(
+                f"window_seconds must be a non-negative finite number, got {window_seconds!r}"
+            )
         self._run_batch = run_batch
         self.window_seconds = float(window_seconds)
-        self.max_batch = int(max_batch)
+        self.max_batch = require_count(max_batch, "max_batch", 1, EngineError)
         self.stats = BatchStats()
         self._pending: Dict[Hashable, List[asyncio.Future]] = {}
         self._timer: Optional[asyncio.Task] = None

@@ -21,7 +21,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, require_count
 
 __all__ = ["QueryCache"]
 
@@ -33,9 +33,7 @@ class QueryCache:
     """A bounded least-recently-used mapping with hit/miss accounting."""
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if int(max_entries) < 1:
-            raise AnalysisError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
+        self.max_entries = require_count(max_entries, "max_entries", 1, AnalysisError)
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0

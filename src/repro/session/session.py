@@ -38,7 +38,7 @@ from ..datasets.catalog import load_dataset
 from ..engine.cluster import ClusterConfig
 from ..engine.cost_model import CostParameters
 from ..engine.partitioned_graph import PartitionedGraph
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError, EngineError, ReproError, require_count
 from ..partitioning.base import EdgePartitionAssignment
 from ..partitioning.registry import canonical_partitioner_name
 from .store import ArtifactStore, as_store
@@ -509,15 +509,16 @@ class Session:
         ``seed`` defaults to ``session.seed + 7``, the convention of
         ``repro run`` and ``repro sweep``.
         """
+        count = require_count(count, "landmark count", 1, EngineError)
         chosen_seed = self.seed + 7 if seed is None else int(seed)
-        key = (dataset, int(count), chosen_seed)
+        key = (dataset, count, chosen_seed)
 
         def build() -> List[int]:
             store = self._store_for(dataset)
             landmark_key = None
             if store is not None:
                 landmark_key = ArtifactStore.landmark_key(
-                    dataset, int(count), chosen_seed, self.scale, self.seed
+                    dataset, count, chosen_seed, self.scale, self.seed
                 )
                 stored = store.load_landmarks(landmark_key)
                 self._count_disk("landmark", hit=stored is not None)
@@ -548,12 +549,13 @@ class Session:
         matrix itself is in-memory only, since rebuilding it from a
         disk-rehydrated placement is exactly two engine runs.
         """
+        count = require_count(count, "landmark count", 1, EngineError)
         chosen_seed = self.seed + 7 if seed is None else int(seed)
         key = (
             dataset,
             canonical_partitioner_name(partitioner),
             int(num_partitions),
-            int(count),
+            count,
             chosen_seed,
         )
 

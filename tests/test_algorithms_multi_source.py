@@ -6,6 +6,8 @@ sweeps return, and the landmark matrix's triangle-inequality estimates
 upper-bound (and at landmarks equal) the exact distances.
 """
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -95,11 +97,10 @@ class TestMultiSourceValidation:
 
 
 class TestChooseLandmarks:
-    def test_count_below_one_rejected(self, small_social_graph):
-        with pytest.raises(EngineError, match="must be >= 1"):
-            choose_landmarks(small_social_graph, count=0)
-        with pytest.raises(EngineError, match="must be >= 1"):
-            choose_landmarks(small_social_graph, count=-3)
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, True, 0, -3])
+    def test_count_must_be_a_positive_integer(self, small_social_graph, count):
+        with pytest.raises(EngineError, match="landmark count"):
+            choose_landmarks(small_social_graph, count=count)
 
     def test_seed_none_matches_historical_default(self, small_social_graph):
         assert choose_landmarks(small_social_graph, count=4, seed=None) == (

@@ -3,22 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.graph import Edge, Graph
+from repro.core.graph import Graph
 from repro.errors import GraphValidationError
-
-
-class TestEdge:
-    def test_reversed_swaps_endpoints(self):
-        assert Edge(1, 2).reversed() == Edge(2, 1)
-
-    def test_canonical_orders_endpoints(self):
-        assert Edge(5, 3).canonical() == Edge(3, 5)
-        assert Edge(3, 5).canonical() == Edge(3, 5)
-
-    def test_edges_are_hashable_and_frozen(self):
-        assert len({Edge(0, 1), Edge(0, 1), Edge(1, 0)}) == 2
-        with pytest.raises(AttributeError):
-            Edge(0, 1).src = 4  # type: ignore[misc]
 
 
 class TestGraphConstruction:
@@ -58,7 +44,7 @@ class TestGraphConstruction:
     def test_duplicate_edges_preserved(self):
         graph = Graph([0, 0], [1, 1])
         assert graph.num_edges == 2
-        assert graph.deduplicated().num_edges == 1
+        assert graph.edge_set() == {(0, 1)}
 
 
 class TestGraphAccessors:
@@ -68,7 +54,6 @@ class TestGraphAccessors:
 
     def test_edge_iteration(self, triangle_graph):
         assert list(triangle_graph.edge_pairs()) == [(0, 1), (1, 2), (2, 0)]
-        assert [e.src for e in triangle_graph.edges()] == [0, 1, 2]
 
     def test_edge_set(self, triangle_graph):
         assert triangle_graph.edge_set() == {(0, 1), (1, 2), (2, 0)}
@@ -105,11 +90,6 @@ class TestDegrees:
 
 
 class TestTransformations:
-    def test_reverse_flips_edges(self, triangle_graph):
-        reversed_graph = triangle_graph.reverse()
-        assert reversed_graph.edge_set() == {(1, 0), (2, 1), (0, 2)}
-        assert reversed_graph.num_vertices == triangle_graph.num_vertices
-
     def test_canonicalized_removes_duplicates_loops_and_direction(self):
         graph = Graph([0, 1, 2, 2, 3], [1, 0, 2, 3, 2])
         canonical = graph.canonicalized()
@@ -118,10 +98,6 @@ class TestTransformations:
     def test_canonicalized_on_loop_only_graph(self):
         graph = Graph([4], [4])
         assert graph.canonicalized().num_edges == 0
-
-    def test_symmetrized_adds_reciprocal_edges(self):
-        graph = Graph([0, 1], [1, 2])
-        assert graph.symmetrized().edge_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_adjacency_directions(self):
         graph = Graph([0, 1], [1, 2])

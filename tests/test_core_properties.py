@@ -71,10 +71,6 @@ class TestTriangles:
         expected = sum(nx.triangles(_to_nx_undirected(small_social_graph)).values()) // 3
         assert props.triangle_count(small_social_graph) == expected
 
-    def test_per_vertex_triangles_match_networkx(self, clique_ring_graph):
-        expected = nx.triangles(_to_nx_undirected(clique_ring_graph))
-        assert props.per_vertex_triangles(clique_ring_graph) == expected
-
     def test_triangle_free_graph(self, small_road_graph):
         nx_count = sum(nx.triangles(_to_nx_undirected(small_road_graph)).values()) // 3
         assert props.triangle_count(small_road_graph) == nx_count
@@ -93,17 +89,6 @@ class TestConnectivity:
     def test_road_graph_component_count(self, small_road_graph):
         expected = nx.number_weakly_connected_components(_to_nx_directed(small_road_graph))
         assert props.num_weakly_connected_components(small_road_graph) == expected
-
-    def test_strong_components_match_networkx(self, small_social_graph):
-        expected = nx.number_strongly_connected_components(_to_nx_directed(small_social_graph))
-        assert props.num_strongly_connected_components(small_social_graph) == expected
-
-    def test_strong_components_on_directed_triangle(self, triangle_graph):
-        assert props.num_strongly_connected_components(triangle_graph) == 1
-
-    def test_strong_components_on_directed_path(self):
-        graph = Graph([0, 1], [1, 2])
-        assert props.num_strongly_connected_components(graph) == 3
 
     def test_empty_graph_has_zero_components(self):
         assert props.num_weakly_connected_components(Graph([], [])) == 0

@@ -14,8 +14,6 @@ from repro.datasets.catalog import (
 )
 from repro.datasets.characterization import (
     build_table1,
-    degree_distributions,
-    degree_ratio_distributions,
     format_table1,
 )
 from repro.errors import DatasetError
@@ -129,17 +127,3 @@ class TestCharacterization:
         text = format_table1(rows)
         for name in PAPER_DATASET_NAMES:
             assert name in text
-
-    def test_degree_distributions_structure(self):
-        graphs = load_all_datasets(scale=0.05, seed=SEED)
-        distributions = degree_distributions(graphs)
-        assert set(distributions) == set(PAPER_DATASET_NAMES)
-        for name, hists in distributions.items():
-            assert set(hists) == {"in", "out"}
-            assert sum(hists["in"].values()) == graphs[name].num_vertices
-
-    def test_degree_ratio_distributions_structure(self):
-        graphs = load_all_datasets(scale=0.05, seed=SEED)
-        cdfs = degree_ratio_distributions(graphs)
-        for name, cdf in cdfs.items():
-            assert cdf[-1][1] == pytest.approx(1.0)

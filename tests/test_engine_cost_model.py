@@ -1,9 +1,12 @@
 """Unit tests for the cost model that converts counters into simulated time."""
 
+import math
+
 import pytest
 
 from repro.engine.cluster import ClusterConfig, paper_cluster
 from repro.engine.cost_model import CostModel, CostParameters
+from repro.errors import EngineError
 
 
 @pytest.fixture
@@ -90,11 +93,34 @@ class TestReports:
         assert report.network_seconds > 0
 
     def test_superstep_time_has_barrier_floor(self, model):
-        seconds = model.superstep_seconds([0.0], 0, 0, 0)
-        assert seconds >= model.parameters.superstep_overhead_seconds
+        record = model.record_superstep(model.new_report(), 0, [0.0], 0, 0, 0, 0)
+        assert record.total_seconds >= model.parameters.superstep_overhead_seconds
 
     def test_more_remote_messages_cost_more(self, model):
         report = model.new_report()
         light = model.record_superstep(report, 0, [1.0], 10, 0, 1, 1)
         heavy = model.record_superstep(report, 1, [1.0], 10_000, 0, 1, 1)
         assert heavy.total_seconds > light.total_seconds
+
+
+class TestCostParameterValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {field: value}
+            for field in (
+                "seconds_per_compute_unit",
+                "superstep_overhead_seconds",
+                "spill_fraction",
+                "bytes_per_message",
+            )
+            for value in (math.nan, math.inf, -1)
+        ]
+        + [{"bytes_per_message": value} for value in (2.5, True)],
+    )
+    def test_invalid_parameters_rejected(self, kwargs):
+        with pytest.raises(EngineError, match=next(iter(kwargs))):
+            CostParameters(**kwargs)
+
+    def test_zero_costs_are_allowed(self):
+        assert CostParameters(spill_fraction=0.0, bytes_per_message=0).spill_fraction == 0.0

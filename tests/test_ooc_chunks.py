@@ -1,5 +1,7 @@
 """Chunk sources: parsing identity, chunk-size invariance, generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,17 @@ class TestSyntheticChunkSource:
         # A nan or infinite exponent would collapse every endpoint to one vertex.
         with pytest.raises(ValueError, match="finite"):
             SyntheticChunkSource(10, 10, seed=0, skew=skew)
+
+
+@pytest.mark.parametrize("chunk_edges", [2.5, math.nan, math.inf, True, 0])
+def test_chunk_edges_must_be_a_positive_integer(tmp_path, small_social_graph, chunk_edges):
+    for make in (
+        lambda: EdgeListChunkSource(tmp_path / "edges.txt", chunk_edges=chunk_edges),
+        lambda: SyntheticChunkSource(10, 10, seed=0, chunk_edges=chunk_edges),
+        lambda: GraphChunkSource(small_social_graph, chunk_edges=chunk_edges),
+    ):
+        with pytest.raises(ValueError, match="chunk_edges"):
+            make()
 
 
 class TestGraphChunkSource:

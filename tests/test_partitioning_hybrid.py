@@ -1,5 +1,7 @@
 """Unit tests for the HybridCut (PowerLyra-style) extension partitioner."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,10 @@ class TestHybridCut:
         second = HybridCut().assign(small_social_graph, 6).partition_of
         assert np.array_equal(first, second)
 
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            HybridCut(threshold=0)
+    @pytest.mark.parametrize("threshold", [2.5, math.nan, math.inf, True, 0])
+    def test_invalid_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            HybridCut(threshold=threshold)
 
     def test_scalar_call_outside_assign_uses_destination(self):
         # With no degree context every vertex counts as low degree, so the

@@ -7,11 +7,12 @@ the same wire path production traffic takes.
 
 import asyncio
 import json
+import math
 
 import pytest
 
 from repro.engine.partitioned_graph import PartitionedGraph
-from repro.errors import EngineError
+from repro.errors import AnalysisError, EngineError
 from repro.serve import (
     BatchingScheduler,
     GraphQueryServer,
@@ -99,6 +100,11 @@ class TestQueryCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["entries"] == 1
+
+    @pytest.mark.parametrize("max_entries", [2.5, math.nan, math.inf, True, 0])
+    def test_max_entries_must_be_a_positive_integer(self, max_entries):
+        with pytest.raises(AnalysisError, match="max_entries"):
+            QueryCache(max_entries=max_entries)
 
     def test_lru_evicts_least_recently_used(self):
         cache = QueryCache(max_entries=2)
@@ -224,11 +230,14 @@ class TestBatchingScheduler:
 
         asyncio.run(main())
 
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(EngineError):
-            BatchingScheduler(lambda keys: {}, window_seconds=-1.0)
-        with pytest.raises(EngineError):
-            BatchingScheduler(lambda keys: {}, max_batch=0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_batch": value} for value in (2.5, math.nan, math.inf, True, 0)]
+        + [{"window_seconds": value} for value in (math.nan, math.inf, -1.0)],
+    )
+    def test_invalid_configuration_rejected(self, kwargs):
+        with pytest.raises(EngineError, match=next(iter(kwargs))):
+            BatchingScheduler(lambda keys: {}, **kwargs)
 
 
 # ----------------------------------------------------------------------

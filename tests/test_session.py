@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from repro.errors import AnalysisError, BackendError
+from repro.errors import AnalysisError, BackendError, EngineError
 from repro.session import (
     METRICS_ONLY,
     CacheStats,
@@ -89,6 +90,13 @@ class TestSessionCaching:
         second = session.landmarks("youtube", 3)
         assert first is second
         assert len(first) == 3
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, True, 0])
+    def test_landmark_count_must_be_a_positive_integer(self, session, count):
+        with pytest.raises(EngineError, match="landmark count"):
+            session.landmarks("youtube", count)
+        with pytest.raises(EngineError, match="landmark count"):
+            session.landmark_matrix("youtube", "2D", 4, count=count)
 
     def test_landmark_matrix_is_memoized_and_consistent(self, session):
         first = session.landmark_matrix("youtube", "2D", 4, count=3)
