@@ -841,12 +841,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     Library errors (bad dataset name, misconfigured study, ...) all derive
     from :class:`ReproError`; they are user errors, not crashes, so they
     are reported as one line on stderr with exit code 2.  ``--datasets``
-    names are checked before dispatch, so a typo fails before any work.
+    names are checked before dispatch, so a typo fails before any work —
+    except out-of-core runs, which also serve shards ingested from edge
+    lists under names the catalog lacks.
     """
     args = build_parser().parse_args(argv)
     try:
-        for name in getattr(args, "datasets", None) or ():
-            get_spec(name)
+        if not getattr(args, "out_of_core", False):
+            for name in getattr(args, "datasets", None) or ():
+                get_spec(name)
         return args.handler(args)
     except ReproError as error:
         print(f"repro: error: {error}", file=sys.stderr)

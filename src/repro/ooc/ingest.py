@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from ..errors import GraphIOError
+from ..errors import GraphIOError, require_count
 from ..partitioning.base import PartitionStrategy
 from ..partitioning.registry import canonical_partitioner_name, make_partitioner
 from ..session.store import ArtifactStore
@@ -76,6 +76,8 @@ def ingest_source(
     ``force`` skips the disk lookup and rebuilds unconditionally (counted
     as a miss — the shard genuinely was not served from disk).
     """
+    # Checked before any work: the shard is written before it is loaded.
+    chunk_edges = require_count(chunk_edges, "chunk_edges", 1, ValueError)
     if isinstance(strategy, str):
         partitioner_label = canonical_partitioner_name(strategy)
         strategy = make_partitioner(partitioner_label)

@@ -28,6 +28,7 @@ import numpy as np
 from ..core.properties import estimated_size_bytes
 from ..engine.messaging import TripletArrays
 from ..engine.routing import RoutingTable
+from ..errors import require_count
 from ..partitioning.membership import VertexMembership, compile_placement
 from ..session.store import ArtifactStore
 from .chunks import DEFAULT_CHUNK_EDGES
@@ -177,7 +178,7 @@ class ShardedGraph:
         self.membership = membership
         self.num_partitions = int(membership.num_partitions)
         self.strategy_name = strategy_name
-        self.chunk_edges = int(chunk_edges)
+        self.chunk_edges = require_count(chunk_edges, "chunk_edges", 1, ValueError)
         self._routing: Optional[RoutingTable] = None
         self._mirror_maps: Optional[List[np.ndarray]] = None
         self._triplets: Optional[TripletArrays] = None
@@ -355,17 +356,18 @@ def load_sharded_graph(
             )
         )
 
-    verdict(True)
     vertex_table = _ShardVertexTable(
         name=dataset,
         vertex_ids=vertex_ids,
         out_degree=out_degree,
         num_edges=num_edges,
     )
-    return ShardedGraph(
+    graph = ShardedGraph(
         vertex_table=vertex_table,
         partitions=partitions,
         membership=membership,
         strategy_name=strategy_name,
         chunk_edges=chunk_edges,
     )
+    verdict(True)
+    return graph

@@ -25,11 +25,21 @@ addressed **shard** artifact in the
 Peak writer memory is O(chunk + vertices + replicas): the placement loop
 touches one chunk at a time and nothing else, and finalisation re-reads
 the spill files in bounded blocks — first to derive each partition's
-mirror vertex set (and from those the membership pairs and degree
-tables), then to translate global ids to partition-local indices while
-streaming each ``.npy`` straight to disk through
+mirror vertex set (each block de-duplicated before it is merged into the
+set, and from those sets the membership pairs and degree tables), then to
+translate global ids to partition-local indices while streaming each
+``.npy`` straight to disk through
 :meth:`~repro.session.store.ArtifactStore.open_shard_member`.  No stage
 ever materialises a whole partition, let alone the whole edge set.
+
+The translation looks ids up in two tables indexed by raw id (a
+vertex's position in the vertex table, and its slot in the partition
+being written) when the raw ids are **dense**: the smallest is
+non-negative and the largest is below :data:`DENSE_ID_FACTOR` times the
+vertex count.  Each table then holds at most ``DENSE_ID_FACTOR`` entries
+per vertex, in the narrowest integer dtype that indexes the vertices.
+Sparse or negative ids (SNAP dumps with hashed or global ids) fall back
+to a binary search of the sorted mirror set, which needs no table.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from ..session.store import STORE_FORMAT_VERSION, ArtifactStore
 from .chunks import EdgeChunkSource
 
 __all__ = [
+    "DENSE_ID_FACTOR",
     "FINALIZE_BLOCK_EDGES",
     "PartitionShardWriter",
     "partition_member_name",
@@ -57,6 +68,13 @@ __all__ = [
 #: Edges per block when finalisation streams a spill file back in; each
 #: block is ``16 * FINALIZE_BLOCK_EDGES`` bytes of resident memory.
 FINALIZE_BLOCK_EDGES = 262_144
+
+#: Raw ids are dense, and looked up by table, when the largest is below
+#: this many times the vertex count.  At 4 a table stays within a small
+#: multiple of the vertex table the engine keeps in RAM anyway, while ids
+#: numbered from 0 with some gaps (a subsampled or filtered graph) still
+#: take the table; sparser ids would make it larger than the graph.
+DENSE_ID_FACTOR = 4
 
 
 def partition_member_name(partition_id: int) -> str:
@@ -77,6 +95,48 @@ def _iter_spill_blocks(spill_path: str, count: int) -> Iterator[np.ndarray]:
             block = np.frombuffer(data, dtype=np.int64).reshape(-1, 2)
             remaining -= block.shape[0]
             yield block
+
+
+class _IdIndex:
+    """Raw vertex id -> position in the vertex ids, and slot in the
+    mirror set of the partition being translated.
+
+    Dense ids are read from tables indexed by raw id; other ids are
+    binary-searched.  Callers take one path through :meth:`select` and
+    :meth:`local` either way.
+    """
+
+    def __init__(self, vertex_ids: np.ndarray) -> None:
+        self.vertex_ids = vertex_ids
+        self.mirror = vertex_ids
+        self.dense = (
+            vertex_ids.size > 0
+            and int(vertex_ids[0]) >= 0
+            and int(vertex_ids[-1]) + 1 <= DENSE_ID_FACTOR * vertex_ids.size
+        )
+        if self.dense:
+            length = int(vertex_ids[-1]) + 1
+            dtype = narrow_int_dtype(0, vertex_ids.size - 1)
+            self.position = np.empty(length, dtype=dtype)
+            self.position[vertex_ids] = np.arange(vertex_ids.size, dtype=dtype)
+            # Never reset: a partition's endpoints all lie in its mirror
+            # set, so only slots written by the latest select() are read.
+            self.slot = np.empty(length, dtype=dtype)
+
+    def select(self, mirror: np.ndarray) -> np.ndarray:
+        """Translate into ``mirror`` (a sorted subset of the vertex ids)
+        from now on; returns each mirror id's position in the vertex ids."""
+        self.mirror = mirror
+        if not self.dense:
+            return np.searchsorted(self.vertex_ids, mirror)
+        self.slot[mirror] = np.arange(mirror.size, dtype=self.slot.dtype)
+        return self.position[mirror]
+
+    def local(self, ids: np.ndarray) -> np.ndarray:
+        """The selected mirror slots of ``ids``, each of which is in it."""
+        if not self.dense:
+            return np.searchsorted(self.mirror, ids)
+        return self.slot[ids]
 
 
 class PartitionShardWriter:
@@ -217,7 +277,7 @@ class PartitionShardWriter:
                 )
             mirror = np.empty(0, dtype=np.int64)
             for block in _iter_spill_blocks(spill_path, count):
-                mirror = sorted_unique(np.concatenate([mirror, block.ravel()]))
+                mirror = sorted_unique(np.concatenate([mirror, sorted_unique(block)]))
             mirrors[pid] = mirror
         return mirrors
 
@@ -259,6 +319,7 @@ class PartitionShardWriter:
         # row 0 (src) then row 1 (dst), one bounded block at a time, in
         # the narrowest dtype that indexes the partition's mirrors.
         # Degrees fall out of the same translated blocks for free.
+        index = _IdIndex(vertex_ids)
         partition_members: Dict[str, str] = {}
         for pid in range(self.num_partitions):
             count = int(edge_counts[pid])
@@ -266,6 +327,7 @@ class PartitionShardWriter:
                 continue
             spill_path = os.path.join(spill_dir, f"part-{pid:05d}.bin")
             mirror = mirrors[pid]
+            where = index.select(mirror)
             member = partition_member_name(pid)
             local_degrees = [
                 np.zeros(mirror.size, dtype=np.int64),
@@ -283,12 +345,11 @@ class PartitionShardWriter:
                 )
                 for column in (0, 1):
                     for block in _iter_spill_blocks(spill_path, count):
-                        local = np.searchsorted(mirror, block[:, column])
+                        local = index.local(block[:, column])
                         local_degrees[column] += np.bincount(
                             local, minlength=mirror.size
                         )
-                        handle.write(local.astype(slot_dtype))
-            where = np.searchsorted(vertex_ids, mirror)
+                        handle.write(local.astype(slot_dtype, copy=False))
             out_degree[where] += local_degrees[0]
             in_degree[where] += local_degrees[1]
             partition_members[str(pid)] = member

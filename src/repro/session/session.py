@@ -466,6 +466,7 @@ class Session:
         """
         from ..ooc.chunks import DEFAULT_CHUNK_EDGES, GraphChunkSource
         from ..ooc.ingest import ingest_source
+        from ..ooc.mmap_graph import load_sharded_graph
 
         if num_partitions < 1:
             raise AnalysisError("num_partitions must be >= 1")
@@ -479,12 +480,29 @@ class Session:
                 f"dataset {dataset!r} is a registered in-memory graph; shards are "
                 f"keyed by (name, scale, seed) and cannot identify its content"
             )
-        chunk = DEFAULT_CHUNK_EDGES if chunk_edges is None else int(chunk_edges)
+        chunk = (
+            DEFAULT_CHUNK_EDGES
+            if chunk_edges is None
+            else require_count(chunk_edges, "chunk_edges", 1, ValueError)
+        )
         key = self._partition_key(dataset, partitioner, num_partitions)
 
         def build() -> "ShardedGraph":
             stream = source
             if stream is None:
+                # A stored shard needs no graph: warm runs skip generating
+                # it, and an edge list ingested under a name the catalog
+                # lacks is served too.
+                stored = load_sharded_graph(
+                    self.store,
+                    ArtifactStore.shard_key(dataset, *key[1:]),
+                    chunk_edges=chunk,
+                    count=False,
+                )
+                if stored is not None:
+                    self.store.count_shard(True)
+                    self._count_disk("shard", hit=True)
+                    return stored
                 stream = GraphChunkSource(self.graph(dataset), chunk_edges=chunk)
             graph, report = ingest_source(
                 self.store,

@@ -222,7 +222,7 @@ class ArtifactStore:
         """
         path = self._path("placements", key, ".npz")
         try:
-            with np.load(path, allow_pickle=False) as payload:
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as payload:
                 stored_key = bytes(payload["key"]).decode("utf-8")
                 if stored_key != _canonical_key(key):
                     raise AnalysisError("artifact key mismatch")

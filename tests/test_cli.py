@@ -665,6 +665,46 @@ class TestIngestAndOutOfCore:
         assert "Ingested 'tiny'" in output
         assert "3 edges" in output
 
+    def test_an_ingested_edge_list_runs_out_of_core_under_its_own_name(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "edges.txt"
+        path.write_text("1000000000 2000000000\n2000000000 3000000000\n3000000000 1000000000\n")
+        store = str(tmp_path / "store")
+        exit_code = main(
+            [
+                "ingest",
+                str(path),
+                "--dataset", "sparse",
+                "--partitioner", "2D",
+                "--partitions", "2",
+                "--cache-dir", store,
+            ]
+        )
+        assert exit_code == 0
+        capsys.readouterr()
+
+        def run(dataset):
+            return main(
+                [
+                    "run",
+                    "--algorithm", "PR",
+                    "--out-of-core",
+                    "--datasets", dataset,
+                    "--partitioners", "2D",
+                    "--partitions", "2",
+                    "--iterations", "2",
+                    "--cache-dir", store,
+                ]
+            )
+
+        assert run("sparse") == 0
+        warm = capsys.readouterr().out
+        assert "Shard store: 1 disk hits, 0 misses, 0 shard builds." in warm
+        # Neither a shard nor a catalog entry: still a one-line error.
+        assert run("nowhere") == 2
+        assert "unknown dataset 'nowhere'" in capsys.readouterr().err
+
     def test_ingest_synthetic_requires_sizes(self, capsys):
         exit_code = main(["ingest", "--synthetic", "--cache-dir", "unused"])
         captured = capsys.readouterr()

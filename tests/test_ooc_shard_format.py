@@ -6,8 +6,9 @@ dtype that holds them (partition ids by ``k``: 8 bits up to 256
 partitions, 16 bits from 257).  These tests pin the dtypes at their
 boundaries, that values through the narrow layout stay byte-identical to
 the in-memory engine, that a shard written in the older int64 / zlib
-layout still loads, and that defective members and a malformed edge list
-never leave a loadable shard behind.
+layout still loads, that the writer's id lookup tables and its binary
+search write the same shard, and that defective members and a malformed
+edge list never leave a loadable shard behind.
 """
 
 from pathlib import Path
@@ -23,6 +24,7 @@ from repro.core.io import narrow_int_dtype
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.errors import GraphIOError, PartitioningError
 from repro.ooc import EdgeListChunkSource, GraphChunkSource, ingest_source, load_sharded_graph
+from repro.ooc import shards
 from repro.ooc.shards import partition_member_name
 from repro.partitioning.registry import (
     available_partitioners,
@@ -155,6 +157,68 @@ def _first_member_path(store, key):
     manifest = store.load_shard_manifest(key)
     pid = min(int(p) for p in manifest["members"]["partitions"])
     return Path(store.shard_member_path(key, partition_member_name(pid)))
+
+
+#: Raw id layouts of an edge list: numbered from 0, spread ~10^9 apart
+#: (as hashed or global SNAP ids are), and all negative.
+ID_LAYOUTS = {
+    "dense": lambda ids, count: ids,
+    "sparse": lambda ids, count: ids * 1_000_000_007,
+    "negative": lambda ids, count: ids - count,
+}
+
+
+@st.composite
+def edge_lists(draw):
+    """``(layout, (edges, 2) raw ids)``: a random multigraph in one layout."""
+    num_vertices = draw(st.integers(min_value=2, max_value=60))
+    num_edges = draw(st.integers(min_value=1, max_value=120))
+    vertex = st.integers(min_value=0, max_value=num_vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=num_edges, max_size=num_edges))
+    layout = draw(st.sampled_from(sorted(ID_LAYOUTS)))
+    return layout, ID_LAYOUTS[layout](np.array(edges, dtype=np.int64), num_vertices)
+
+
+def _shard_files(store_root):
+    return {path.name: path.read_bytes() for path in (store_root / "shards").iterdir()}
+
+
+class TestIdTranslation:
+    """Pass 2 of the writer looks dense ids up in tables and binary-searches
+    sparse or negative ones; both must write the same shard."""
+
+    @pytest.mark.parametrize("k", [1, 2, 257])
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        edges=edge_lists(),
+        strategy=st.sampled_from(STREAMABLE),
+        chunk_edges=st.integers(min_value=1, max_value=64),
+    )
+    def test_a_snap_edge_list_shards_the_same_with_the_table_off(
+        self, tmp_path_factory, edges, strategy, k, chunk_edges
+    ):
+        layout, ids = edges
+        root = tmp_path_factory.mktemp("ids")
+        edge_list = root / "edges.txt"
+        edge_list.write_text("# src dst\n" + "".join(f"{a} {b}\n" for a, b in ids.tolist()))
+
+        def ingest(store):
+            source = EdgeListChunkSource(edge_list, name="ids", chunk_edges=chunk_edges)
+            return ingest_source(store, source, strategy, k, chunk_edges=chunk_edges)[0]
+
+        sharded = ingest(ArtifactStore(root / "table"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shards, "DENSE_ID_FACTOR", 0)
+            ingest(ArtifactStore(root / "search")).release()
+        assert _shard_files(root / "table") == _shard_files(root / "search")
+
+        # Graph refuses negative ids, so that layout has no in-memory twin.
+        if layout != "negative":
+            graph = Graph(ids[:, 0], ids[:, 1], name="ids")
+            pgraph = PartitionedGraph.partition(graph, strategy, k)
+            for run in _algorithms(graph).values():
+                _assert_same_values(run(sharded), run(pgraph))
+        sharded.release()
 
 
 class TestStoredLayouts:

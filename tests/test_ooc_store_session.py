@@ -8,7 +8,7 @@ import pytest
 from repro.algorithms import pagerank
 from repro.engine.partitioned_graph import PartitionedGraph
 from repro.errors import AnalysisError
-from repro.ooc import GraphChunkSource, ingest_source
+from repro.ooc import GraphChunkSource, ingest_source, load_sharded_graph
 from repro.session import ArtifactStore, Session
 from repro.session.session import CacheStats
 
@@ -110,6 +110,24 @@ class TestSessionShardedPartition:
         session = Session(scale=0.3, seed=11, store=str(tmp_path))
         with pytest.raises(AnalysisError, match=">= 1"):
             session.sharded_partition("roadnet-pa", "Greedy", 0)
+
+    @pytest.mark.parametrize("chunk_edges", [2.5, float("nan"), True, 0])
+    def test_rejects_a_chunk_size_that_is_not_a_positive_integer(
+        self, tmp_path, small_social_graph, chunk_edges
+    ):
+        session = Session(scale=0.3, seed=11, store=str(tmp_path / "session"))
+        with pytest.raises(ValueError, match="chunk_edges"):
+            session.sharded_partition("roadnet-pa", "Greedy", 4, chunk_edges=chunk_edges)
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="chunk_edges"):
+            _ingest(store, small_social_graph, chunk_edges=chunk_edges)
+        assert store.info().shards == 0
+        _ingest(store, small_social_graph)
+        key = ArtifactStore.shard_key(small_social_graph.name, "Greedy", 4, 1.0, 0)
+        hits = store.stats("shards").hits
+        with pytest.raises(ValueError, match="chunk_edges"):
+            load_sharded_graph(store, key, chunk_edges=chunk_edges)
+        assert store.stats("shards").hits == hits
 
     def test_memoizes_and_counts(self, tmp_path):
         session = Session(scale=0.3, seed=11, store=str(tmp_path))

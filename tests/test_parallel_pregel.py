@@ -293,6 +293,8 @@ def test_no_leak_after_sigterm():
         if proc.poll() is None:  # pragma: no cover - only on assertion failure
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
         for pid in filter(_running, children):  # pragma: no cover - likewise
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
@@ -304,22 +306,32 @@ def test_killed_worker_is_a_named_error_and_the_pool_is_rebuilt():
     pgraph = _make_pgraph(seed=10)
     serial = pagerank(pgraph, num_iterations=3)
     pagerank(pgraph, num_iterations=3, parallel_workers=2)
-    broken = ParallelPregelExecutor.for_graph(pgraph, 2)
-    victim = next(iter(broken._pool._processes.values()))
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=5)
-    assert not victim.is_alive()
+    executors = [ParallelPregelExecutor.for_graph(pgraph, 2)]
+    try:
+        broken = executors[0]
+        victim = next(iter(broken._pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        assert not victim.is_alive()
 
-    with pytest.raises(EngineError, match="pool died"):
-        pagerank(pgraph, num_iterations=3, parallel_workers=2)
-    # The dead pool took its executor (and every segment) down with it ...
-    assert broken.closed
-    assert len(_own_segments()) == before
-    # ... so the next run gets a fresh one and is bit-identical to serial.
-    rebuilt = pagerank(pgraph, num_iterations=3, parallel_workers=2)
-    assert ParallelPregelExecutor.for_graph(pgraph, 2) is not broken
-    assert rebuilt.vertex_values == serial.vertex_values
-    assert rebuilt.report.supersteps == serial.report.supersteps
+        with pytest.raises(EngineError, match="pool died"):
+            pagerank(pgraph, num_iterations=3, parallel_workers=2)
+        # The dead pool took its executor (and every segment) down with it ...
+        assert broken.closed
+        assert len(_own_segments()) == before
+        # ... so the next run gets a fresh one and is bit-identical to serial.
+        rebuilt = pagerank(pgraph, num_iterations=3, parallel_workers=2)
+        executors.append(ParallelPregelExecutor.for_graph(pgraph, 2))
+        assert executors[-1] is not broken
+        assert rebuilt.vertex_values == serial.vertex_values
+        assert rebuilt.report.supersteps == serial.report.supersteps
+    except BaseException:
+        # The traceback keeps pgraph alive, so its finalizer would leave the
+        # src, dst and master-of segments to the session's leak check.
+        for executor in executors:
+            executor.close()
+        raise
+    # On success the rebuilt pool is released by collecting its graph.
     del pgraph
     gc.collect()
     assert len(_own_segments()) == before
