@@ -2,14 +2,13 @@
 
 The devtools package encodes the engine's hard-won invariants — typed
 ``Optional`` defaults, unbuffered ``ufunc.at`` folds, ShmRegistry-mediated
-shared-memory lifecycle, non-blocking serve handlers, bounded memory on
-the out-of-core path, released resource handles and honest ``__all__``
-lists — as enforceable rules.  :mod:`repro.devtools.engine` checks one
-file at a time in a single serial pass: parse once, run every rule whose
-path scope covers the file, drop ``noqa``-suppressed findings.  Rules
-needing control-flow precision build per-function CFGs
-(:mod:`repro.devtools.cfg`) and run gen-kill dataflow
-(:mod:`repro.devtools.dataflow`).
+shared-memory lifecycle, non-blocking serve handlers and bounded memory
+on the out-of-core path — as enforceable rules.
+:mod:`repro.devtools.engine` checks one file at a time in a single serial
+pass: parse once, run every rule whose path scope covers the file, drop
+``noqa``-suppressed findings.  Released resource handles and honest
+``__all__`` lists are checked at run time, by the tier-1 suite's
+warning filters and ``tests/test_exports.py``.
 
 :mod:`repro.devtools.rules` holds one module per rule, each registering
 itself via the :func:`~repro.devtools.engine.rule` decorator.

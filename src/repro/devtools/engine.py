@@ -5,9 +5,7 @@ every selected rule whose path scope covers the file visits the shared
 tree, and inline suppressions drop what they cover.  Rules register with
 the :func:`rule` class decorator (see :mod:`repro.devtools.rules`) and
 scope themselves to path fragments, so one repo-wide walk applies each
-invariant exactly where it holds.  Rules needing control-flow precision
-build per-function CFGs (:mod:`~repro.devtools.cfg`) and run dataflow
-over them (:mod:`~repro.devtools.dataflow`).
+invariant exactly where it holds.
 
 Suppression layers, innermost first:
 

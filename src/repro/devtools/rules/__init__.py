@@ -13,6 +13,4 @@ from . import (  # noqa: F401
     rep003_shm_lifecycle,
     rep004_blocking_async,
     rep009_whole_graph_materialization,
-    rep010_resource_lifecycle,
-    rep012_export_drift,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.messaging import ArrayMessageKernel, active_edge_mask, message_slots
+from ..errors import require_count
 
 __all__ = ["stream_scan"]
 
@@ -38,7 +39,7 @@ def stream_scan(
     """
     num_vertices = int(pgraph.graph.num_vertices)
     num_partitions = int(pgraph.num_partitions)
-    chunk_edges = max(1, int(pgraph.chunk_edges))
+    chunk_edges = require_count(pgraph.chunk_edges, "chunk_edges", 1, ValueError)
     mirror_maps = pgraph.mirror_maps()
     # This run's pass-1 scratch, reset after each partition (runs on one
     # graph may overlap in threads, so it is not shared).

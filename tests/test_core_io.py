@@ -1,9 +1,11 @@
 """Unit tests for edge-list reading and writing."""
 
+import os
+
 import pytest
 
 from repro.core.graph import Graph
-from repro.core.io import read_edge_list, write_edge_list
+from repro.core.io import atomic_write_bytes, read_edge_list, write_edge_list
 from repro.errors import GraphIOError
 
 
@@ -71,3 +73,16 @@ class TestWriteEdgeList:
     def test_write_to_unwritable_path_raises(self, tmp_path, triangle_graph):
         with pytest.raises(GraphIOError):
             write_edge_list(triangle_graph, tmp_path / "missing-dir" / "out.txt")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_descriptor_adoption_closes_it_and_removes_the_temp(tmp_path, monkeypatch):
+    def refuse(fd, *args, **kwargs):
+        raise RuntimeError("fdopen failed")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fdopen", refuse)
+    with pytest.raises(RuntimeError, match="fdopen failed"):
+        atomic_write_bytes(tmp_path / "out.bin", b"payload")
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert list(tmp_path.iterdir()) == []

@@ -24,7 +24,7 @@ CONTRIBUTING = ROOT / "CONTRIBUTING.md"
 
 #: One violation per rule: rule id -> (path, source) of the file it fires in.
 SEEDED_VIOLATIONS = {
-    "REP001": ("src/repro/analysis/bad_defaults.py", "def f(x: int = None):\n    return x\n"),
+    "REP001": ("src/repro/ooc/bad_defaults.py", "def f(x: int = None):\n    return x\n"),
     "REP002": ("src/repro/engine/bad_fold.py", "outbox[indices] += messages\n"),
     "REP003": ("src/repro/session/bad_shm.py", "shm = SharedMemory(create=True, size=64)\n"),
     "REP004": (
@@ -32,16 +32,6 @@ SEEDED_VIOLATIONS = {
         "async def handler(request):\n    time.sleep(0.1)\n",
     ),
     "REP009": ("src/repro/ooc/bad_materialize.py", "pairs = list(graph.edge_pairs())\n"),
-    "REP010": (
-        "src/repro/engine/bad_handle.py",
-        "def f(path, cond):\n"
-        "    handle = open(path)\n"
-        "    if cond:\n"
-        "        return None\n"
-        "    handle.close()\n"
-        "    return 1\n",
-    ),
-    "REP012": ("src/repro/analysis/bad_exports.py", '__all__ = ["missing"]\n'),
 }
 
 
@@ -156,17 +146,17 @@ class TestSeededViolationTree:
 
     def test_path_subset_leaves_other_files_entries_alone(self, tmp_path, capsys):
         baseline = _write_seeded_baseline(tmp_path, capsys)
-        subset = tmp_path / "src" / "repro" / "analysis"
+        subset = tmp_path / "src" / "repro" / "ooc"
         code = main(["check", str(subset), "--baseline", str(baseline)])
         captured = capsys.readouterr()
         assert code == 0
-        assert "2 baselined" in captured.out  # REP001 and REP012 live there
+        assert "2 baselined" in captured.out  # REP001 and REP009 live there
         assert "stale baseline entry" not in captured.err
 
     def test_restricted_run_still_reports_its_own_stale_entries(self, tmp_path, capsys):
         baseline = _write_seeded_baseline(tmp_path, capsys)
         (tmp_path / SEEDED_VIOLATIONS["REP001"][0]).write_text("x = 1\n")
-        subset = tmp_path / "src" / "repro" / "analysis"
+        subset = tmp_path / "src" / "repro" / "ooc"
         code = main(
             [
                 "check", str(subset), "--baseline", str(baseline),
@@ -182,7 +172,7 @@ class TestCliSurface:
     def test_list_rules_prints_the_table(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        surviving = {1, 2, 3, 4, 9, 10, 12}  # the other ids are retired, never reused
+        surviving = {1, 2, 3, 4, 9}  # the other ids are retired, never reused
         for index in range(1, 15):
             assert (f"REP{index:03d}" in out) == (index in surviving)
         assert "scope" not in out

@@ -11,6 +11,7 @@ to convergence, two runs' scans stepped alternately).
 """
 
 import numpy as np
+import pytest
 
 from repro.algorithms import (
     choose_landmarks,
@@ -117,6 +118,15 @@ def test_one_edge_chunks_match_in_memory(tmp_path, small_social_graph):
     pgraph = PartitionedGraph.partition(small_social_graph, "CRVC", 7)
     for run in _algorithms(small_social_graph).values():
         _assert_identical(run(sharded), run(pgraph))
+
+
+def test_a_fractional_chunk_size_set_after_construction_is_refused(
+    tmp_path, small_social_graph
+):
+    sharded = _shard(tmp_path, small_social_graph, "2D", 4)
+    sharded.chunk_edges = 2.5
+    with pytest.raises(ValueError, match="chunk_edges"):
+        pagerank(sharded, num_iterations=2)
 
 
 def test_min_merge_run_to_convergence_matches_in_memory(tmp_path, small_road_graph):

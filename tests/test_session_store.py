@@ -372,3 +372,21 @@ class TestStoreMaintenance:
         store.save_landmarks(key, [1, 2])
         path = store._path("landmarks", key, ".json")
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_shard_member_adoption_closes_it_and_removes_the_temp(
+    tmp_path, store, monkeypatch
+):
+    def refuse(fd, *args, **kwargs):
+        raise RuntimeError("fdopen failed")
+
+    key = ArtifactStore.shard_key(DATASET, "2D", 4, SCALE, SEED)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fdopen", refuse)
+    with pytest.raises(RuntimeError, match="fdopen failed"):
+        with store.open_shard_member(key, "p00000.npy"):
+            pass
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert list(tmp_path.rglob(".tmp-*.part")) == []
+    assert not os.path.exists(store.shard_member_path(key, "p00000.npy"))
