@@ -76,19 +76,6 @@ def _resolved(resolve: Callable[[str], str]):
     return parse
 
 
-def _rule_ids(text: str) -> List[str]:
-    """argparse type: comma-separated REP rule ids ("rep001,REP004")."""
-    ids = [part.strip().upper() for part in text.split(",") if part.strip()]
-    if not ids:
-        raise argparse.ArgumentTypeError("expected at least one rule id")
-    for rule_id in ids:
-        if not (rule_id.startswith("REP") and rule_id[3:].isdigit()):
-            raise argparse.ArgumentTypeError(
-                f"rule ids look like REP001, got {rule_id!r}"
-            )
-    return ids
-
-
 #: Counts (partitions, iterations, workers, sizes): zero or negative
 #: values would otherwise reach the library as empty or nonsense runs.
 _COUNT = _number(int, 1)
@@ -726,70 +713,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         top_k_default=args.top_k,
     )
     return 0
-
-
-@_command(
-    "check",
-    "run the project-native static analyser (REP rules)",
-    _flag(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files/directories to check (default: src tests benchmarks "
-        "examples under the current directory)",
-    ),
-    _flag(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="findings output format (default: text)",
-    ),
-    _flag(
-        "--baseline",
-        default=None,
-        help="JSON baseline of grandfathered findings; only findings not "
-        "in the baseline fail the check",
-    ),
-    _flag(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline and exit 0",
-    ),
-    _flag(
-        "--rule",
-        action="append",
-        type=_rule_ids,
-        default=None,
-        help="restrict to specific rule ids; comma-separated and "
-        "repeatable (e.g. --rule REP001,REP004)",
-    ),
-    _flag(
-        "--list-rules",
-        action="store_true",
-        help="print the id/severity/description table of every rule and exit",
-    ),
-    _flag(
-        "--output",
-        default=None,
-        help="also write the JSON findings document to this file "
-        "(CI artifact), independent of --format",
-    ),
-    _flag(
-        "--statistics",
-        action="store_true",
-        help="report per-rule finding/file counts and parse/analysis wall "
-        "time (text and JSON output)",
-    ),
-)
-def _cmd_check(args: argparse.Namespace) -> int:
-    # Import here: the static analyser is irrelevant to every other
-    # sub-command (same pattern as the serve daemon).
-    from .devtools import run_check
-
-    # --rule is repeatable *and* comma-separated: flatten the lists.
-    if args.rule is not None:
-        args.rule = [rule_id for chunk in args.rule for rule_id in chunk]
-    return run_check(args)
 
 
 @_command(

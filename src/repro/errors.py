@@ -42,11 +42,6 @@ class AnalysisError(ReproError):
     """Raised when an experiment or analysis routine is misconfigured."""
 
 
-class StaticCheckError(ReproError):
-    """Raised when ``repro check`` is misconfigured (unknown rule id,
-    unreadable path or baseline, unparseable source)."""
-
-
 def require_count(value, what: str, minimum: int, error: type = ReproError) -> int:
     """``value`` as a plain ``int`` of at least ``minimum``.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import glob
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.graph import Graph
 from repro.datasets.generators import ring_of_cliques, road_network, social_graph
 from repro.engine.cluster import ClusterConfig
 from repro.engine.partitioned_graph import PartitionedGraph
+from repro.engine.shm_registry import SEGMENT_PREFIX
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -23,14 +25,16 @@ def shared_memory_leak_guard():
     """Fail the session if any test leaks a shared-memory segment.
 
     Every segment the parallel Pregel stack creates is named with the
-    ``repro-shm`` prefix; once the graphs (and therefore their executors)
-    tested here are collected, nothing of ours may remain in /dev/shm.
+    ``repro-shm`` prefix and its creator's pid; once the graphs (and
+    therefore their executors) tested here are collected, no segment of
+    this process may remain in /dev/shm.  Other processes' segments (a
+    second test run on the same host) are theirs to clean up.
     """
     yield
     # Executors are torn down by weakref.finalize when their graph is
     # collected; break any lingering reference cycles first.
     gc.collect()
-    leaked = glob.glob("/dev/shm/repro-shm-*")
+    leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*")
     assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 

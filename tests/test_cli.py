@@ -253,6 +253,16 @@ class TestCommands:
         assert captured.err.startswith("repro: error: scale")
         assert captured.err.count("\n") == 1
 
+    def test_retired_check_command_is_unknown(self, capsys):
+        # `repro check` and its static analyser are gone: argparse rejects
+        # the name as a usage error, with no traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'check'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_metrics_unknown_dataset_reports_error(self, capsys):
         exit_code = main(["--scale", "0.05", "metrics", "--datasets", "nosuch"])
         captured = capsys.readouterr()
@@ -917,16 +927,6 @@ PARSER_SURFACE = {
         (("--max-batch",), "max_batch", 256, None, False, "_StoreAction", None),
         (("--engine-workers",), "engine_workers", None, None, False, "_StoreAction", None),
     ],
-    "check": [
-        ((), "paths", None, "*", False, "_StoreAction", None),
-        (("--format",), "format", "text", None, False, "_StoreAction", ["text", "json"]),
-        (("--baseline",), "baseline", None, None, False, "_StoreAction", None),
-        (("--write-baseline",), "write_baseline", False, 0, False, "_StoreTrueAction", None),
-        (("--rule",), "rule", None, None, False, "_AppendAction", None),
-        (("--list-rules",), "list_rules", False, 0, False, "_StoreTrueAction", None),
-        (("--output",), "output", None, None, False, "_StoreAction", None),
-        (("--statistics",), "statistics", False, 0, False, "_StoreTrueAction", None),
-    ],
     "advise": [
         (("--dataset",), "dataset", None, None, True, "_StoreAction", None),
         (("--algorithm",), "algorithm", "PR", None, False, "_StoreAction", None),
@@ -964,7 +964,8 @@ def _parser_surface(parser):
 
 
 class TestParserSurface:
-    """The command table builds the same 82 option slots as before."""
+    """The command table builds the hand-written parser's option slots,
+    less the ten of the retired ``check`` command."""
 
     def test_sub_commands_in_help_order(self):
         assert list(_parser_surface(build_parser())) == list(PARSER_SURFACE)
@@ -976,7 +977,7 @@ class TestParserSurface:
 
     def test_slot_count(self):
         slots = sum(len(rows) for rows in _parser_surface(build_parser()).values())
-        assert slots == 82
+        assert slots == 72
 
 
 class TestLibraryNameResolution:
