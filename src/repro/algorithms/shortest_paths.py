@@ -47,10 +47,23 @@ __all__ = [
     "LandmarkMatrix",
     "ShortestPathsKernel",
     "MultiSourceShortestPathsKernel",
+    "rows_any_less",
 ]
 
 _EDGE_UNITS = 1.0
 _VERTEX_UNITS = 0.5
+
+
+def rows_any_less(candidates: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """``(candidates < current).any(axis=1)`` for two ``(n, w)`` arrays, as
+    an OR over the ``w`` columns of the comparison.  numpy's row reduction
+    is 4-8x slower at the few columns a landmark sweep has (42 against 11 us
+    for 1,445 x 3, 1,084 against 143 us for 40k x 3) and level at 32."""
+    less = candidates < current
+    improving = np.zeros(less.shape[0], dtype=bool)
+    for column in range(less.shape[1]):
+        improving |= less[:, column]
+    return improving
 
 
 class ShortestPathsKernel(ArrayMessageKernel):
@@ -67,9 +80,11 @@ class ShortestPathsKernel(ArrayMessageKernel):
         self.message_width = len(self.landmarks)
 
     def send_message_array(self, src_idx, dst_idx, state):
-        candidates = state[dst_idx] + 1.0
-        improving = (candidates < state[src_idx]).any(axis=1)
-        positions = np.flatnonzero(improving)
+        # ``take`` gathers few-column rows about 3x faster than fancy indexing
+        # (141 against 477 us for 40k x 3).
+        candidates = state.take(dst_idx, axis=0)
+        candidates += 1.0
+        positions = np.flatnonzero(rows_any_less(candidates, state.take(src_idx, axis=0)))
         return positions, src_idx[positions], candidates[positions]
 
     def apply_messages(self, state, target_idx, messages):
@@ -84,9 +99,9 @@ class MultiSourceShortestPathsKernel(ShortestPathsKernel):
     ``d(v -> landmark)``.  The state layout and the merge are inherited."""
 
     def send_message_array(self, src_idx, dst_idx, state):
-        candidates = state[src_idx] + 1.0
-        improving = (candidates < state[dst_idx]).any(axis=1)
-        positions = np.flatnonzero(improving)
+        candidates = state.take(src_idx, axis=0)
+        candidates += 1.0
+        positions = np.flatnonzero(rows_any_less(candidates, state.take(dst_idx, axis=0)))
         return positions, dst_idx[positions], candidates[positions]
 
 

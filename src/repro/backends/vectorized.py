@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.result import AlgorithmResult
-from ..algorithms.shortest_paths import choose_landmarks
+from ..algorithms.shortest_paths import choose_landmarks, rows_any_less
 from ..engine.cluster import ClusterConfig
 from ..engine.cost_model import CostParameters
 from ..errors import BackendError
@@ -177,7 +177,7 @@ def shortest_paths_kernel(
         frontier_edges = changed[dst]
         new = dist.copy()
         np.minimum.at(new, src[frontier_edges], dist[dst[frontier_edges]] + 1.0)
-        changed = (new < dist).any(axis=1)
+        changed = rows_any_less(new, dist)
         dist = new
     return dist, rounds
 

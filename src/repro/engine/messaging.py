@@ -24,17 +24,34 @@ slot* of :class:`TripletArrays` — partition-major, vertex-ascending inside
 a partition, GraphX's partition-local vertex id plus the partition's
 offset — and a triplet knows the slots of its two endpoints.  A
 superstep's outbox entries are therefore the distinct slots its messages
-touch, found with a flag array and ``flatnonzero`` instead of a sort, and
-ascending slot order *is* the scalar order twice over: a slot's messages
-arrive in emission (edge-scan) order, which pass 1 folds in place, and
-one target's slots ascend with their partition id, which is the order
-pass 2 merges them in.  Both passes use ``ufunc.at`` — an unbuffered,
-in-order left fold — rather than ``ufunc.reduceat``/``bincount``, whose
-pairwise summation reassociates long segments, and start from the
+touch, and ascending slot order *is* the scalar order twice over: a
+slot's messages arrive in emission (edge-scan) order, which pass 1 folds
+in place, and one target's slots ascend with their partition id, which is
+the order pass 2 merges them in.  Both passes use ``ufunc.at`` — an
+unbuffered, in-order left fold — rather than ``ufunc.reduceat``/``bincount``,
+whose pairwise summation reassociates long segments, and start from the
 kernel's ``merge_identity`` (``0.0`` for ``np.add``, ``+inf``/``INT64_MAX``
 for ``np.minimum``), which is exact for the shipped merge operators.  A
 slot is a shuffle message when its vertex is mastered in another
 partition, so the remote/local counters are sums of static per-slot masks.
+
+Frontier-proportional supersteps
+--------------------------------
+A data-driven superstep finds its scanned triplets one of two ways, both
+giving ``flatnonzero(active_edge_mask(...))`` exactly: the *edge scan*
+masks all E triplets; the *index scan* (GraphX's
+``aggregateMessagesWithActiveSet``) gathers the live vertices' endpoint
+positions from an endpoint-by-vertex CSR and keeps those the
+``active_direction`` asks for, then sorts (and for ``either`` dedupes)
+their triplet ids.  It runs when the live vertices' endpoint count is
+below ``_INDEX_SCAN_SHARE`` of 2E.  Likewise the fold plan ranks the
+distinct slots and targets either by marking R- and V-sized flag arrays
+and ``flatnonzero`` (many messages) or by one argsort and its run heads
+(``_SORT_PLAN_FACTOR`` times fewer messages than slots).  The index and
+the flag arrays are built on first use and released with the run, never
+kept on :class:`TripletArrays`: a session keeps every placement of the
+grid alive, and caching the index there raised the grid's peak RSS by
+13 % (219 to 248 MB).
 
 A kernel whose message structure is static (PageRank) hands the scan a
 plan once per scan build: :meth:`ArrayMessageKernel.static_messages`
@@ -58,7 +75,13 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from ..errors import EngineError
-from ..partitioning.membership import CompiledPlacement, master_partition_array
+from ..partitioning.membership import (
+    CompiledPlacement,
+    master_partition_array,
+    segment_arange,
+    sorted_unique,
+    sorted_unique_inverse,
+)
 from .cluster import for_executor_map
 
 __all__ = [
@@ -294,6 +317,53 @@ def message_slots(kernel, endpoint_slot, layout, edges, dst_idx, target_idx, slo
     return slot
 
 
+#: The index scan's crossover: a data-driven superstep gathers its live
+#: vertices' triplets through the run's endpoint index when their endpoint
+#: count is below this share of the 2E endpoints, and masks all E triplets
+#: otherwise.  Measured per superstep on 2 cores, index time over mask time:
+#: roadnet-ca scale 20, 2D, k = 128 (E = 86.5k) 0.13 below 1 %, 0.79 at
+#: 7-9 %, 1.02 at 9-11 %, 1.27 at 11-15 %; youtube scale 20, Hybrid, k = 16
+#: (E = 71.5k) 0.56 at 5-7 %, 1.46 at 11-15 %.  On the grid's roadnet-pa
+#: cells (E = 6.7k) both scans take 15-35 us and the index is 1-10 us slower.
+_INDEX_SCAN_SHARE = 0.10
+#: The sort plan's crossover: a superstep with ``m`` messages ranks its
+#: slots and targets by sorting when ``_SORT_PLAN_FACTOR * m`` is below the
+#: slot count R, and by marking R- and V-sized flag arrays otherwise.
+#: Measured as above, sort time over mark time: on roadnet-ca 1.85 at
+#: R / m = 4-8, 1.14 at 8-16, 0.97 at 16-32 and 0.59-0.67 above 128; on
+#: youtube 1.25 at 8-16, 1.10 at 16-32, 1.06 at 32-64 and level above 256.
+#: Frontier SSSP on roadnet-ca stays above R / m = 228, so every plan of it
+#: sorts and the run never allocates the R + V flag and rank arrays.
+_SORT_PLAN_FACTOR = 32
+
+
+def _endpoint_index(trip: TripletArrays) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets, order)``: ``order[offsets[v]:offsets[v + 1]]`` are the
+    endpoint positions of vertex ``v``, ascending (endpoint ``2i`` is triplet
+    ``i``'s source, ``2i + 1`` its destination)."""
+    # In the narrowest dtype: numpy's stable sort radix-sorts 16-bit keys.
+    vertex_dtype = np.min_scalar_type(max(trip.num_vertices - 1, 0))
+    endpoints = np.empty(2 * trip.num_edges, dtype=vertex_dtype)
+    endpoints[0::2] = trip.src
+    endpoints[1::2] = trip.dst
+    order = np.argsort(endpoints, kind="stable")
+    order = order.astype(np.int32 if endpoints.size <= np.iinfo(np.int32).max else np.int64)
+    offsets = np.zeros(trip.num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(endpoints, minlength=trip.num_vertices), out=offsets[1:])
+    return offsets, order
+
+
+def _mark_ranks(values: np.ndarray, mark: np.ndarray, rank: np.ndarray):
+    """``sorted_unique_inverse(values)`` through the all-``False`` flag array
+    ``mark`` and the rank scratch ``rank`` (both indexed by value): linear in
+    ``mark.size``, with no sort."""
+    mark[values] = True
+    distinct = np.flatnonzero(mark)
+    mark[distinct] = False
+    rank[distinct] = np.arange(distinct.size)
+    return distinct, rank[values]
+
+
 def triplet_scan(
     trip: TripletArrays,
     kernel: ArrayMessageKernel,
@@ -313,12 +383,14 @@ def triplet_scan(
     """
     static_structure = always_active and kernel.static_message_structure
     slot_remote = trip.remote_slots(executor_of)
-    # This run's flag and rank scratch, all-``False`` between plans (runs on
-    # one placement may overlap in threads, so it is not shared).
-    slot_mark = np.zeros(trip.num_slots, dtype=bool)
-    slot_rank = np.empty(trip.num_slots, dtype=np.intp)
-    vertex_mark = np.zeros(trip.num_vertices, dtype=bool)
-    vertex_rank = np.empty(trip.num_vertices, dtype=np.intp)
+    # This run's scratch, built on first use and released with the run (runs
+    # on one placement may overlap in threads, so none of it is shared): the
+    # endpoint index of the index scan, and the flag and rank arrays of the
+    # mark plan, all-``False`` between plans.
+    index = None
+    marks = None
+    slot_dtype = np.min_scalar_type(max(trip.num_slots - 1, 0))
+    vertex_dtype = np.min_scalar_type(max(trip.num_vertices - 1, 0))
     # The last superstep's fold plan.  Static structures reuse it outright;
     # otherwise it stays referenced until the next plan replaces it, which
     # also stops the allocator trimming the heap between supersteps (CC on
@@ -328,26 +400,68 @@ def triplet_scan(
     # A static structure's ``send(state)``, from the first call's plan.
     send = None
 
+    def scanned_triplets(active):
+        """``flatnonzero(active_edge_mask(...))``: by the endpoint index
+        when the live vertices' endpoints are few, else by the mask."""
+        nonlocal index
+        # The index is built once the live vertices are that share of V (a
+        # run whose frontier never shrinks never builds it); from then on
+        # their endpoint count, read off its offsets, picks the scan.
+        if index is not None or (
+            np.count_nonzero(active) < _INDEX_SCAN_SHARE * trip.num_vertices
+        ):
+            if index is None:
+                index = _endpoint_index(trip)
+            offsets, order = index
+            live = np.flatnonzero(active)
+            starts = offsets[live]
+            counts = offsets[live + 1] - starts
+            if counts.sum() < _INDEX_SCAN_SHARE * 2 * trip.num_edges:
+                positions = order[segment_arange(starts, counts)]
+                if active_direction == "either":
+                    return sorted_unique(positions >> 1).astype(np.intp)
+                if active_direction == "in":
+                    positions = positions[(positions & 1) == 1]
+                else:
+                    positions = positions[(positions & 1) == 0]
+                    if active_direction == "both":
+                        positions = positions[active[trip.dst[positions >> 1]]]
+                return np.sort(positions >> 1).astype(np.intp)
+        return np.flatnonzero(active_edge_mask(active, trip.src, trip.dst, active_direction))
+
     def plan_slots(edges, dst_idx, target_idx):
         """Group the messages of triplets ``edges`` by outbox slot and by
-        target without sorting: ascending slot order is partition-major."""
+        target: ascending slot order is partition-major."""
+        nonlocal marks
         slot = message_slots(
             kernel, trip.endpoint_slot, (2, 1), edges, dst_idx, target_idx, trip.slot_vertex
         )
-        slot_mark[slot] = True
-        slots = np.flatnonzero(slot_mark)
-        slot_mark[slots] = False
-        slot_rank[slots] = np.arange(slots.size)
-        slot_target = trip.slot_vertex[slots].astype(np.intp)
-        vertex_mark[slot_target] = True
-        targets = np.flatnonzero(vertex_mark)
-        vertex_mark[targets] = False
-        vertex_rank[targets] = np.arange(targets.size)
+        if _SORT_PLAN_FACTOR * slot.size < trip.num_slots:
+            # In their narrowest dtypes: numpy's stable sort radix-sorts keys
+            # of up to 16 bits (roadnet-ca's 21.7k vertex ids, 4k messages:
+            # 67 against 294 us as intp).
+            slots, slot_of_message = sorted_unique_inverse(slot.astype(slot_dtype))
+            targets, target_of_slot = sorted_unique_inverse(
+                trip.slot_vertex[slots].astype(vertex_dtype)
+            )
+            targets = targets.astype(np.intp)
+        else:
+            if marks is None:
+                marks = (
+                    np.zeros(trip.num_slots, dtype=bool),
+                    np.empty(trip.num_slots, dtype=np.intp),
+                    np.zeros(trip.num_vertices, dtype=bool),
+                    np.empty(trip.num_vertices, dtype=np.intp),
+                )
+            slots, slot_of_message = _mark_ranks(slot, *marks[:2])
+            targets, target_of_slot = _mark_ranks(
+                trip.slot_vertex[slots].astype(np.intp), *marks[2:]
+            )
         remote = int(np.count_nonzero(slot_remote[slots]))
         return (
-            slot_rank[slot],
+            slot_of_message,
             int(slots.size),
-            vertex_rank[slot_target],
+            target_of_slot,
             targets,
             np.diff(np.searchsorted(slots, trip.slot_bounds)),
             remote,
@@ -360,9 +474,7 @@ def triplet_scan(
             scanned, src, dst = None, trip.src, trip.dst
             scanned_counts = np.diff(trip.edge_bounds)
         else:
-            scanned = np.flatnonzero(
-                active_edge_mask(active, trip.src, trip.dst, active_direction)
-            )
+            scanned = scanned_triplets(active)
             src, dst = trip.src[scanned], trip.dst[scanned]
             scanned_counts = np.diff(np.searchsorted(scanned, trip.edge_bounds))
         if static_structure:

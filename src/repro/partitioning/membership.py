@@ -36,6 +36,7 @@ __all__ = [
     "master_partition_array",
     "segment_arange",
     "sorted_unique",
+    "sorted_unique_inverse",
 ]
 
 #: Salt applied before hashing so the vertex-master placement is independent
@@ -83,6 +84,17 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)`` by one sort, without ``np.unique``'s hashing."""
     ordered = np.sort(values, axis=None)
     return ordered[_run_heads(ordered)]
+
+
+def sorted_unique_inverse(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D array by one
+    stable argsort and its run heads, without ``np.unique``'s hashing."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    heads = _run_heads(ordered)
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(heads) - 1
+    return ordered[heads], inverse
 
 
 class VertexMembership:

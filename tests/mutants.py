@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LANDMARK_TESTS = "tests/test_session_store.py::TestLandmarkAndRecordRoundTrip"
 EXPORT_TEST = "tests/test_exports.py::test_all_lists_exactly_the_public_surface"
 INVARIANTS = "tests/test_invariants.py"
+FRONTIER_PATHS = "tests/test_property_based.py::TestFrontierPathsAgree"
 
 
 class Mutant(NamedTuple):
@@ -174,6 +175,27 @@ MUTANTS = (
         "    mirror_maps = pgraph.mirror_maps()\n"
         "    sources = np.asarray(pgraph.triplets().src)\n",
         (f"{INVARIANTS}::test_out_of_core_never_materialises_the_edge_list",),
+    ),
+    Mutant(
+        "(o) the index scan keeps a triplet twice when both its endpoints are live",
+        "src/repro/engine/messaging.py",
+        "return sorted_unique(positions >> 1).astype(np.intp)",
+        "return np.sort(positions >> 1).astype(np.intp)",
+        (FRONTIER_PATHS,),
+    ),
+    Mutant(
+        "(p) the index scan drops the destination filter of 'both'",
+        "src/repro/engine/messaging.py",
+        "positions = positions[active[trip.dst[positions >> 1]]]",
+        "positions = positions[active[trip.src[positions >> 1]]]",
+        (FRONTIER_PATHS,),
+    ),
+    Mutant(
+        "(q) the SSSP column-OR starts from column 1",
+        "src/repro/algorithms/shortest_paths.py",
+        "for column in range(less.shape[1]):",
+        "for column in range(1, less.shape[1]):",
+        ("tests/test_pregel_array_equivalence.py::TestArraySuperstepEquivalence",),
     ),
 )
 

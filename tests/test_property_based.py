@@ -13,7 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.connected_components import connected_components
+from repro.algorithms.connected_components import (
+    ConnectedComponentsKernel,
+    connected_components,
+)
 from repro.algorithms.degrees import degree_count
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.shortest_paths import multi_source_distances, shortest_paths
@@ -21,7 +24,9 @@ from repro.algorithms.triangle_count import total_triangles, triangle_count
 from repro.core.graph import Graph
 from repro.core.properties import triangle_count as exact_triangles
 from repro.engine.cluster import paper_cluster
+from repro.engine import messaging
 from repro.engine.partitioned_graph import PartitionedGraph
+from repro.engine.pregel import pregel
 from repro.metrics.partition_metrics import compute_metrics
 from repro.partitioning.registry import (
     PAPER_PARTITIONER_NAMES,
@@ -211,3 +216,65 @@ class TestEntryPointsMatchScalarOracles:
         assert got.vertex_values == expected.vertex_values
         assert got.num_supersteps == expected.num_supersteps
         assert got.report.supersteps == expected.report.supersteps
+
+
+@st.composite
+def frontier_cases(draw):
+    """Graphs with self-loops, duplicate edges and isolated vertices, under
+    up to more partitions than vertices."""
+    num_vertices = draw(st.integers(2, 20))
+    vertex = st.integers(0, num_vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=0, max_size=60))
+    extra = draw(st.integers(0, 4))
+    graph = Graph.from_edges(
+        edges, vertices=list(range(num_vertices + extra)), name="hypothesis"
+    )
+    name = draw(st.sampled_from(PAPER_PARTITIONER_NAMES))
+    parts = draw(st.integers(1, num_vertices + extra + 3))
+    return PartitionedGraph.partition(graph, name, parts)
+
+
+def _label_run(direction):
+    def run(pgraph):
+        ids = pgraph.graph.vertex_ids
+        return pregel(
+            pgraph,
+            initial_values=ids.copy(),
+            max_iterations=ids.size + 1,
+            active_direction=direction,
+            message_kernel=ConnectedComponentsKernel(),
+        )
+    return run
+
+
+class TestFrontierPathsAgree:
+    """The edge and index scans, and the mark and sort plans, forced each
+    way, give identical values and superstep records."""
+
+    @SETTINGS
+    @given(
+        pgraph=frontier_cases(),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    )
+    def test_forced_paths_are_identical(self, pgraph, picks):
+        ids = pgraph.graph.vertex_ids.tolist()
+        chosen = [ids[pick % len(ids)] for pick in picks]
+        runs = {
+            "CC": connected_components,
+            "SSSP": lambda pg: shortest_paths(pg, chosen),
+            "multi-source": lambda pg: multi_source_distances(pg, chosen),
+            **{direction: _label_run(direction) for direction in ("out", "in", "both")},
+        }
+        for name, run in runs.items():
+            outcomes = []
+            for share in (0.0, np.inf):
+                for factor in (0.0, np.inf):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(messaging, "_INDEX_SCAN_SHARE", share)
+                        patch.setattr(messaging, "_SORT_PLAN_FACTOR", factor)
+                        result = run(pgraph)
+                    values = getattr(result, "values", None)
+                    if values is None:
+                        values = result.vertex_values
+                    outcomes.append((np.asarray(values).tobytes(), result.report.supersteps))
+            assert all(outcome == outcomes[0] for outcome in outcomes[1:]), name
